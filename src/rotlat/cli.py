@@ -11,12 +11,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
-from .constructions import build, module_from_json, module_to_json
+from .constructions import CONSTRUCTIONS, build, module_from_json, module_to_json
 from .distance import table1_csv
 from .feasibility import dn_feasibility, report_json as feasibility_json
-from .fields import make_field
+from .fields import FAMILIES, make_field
 from .gram import det_exact, det_via_formula, embedding_csv, gram
 from .verify import verify_rotated_dn
 
@@ -27,29 +26,20 @@ EXIT_INPUT_ERROR = 2
 DEFAULT_PRECISION = 128
 
 
-@dataclass
-class RunConfig:
-    command: str
-    construction: str | None = None
-    family: str | None = None
-    params: dict | None = None
-    module_path: str | None = None
-    out: str | None = None
-    precision: int = DEFAULT_PRECISION
-    coeff_bound: int = 2
+# every parameter name, in table order: r, p, p1, p2
+_PARAMS = tuple(dict.fromkeys(name for family in FAMILIES.values() for name, _ in family))
 
 
-def _default_precision() -> int:
-    raw = os.environ.get("ROTLAT_PRECISION")
-    if raw is None:
-        return DEFAULT_PRECISION
-    try:
-        value = int(raw)
-        if value < 8:
-            raise ValueError
-    except ValueError:
-        raise SystemExit(f"ROTLAT_PRECISION must be an integer >= 8, got {raw!r}")
-    return value
+def _precision(flag: int | None) -> int:
+    """Output precision in bits from --precision, else ROTLAT_PRECISION,
+    else the default; either source must give an integer >= 8."""
+    if flag is not None:
+        source, raw = "--precision", str(flag)
+    else:
+        source, raw = "ROTLAT_PRECISION", os.environ.get("ROTLAT_PRECISION", str(DEFAULT_PRECISION))
+    if not raw.strip().isdecimal() or int(raw) < 8:
+        raise ValueError(f"{source} must be an integer >= 8, got {raw!r}")
+    return int(raw)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,11 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     construct = sub.add_parser("construct", help="build a twisted module and write its JSON")
-    construct.add_argument("--construction", required=True, choices=["p31", "p32", "p34", "p37"])
-    construct.add_argument("--r", type=int)
-    construct.add_argument("--p", type=int)
-    construct.add_argument("--p1", type=int)
-    construct.add_argument("--p2", type=int)
+    construct.add_argument("--construction", required=True, choices=list(CONSTRUCTIONS))
+    for name in _PARAMS:
+        construct.add_argument(f"--{name}", type=int)
     construct.add_argument("--out", default="module.json")
 
     verify = sub.add_parser("verify", help="certify that a module's lattice is a rotated D_n")
@@ -76,14 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     feas = sub.add_parser("feasibility", help="ideal-based feasibility verdict for a field")
-    feas.add_argument(
-        "--family", required=True,
-        choices=["pow2", "odd-prime", "comp-pow2-odd", "comp-odd-odd"],
-    )
-    feas.add_argument("--r", type=int)
-    feas.add_argument("--p", type=int)
-    feas.add_argument("--p1", type=int)
-    feas.add_argument("--p2", type=int)
+    feas.add_argument("--family", required=True, choices=list(FAMILIES))
+    for name in _PARAMS:
+        feas.add_argument(f"--{name}", type=int)
     feas.add_argument("--out", help="also write the report JSON to this path")
 
     embed = sub.add_parser("embed", help="emit the floating generator matrix as CSV")
@@ -94,22 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARAM_NAMES = {
-    "p31": ("r",),
-    "p32": ("p",),
-    "p34": ("r", "p"),
-    "p37": ("p1", "p2"),
-    "pow2": ("r",),
-    "odd-prime": ("p",),
-    "comp-pow2-odd": ("r", "p"),
-    "comp-odd-odd": ("p1", "p2"),
-}
-
-
-def _collect_params(args, kind: str) -> dict:
+def _collect_params(args, kind: str, family: str) -> dict:
     params = {}
-    for name in _PARAM_NAMES[kind]:
-        value = getattr(args, name.replace("-", "_"))
+    for name, _ in FAMILIES[family]:
+        value = getattr(args, name)
         if value is None:
             raise ValueError(f"missing required parameter --{name} for {kind}")
         params[name] = value
@@ -129,7 +100,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_construct(args) -> int:
-    params = _collect_params(args, args.construction)
+    params = _collect_params(args, args.construction, CONSTRUCTIONS[args.construction].family)
     module = build(args.construction, **params)
     _write_text(args.out, json.dumps(module_to_json(module), indent=2) + "\n")
     return EXIT_OK
@@ -161,7 +132,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_feasibility(args) -> int:
-    params = _collect_params(args, args.family)
+    params = _collect_params(args, args.family, args.family)
     field = make_field(args.family, **params)
     text = feasibility_json(dn_feasibility(field))
     sys.stdout.write(text)
@@ -171,10 +142,10 @@ def _cmd_feasibility(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    precision = _precision(args.precision)
     with open(args.module) as handle:
         obj = json.load(handle)
     module = module_from_json(obj)
-    precision = args.precision if args.precision is not None else _default_precision()
     _emit(embedding_csv(module, precision), args.out)
     return EXIT_OK
 

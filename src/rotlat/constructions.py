@@ -13,11 +13,15 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
+from typing import Callable
 
 from .cyclo import CycloElt
 from .fields import (
     FieldDesc,
+    check_params,
     coords_on_basis,
+    factor_degrees,
     field_from_json,
     field_to_json,
     is_totally_positive,
@@ -25,8 +29,7 @@ from .fields import (
     subfield_degrees,
 )
 from .linalg import det_int, inverse_rational, smith_normal_form, vec_mat
-
-CONSTRUCTION_CODES = ("p31", "p32", "p34", "p37")
+from .numtheory import is_prime
 
 
 @dataclass(frozen=True)
@@ -39,30 +42,7 @@ class TwistedModule:
     extrapolated: bool = False
 
 
-def build(construction: str, **params) -> TwistedModule:
-    """Build one of the named module constructions.
-
-    p31: power-of-two real subfield, principal-ideal module, alpha = 2 + e1.
-    p32: odd-prime real subfield, non-ideal module, alpha = 2 - e1.
-    p34: compositum of the two, non-ideal module, product twist.
-    p37: compositum of two odd-prime fields, non-ideal module, product twist.
-    """
-    code = construction.lower()
-    if code == "p31":
-        return _build_p31(int(params["r"]))
-    if code == "p32":
-        return _build_p32(int(params["p"]))
-    if code == "p34":
-        return _build_p34(int(params["r"]), int(params["p"]))
-    if code == "p37":
-        return _build_p37(int(params["p1"]), int(params["p2"]))
-    raise ValueError(f"unknown construction {construction!r}; expected one of {CONSTRUCTION_CODES}")
-
-
-def _build_p31(r: int) -> TwistedModule:
-    if r < 3:
-        raise ValueError("r must be an integer >= 3")
-    field = make_field("pow2", r=r)
+def _p31(field: FieldDesc, q: dict) -> tuple[tuple[CycloElt, ...], CycloElt]:
     e = field.basis  # e[0] = 1, e[i] = zeta^i + zeta^-i
     n, m = field.n, field.m
     head = CycloElt.zero(m)
@@ -70,54 +50,111 @@ def _build_p31(r: int) -> TwistedModule:
         head = head + (-2 if i % 2 == 0 else 2) * e[i]
     head = head + e[n - 1]
     tail = [(-1 if i % 2 == 0 else 1) * e[n - 1 - i] for i in range(n - 1)]
-    gamma = (head, *tail)
-    alpha = 2 + e[1]
-    extrapolated = r < 5
-    if extrapolated:
-        warnings.warn(
-            f"p31 with r={r} extends the construction below its stated range (r >= 5); "
-            "certification decides empirically",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return _validated(TwistedModule(field, gamma, alpha, 2 ** (r - 1), "p31", extrapolated))
+    return (head, *tail), 2 + e[1]
 
 
-def _build_p32(p: int) -> TwistedModule:
-    from .numtheory import is_prime
-
-    if p < 7 or not is_prime(p):
-        raise ValueError("p must be a prime >= 7")
-    field = make_field("odd-prime", p=p)
+def _p32(field: FieldDesc, q: dict) -> tuple[tuple[CycloElt, ...], CycloElt]:
     b = field.basis  # b[0] = b_1, ..., b[n-1] = b_n
     n = field.n
     head = -b[0]
     for j in range(1, n):
         head = head - 2 * b[j]
-    gamma = (head, *b[: n - 1])
-    alpha = 2 - b[0]
-    return _validated(TwistedModule(field, gamma, alpha, p, "p32"))
+    return (head, *b[: n - 1]), 2 - b[0]
 
 
-def _build_p34(r: int, p: int) -> TwistedModule:
-    field = make_field("comp-pow2-odd", r=r, p=p)
-    _, n2 = subfield_degrees(field)
+def _product_twist(field: FieldDesc, m1: int, m2: int, doubled: int):
+    """The compositum basis with one vector doubled, and alpha = (2 - e1)(2 - b1)
+    for e1, b1 the first basis pairs of the factors of conductors m1, m2."""
     gamma = list(field.basis)
-    gamma[n2 - 1] = 2 * gamma[n2 - 1]  # double the (i=0, j=n2) product
-    e1 = CycloElt.zeta_pair(2**r, 1).lift(field.m)
-    b1 = CycloElt.zeta_pair(p, 1).lift(field.m)
-    alpha = (2 - e1) * (2 - b1)
-    return _validated(TwistedModule(field, tuple(gamma), alpha, 2 ** (r - 1) * p, "p34"))
+    gamma[doubled] = 2 * gamma[doubled]
+    e1 = CycloElt.zeta_pair(m1, 1).lift(field.m)
+    b1 = CycloElt.zeta_pair(m2, 1).lift(field.m)
+    return tuple(gamma), (2 - e1) * (2 - b1)
 
 
-def _build_p37(p1: int, p2: int) -> TwistedModule:
-    field = make_field("comp-odd-odd", p1=p1, p2=p2)
-    gamma = list(field.basis)
-    gamma[-1] = 2 * gamma[-1]  # double the (i=n1, j=n2) product
-    e1 = CycloElt.zeta_pair(p1, 1).lift(field.m)
-    b1 = CycloElt.zeta_pair(p2, 1).lift(field.m)
-    alpha = (2 - e1) * (2 - b1)
-    return _validated(TwistedModule(field, tuple(gamma), alpha, p1 * p2, "p37"))
+def _p32_check(q: dict) -> None:
+    if q["p"] < 7 or not is_prime(q["p"]):
+        raise ValueError("p must be a prime >= 7")
+
+
+@dataclass(frozen=True)
+class Construction:
+    """One module construction.  ``scale`` and ``norm_alpha`` give c and
+    N(alpha) as prime -> exponent tables from the checked parameters and
+    the factor degrees, so closed forms never need the field built."""
+
+    family: str
+    scale: Callable[[dict], dict[int, int]]
+    norm_alpha: Callable[[dict, tuple[int, ...]], dict[int, int]]
+    make: Callable[[FieldDesc, dict], tuple[tuple[CycloElt, ...], CycloElt]]  # gamma, alpha
+    min_norm: int = 1  # assumed minimum |N(x)| over the nonzero module elements
+    check: Callable[[dict], None] | None = None  # beyond the family's own rules
+    stated_from: tuple[str, int] | None = None  # below this bound: extrapolated
+
+
+CONSTRUCTIONS: dict[str, Construction] = {
+    # power-of-two real subfield, principal-ideal module, alpha = 2 + e1
+    "p31": Construction(
+        "pow2", lambda q: {2: q["r"] - 1}, lambda q, d: {2: 1}, _p31,
+        min_norm=2, stated_from=("r", 5),
+    ),
+    # odd-prime real subfield, non-ideal module, alpha = 2 - e1
+    "p32": Construction(
+        "odd-prime", lambda q: {q["p"]: 1}, lambda q, d: {q["p"]: 1}, _p32, check=_p32_check,
+    ),
+    # compositum of the two, non-ideal module, product twist; the (i=0, j=n2)
+    # product is doubled
+    "p34": Construction(
+        "comp-pow2-odd", lambda q: {2: q["r"] - 1, q["p"]: 1},
+        lambda q, d: {2: d[1], q["p"]: d[0]},
+        lambda K, q: _product_twist(K, 2 ** q["r"], q["p"], subfield_degrees(K)[1] - 1),
+    ),
+    # compositum of two odd-prime fields, non-ideal module, product twist; the
+    # last (i=n1, j=n2) product is doubled
+    "p37": Construction(
+        "comp-odd-odd", lambda q: {q["p1"]: 1, q["p2"]: 1},
+        lambda q, d: {q["p1"]: d[1], q["p2"]: d[0]},
+        lambda K, q: _product_twist(K, q["p1"], q["p2"], K.n - 1),
+    ),
+}
+
+CONSTRUCTION_CODES = tuple(CONSTRUCTIONS)
+
+
+def lookup(construction: str, params) -> tuple[Construction, dict[str, int], tuple[int, ...]]:
+    """The table row of a construction, its checked parameters and its
+    factor degrees."""
+    code = construction.lower()
+    if code not in CONSTRUCTIONS:
+        raise ValueError(
+            f"unknown construction {construction!r}; expected one of {CONSTRUCTION_CODES}"
+        )
+    spec = CONSTRUCTIONS[code]
+    q = check_params(spec.family, params, spec.check)
+    return spec, q, factor_degrees(spec.family, q)
+
+
+def _is_extrapolated(spec: Construction, q: dict) -> bool:
+    return spec.stated_from is not None and q[spec.stated_from[0]] < spec.stated_from[1]
+
+
+def build(construction: str, **params) -> TwistedModule:
+    """Build one of the named module constructions (see CONSTRUCTIONS)."""
+    spec, q, _ = lookup(construction, params)
+    field = make_field(spec.family, **q)
+    gamma, alpha = spec.make(field, q)
+    c = prod(p**e for p, e in spec.scale(q).items())
+    code = construction.lower()
+    extrapolated = _is_extrapolated(spec, q)
+    if extrapolated:
+        name, bound = spec.stated_from
+        warnings.warn(
+            f"{code} with {name}={q[name]} extends the construction below its stated range "
+            f"({name} >= {bound}); certification decides empirically",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return _validated(TwistedModule(field, gamma, alpha, c, code, extrapolated))
 
 
 def _validated(module: TwistedModule) -> TwistedModule:
@@ -234,14 +271,23 @@ def module_to_json(module: TwistedModule) -> dict:
 
 
 def module_from_json(obj) -> TwistedModule:
+    if not isinstance(obj, dict):
+        raise ValueError("module must be a JSON object")
     field = field_from_json(obj["field"])
+    if not isinstance(obj["gamma"], list):
+        raise ValueError("gamma must be a list of elements")
     gamma = tuple(CycloElt.from_json(g) for g in obj["gamma"])
     alpha = CycloElt.from_json(obj["alpha"])
-    c = int(obj["c"])
-    if c <= 0:
+    c = obj["c"]
+    if type(c) is not int or c <= 0:
         raise ValueError("scale c must be a positive integer")
     if alpha.m != field.m or any(g.m != field.m for g in gamma):
         raise ValueError("conductor mismatch between field and elements")
     construction = str(obj["construction"])
-    extrapolated = construction == "p31" and field.param("r") < 5
+    extrapolated = False
+    if construction in CONSTRUCTIONS:
+        spec = CONSTRUCTIONS[construction]
+        if spec.family != field.family:
+            raise ValueError(f"construction {construction} needs a {spec.family} field")
+        extrapolated = _is_extrapolated(spec, lookup(construction, dict(field.params))[1])
     return _validated(TwistedModule(field, gamma, alpha, c, construction, extrapolated))

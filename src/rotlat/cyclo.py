@@ -230,7 +230,12 @@ class CycloElt:
 
     @classmethod
     def from_json(cls, obj) -> "CycloElt":
-        return cls(int(obj["m"]), tuple(Fraction(s) for s in obj["coeffs"]))
+        if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
+            raise ValueError("element must be an object with a 'coeffs' list")
+        try:
+            return cls(int(obj["m"]), tuple(Fraction(s) for s in obj["coeffs"]))
+        except (TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed element: {exc}") from None
 
 
 # -- traces and norms over Q -------------------------------------------

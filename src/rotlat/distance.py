@@ -16,9 +16,10 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructions import TwistedModule
+from .constructions import TwistedModule, lookup
 from .fields import coords_on_basis
 from .linalg import det_int
+from .numtheory import factorize
 
 _HALF = Fraction(1, 2)
 
@@ -31,79 +32,34 @@ def _clean(table: ExponentTable) -> ExponentTable:
     return {p: e for p, e in sorted(table.items()) if e}
 
 
-def _p31_sizes(r: int) -> int:
-    if r < 3:
-        raise ValueError("r must be an integer >= 3")
-    return 2 ** (r - 2)
+def _table(exponents: dict[int, int], factor=Fraction(1)) -> ExponentTable:
+    return _clean({p: factor * e for p, e in exponents.items()})
 
 
-def _p32_sizes(p: int) -> int:
-    if p < 7:
-        raise ValueError("p must be a prime >= 7")
-    return (p - 1) // 2
+def lattice_dimension(construction: str, **params) -> int:
+    return math.prod(lookup(construction, params)[2])
 
 
-def _p34_sizes(r: int, p: int) -> tuple[int, int]:
-    if r < 3:
-        raise ValueError("r must be an integer >= 3")
-    if p < 5:
-        raise ValueError("p must be a prime >= 5")
-    return 2 ** (r - 2), (p - 1) // 2
+def scale_exponents(construction: str, **params) -> ExponentTable:
+    """Exponent table of the scale integer c."""
+    spec, q, _ = lookup(construction, params)
+    return _table(spec.scale(q))
 
 
-def _p37_sizes(p1: int, p2: int) -> tuple[int, int]:
-    if min(p1, p2) < 5 or p1 == p2:
-        raise ValueError("p1 and p2 must be distinct primes >= 5")
-    return (p1 - 1) // 2, (p2 - 1) // 2
+def norm_alpha_exponents(construction: str, **params) -> ExponentTable:
+    """Exponent table of N(alpha), the norm of the twist."""
+    spec, q, dims = lookup(construction, params)
+    return _table(spec.norm_alpha(q, dims))
 
 
 def dp_unscaled_exponents(construction: str, **params) -> ExponentTable:
     """Minimum product distance of the unscaled twisted embedding,
     sqrt(norm(alpha)) times the assumed minimum norm over the module."""
-    code = construction.lower()
-    if code == "p31":
-        _p31_sizes(params["r"])
-        return _clean({2: Fraction(3, 2)})  # sqrt(2) * min-norm 2
-    if code == "p32":
-        p = params["p"]
-        _p32_sizes(p)
-        return _clean({p: _HALF})
-    if code == "p34":
-        n1, n2 = _p34_sizes(params["r"], params["p"])
-        return _clean({2: n2 * _HALF, params["p"]: n1 * _HALF})
-    if code == "p37":
-        n1, n2 = _p37_sizes(params["p1"], params["p2"])
-        return _clean({params["p1"]: n2 * _HALF, params["p2"]: n1 * _HALF})
-    raise ValueError(f"unknown construction {construction!r}")
-
-
-def scale_exponents(construction: str, **params) -> ExponentTable:
-    """Exponent table of the scale integer c."""
-    code = construction.lower()
-    if code == "p31":
-        return _clean({2: Fraction(params["r"] - 1)})
-    if code == "p32":
-        return _clean({params["p"]: Fraction(1)})
-    if code == "p34":
-        return _clean({2: Fraction(params["r"] - 1), params["p"]: Fraction(1)})
-    if code == "p37":
-        return _clean({params["p1"]: Fraction(1), params["p2"]: Fraction(1)})
-    raise ValueError(f"unknown construction {construction!r}")
-
-
-def lattice_dimension(construction: str, **params) -> int:
-    code = construction.lower()
-    if code == "p31":
-        return _p31_sizes(params["r"])
-    if code == "p32":
-        return _p32_sizes(params["p"])
-    if code == "p34":
-        n1, n2 = _p34_sizes(params["r"], params["p"])
-        return n1 * n2
-    if code == "p37":
-        n1, n2 = _p37_sizes(params["p1"], params["p2"])
-        return n1 * n2
-    raise ValueError(f"unknown construction {construction!r}")
+    spec, q, dims = lookup(construction, params)
+    table = _table(spec.norm_alpha(q, dims), _HALF)
+    for p, e in factorize(spec.min_norm):
+        table[p] = table.get(p, Fraction(0)) + e
+    return _clean(table)
 
 
 def dp_rel_exponents(construction: str, **params) -> ExponentTable:
@@ -155,7 +111,7 @@ def dp_closed_form(module: TwistedModule, confirm_bound: int | None = None) -> D
     unscaled = dp_unscaled_exponents(code, **params)
     rel = dp_rel_exponents(code, **params)
     n = lattice_dimension(code, **params)
-    assumed = 2 if code == "p31" else 1
+    assumed = lookup(code, params)[0].min_norm
     confirmed = False
     if confirm_bound is not None:
         found = min_norm_search(module, confirm_bound)
@@ -284,6 +240,16 @@ TABLE_ROWS: tuple[TableRow, ...] = (
 K4_REFERENCE_N15 = "0.1380198"
 
 
+# Table columns: the construction each one tabulates, and the TableRow
+# attribute that holds each of its parameters.
+_COLUMNS = (
+    ("K1", "p32", {"p": "p"}),
+    ("K2", "p31", {"r": "r"}),
+    ("K3", "p34", {"r": "r1", "p": "p1"}),
+    ("K4", "p37", {"p1": "p2", "p2": "p3"}),
+)
+
+
 def table1(rows: tuple[TableRow, ...] = TABLE_ROWS) -> list[dict]:
     """Per-dimension relative minimum product distances, one dict per row.
 
@@ -297,23 +263,17 @@ def table1(rows: tuple[TableRow, ...] = TABLE_ROWS) -> list[dict]:
             "p1": row.p1, "p2": row.p2, "p3": row.p3,
             "K1": None, "K2": None, "K3": None, "K4": None, "note": "",
         }
-        if row.p is not None:
-            _check_dim(row.n, lattice_dimension("p32", p=row.p), "K1", row)
-            rec["K1"] = per_dimension(dp_rel_exponents("p32", p=row.p), row.n)
-        if row.r is not None:
-            _check_dim(row.n, lattice_dimension("p31", r=row.r), "K2", row)
-            rec["K2"] = per_dimension(dp_rel_exponents("p31", r=row.r), row.n)
-        if row.r1 is not None and row.p1 is not None:
-            _check_dim(row.n, lattice_dimension("p34", r=row.r1, p=row.p1), "K3", row)
-            rec["K3"] = per_dimension(dp_rel_exponents("p34", r=row.r1, p=row.p1), row.n)
-        if row.p2 is not None and row.p3 is not None:
-            _check_dim(row.n, lattice_dimension("p37", p1=row.p2, p2=row.p3), "K4", row)
-            rec["K4"] = per_dimension(dp_rel_exponents("p37", p1=row.p2, p2=row.p3), row.n)
-            if row.n == 15:
-                rec["note"] = (
-                    f"closed form {rec['K4']:.6g} disagrees with the reference "
-                    f"tabulation value {K4_REFERENCE_N15}"
-                )
+        for column, code, attrs in _COLUMNS:
+            params = {name: getattr(row, attr) for name, attr in attrs.items()}
+            if None in params.values():
+                continue
+            _check_dim(row.n, lattice_dimension(code, **params), column, row)
+            rec[column] = per_dimension(dp_rel_exponents(code, **params), row.n)
+        if rec["K4"] is not None and row.n == 15:
+            rec["note"] = (
+                f"closed form {rec['K4']:.6g} disagrees with the reference "
+                f"tabulation value {K4_REFERENCE_N15}"
+            )
         out.append(rec)
     return out
 

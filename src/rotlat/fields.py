@@ -8,10 +8,13 @@ Families (conductor m, degree n):
   comp-pow2-odd  compositum of the two above          m = 2^r * p  n = n1*n2
   comp-odd-odd   compositum of two odd-prime fields   m = p1 * p2  n = n1*n2
 
-Each descriptor carries an integral basis and the exact discriminant.
-At construction time (n <= 20) the stored discriminant is revalidated
-against the determinant of the trace form on the integral basis, which
-catches basis or reduction bugs at the source.
+FAMILIES holds one row per family: its parameters and its factor fields.
+The factors' discriminants are coprime, so the integral basis of a
+compositum is the product of the factor bases and its discriminant is
+prod d_i^(n/n_i) (Neukirch, Algebraic Number Theory I.2.11); one builder
+serves every family.  At construction time (n <= 20) the discriminant is
+revalidated against the determinant of the trace form on the integral
+basis, which catches basis or reduction bugs at the source.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import product
+from math import gcd, prod
+from typing import Callable
 
 from .cyclo import (
     CycloElt,
@@ -30,7 +35,49 @@ from .cyclo import (
 from .linalg import det_rational, inverse_rational, vec_mat
 from .numtheory import crt, euler_phi, is_prime, v2
 
-FAMILIES = ("pow2", "odd-prime", "comp-pow2-odd", "comp-odd-odd")
+
+@dataclass(frozen=True)
+class Factor:
+    """A field Q(zeta_m + zeta_m^-1) named by one integer parameter.
+
+    ``exponents`` lists the integral basis, each element as the exponents
+    k of the powers zeta_m^k that it sums.
+    """
+
+    rule: tuple[str, str]  # what a valid parameter is, for one and for several
+    valid: Callable[[int], bool]
+    conductor: Callable[[int], int]
+    degree: Callable[[int], int]
+    disc: Callable[[int], int]
+    exponents: Callable[[int], tuple[tuple[int, ...], ...]]
+
+
+POW2 = Factor(
+    ("an integer >= 3", "integers >= 3"),
+    lambda r: r >= 3,
+    lambda r: 2**r,
+    lambda r: 2 ** (r - 2),
+    lambda r: 2 ** ((r - 1) * 2 ** (r - 2) - 1),
+    lambda r: ((0,),) + tuple((i, -i) for i in range(1, 2 ** (r - 2))),
+)
+
+ODD_PRIME = Factor(
+    ("a prime >= 5", "primes >= 5"),
+    lambda p: p >= 5 and is_prime(p),
+    lambda p: p,
+    lambda p: (p - 1) // 2,
+    lambda p: p ** ((p - 3) // 2),
+    lambda p: tuple((j, -j) for j in range(1, (p - 1) // 2 + 1)),
+)
+
+
+# family -> its parameters, each naming one factor field
+FAMILIES: dict[str, tuple[tuple[str, Factor], ...]] = {
+    "pow2": (("r", POW2),),
+    "odd-prime": (("p", ODD_PRIME),),
+    "comp-pow2-odd": (("r", POW2), ("p", ODD_PRIME)),
+    "comp-odd-odd": (("p1", ODD_PRIME), ("p2", ODD_PRIME)),
+}
 
 
 @dataclass(frozen=True)
@@ -53,91 +100,62 @@ class FieldDesc:
         return euler_phi(self.m) // self.n
 
 
-def _pow2_disc(r: int) -> int:
-    return 2 ** ((r - 1) * 2 ** (r - 2) - 1)
+def check_params(family: str, params, extra: Callable[[dict], None] | None = None) -> dict[str, int]:
+    """The family's parameters from ``params``, checked; the package's one
+    parameter check.
+
+    Each value must be an int (never truncated) valid for its factor, and
+    factors of the same kind must differ.  ``extra`` is a construction's own
+    condition; it sees the integer values before the family's rules run.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
+    values = {}
+    for name, _ in FAMILIES[family]:
+        if name not in params:
+            raise ValueError(f"missing parameter {name!r}")
+        if type(params[name]) is not int:
+            raise ValueError(f"parameter {name!r} must be an integer, got {params[name]!r}")
+        values[name] = params[name]
+    if extra is not None:
+        extra(values)
+    for kind in dict.fromkeys(k for _, k in FAMILIES[family]):
+        names = [name for name, k in FAMILIES[family] if k is kind]
+        if not all(kind.valid(values[name]) for name in names):
+            raise ValueError(f"{' and '.join(names)} must be {kind.rule[len(names) > 1]}")
+        if len({values[name] for name in names}) < len(names):
+            raise ValueError(f"{' != '.join(names)} required")
+    return values
 
 
-def _odd_prime_disc(p: int) -> int:
-    return p ** ((p - 3) // 2)
+def factor_degrees(family: str, params: dict[str, int]) -> tuple[int, ...]:
+    """Degrees of the factor fields, from checked parameters; builds nothing."""
+    return tuple(kind.degree(params[name]) for name, kind in FAMILIES[family])
 
 
 def make_field(family: str, **params) -> FieldDesc:
     """Build (or fetch from cache) a field descriptor."""
-    if family == "pow2":
-        return _field_pow2(_get_int(params, "r"))
-    if family == "odd-prime":
-        return _field_odd_prime(_get_int(params, "p"))
-    if family == "comp-pow2-odd":
-        return _field_comp_pow2_odd(_get_int(params, "r"), _get_int(params, "p"))
-    if family == "comp-odd-odd":
-        return _field_comp_odd_odd(_get_int(params, "p1"), _get_int(params, "p2"))
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
-def _get_int(params: dict, name: str) -> int:
-    if name not in params:
-        raise ValueError(f"missing parameter {name!r}")
-    return int(params[name])
+    values = check_params(family, params)
+    return _build_field(family, tuple(values.items()))
 
 
 @lru_cache(maxsize=None)
-def _field_pow2(r: int) -> FieldDesc:
-    if r < 3:
-        raise ValueError("r must be an integer >= 3")
-    m = 2**r
-    n = 2 ** (r - 2)
-    basis = [CycloElt.one(m)] + [CycloElt.zeta_pair(m, i) for i in range(1, n)]
-    return _finish(FieldDesc("pow2", (("r", r),), m, n, tuple(basis), _pow2_disc(r)))
-
-
-@lru_cache(maxsize=None)
-def _field_odd_prime(p: int) -> FieldDesc:
-    if p < 5 or not is_prime(p):
-        raise ValueError("p must be a prime >= 5")
-    n = (p - 1) // 2
-    basis = [CycloElt.zeta_pair(p, i) for i in range(1, n + 1)]
-    return _finish(FieldDesc("odd-prime", (("p", p),), p, n, tuple(basis), _odd_prime_disc(p)))
-
-
-@lru_cache(maxsize=None)
-def _field_comp_pow2_odd(r: int, p: int) -> FieldDesc:
-    if r < 3:
-        raise ValueError("r must be an integer >= 3")
-    if p < 5 or not is_prime(p):
-        raise ValueError("p must be a prime >= 5")
-    m = 2**r * p
-    n1 = 2 ** (r - 2)
-    n2 = (p - 1) // 2
-    e = [CycloElt.one(m)] + [CycloElt.zeta_pair(2**r, i).lift(m) for i in range(1, n1)]
-    b = [CycloElt.zeta_pair(p, j).lift(m) for j in range(1, n2 + 1)]
-    basis = [ei * bj for ei in e for bj in b]
-    disc = _pow2_disc(r) ** n2 * _odd_prime_disc(p) ** n1
-    return _finish(
-        FieldDesc("comp-pow2-odd", (("r", r), ("p", p)), m, n1 * n2, tuple(basis), disc)
-    )
-
-
-@lru_cache(maxsize=None)
-def _field_comp_odd_odd(p1: int, p2: int) -> FieldDesc:
-    for q in (p1, p2):
-        if q < 5 or not is_prime(q):
-            raise ValueError("p1 and p2 must be primes >= 5")
-    if p1 == p2:
-        raise ValueError("p1 != p2 required")
-    m = p1 * p2
-    n1 = (p1 - 1) // 2
-    n2 = (p2 - 1) // 2
-    e = [CycloElt.zeta_pair(p1, i).lift(m) for i in range(1, n1 + 1)]
-    b = [CycloElt.zeta_pair(p2, j).lift(m) for j in range(1, n2 + 1)]
-    basis = [ei * bj for ei in e for bj in b]
-    disc = _odd_prime_disc(p1) ** n2 * _odd_prime_disc(p2) ** n1
-    return _finish(
-        FieldDesc("comp-odd-odd", (("p1", p1), ("p2", p2)), m, n1 * n2, tuple(basis), disc)
-    )
-
-
-def _finish(field: FieldDesc) -> FieldDesc:
-    if field.n <= 20:
+def _build_field(family: str, params: tuple[tuple[str, int], ...]) -> FieldDesc:
+    factors = [(kind, dict(params)[name]) for name, kind in FAMILIES[family]]
+    m = prod(kind.conductor(v) for kind, v in factors)
+    n = prod(kind.degree(v) for kind, v in factors)
+    disc = prod(kind.disc(v) ** (n // kind.degree(v)) for kind, v in factors)
+    # zeta_{m_i}^k = zeta_m^(k m/m_i): each product of factor basis elements
+    # is a sum of powers of zeta_m, written down without lifting or multiplying
+    steps = [m // kind.conductor(v) for kind, v in factors]
+    basis = []
+    for element in product(*(kind.exponents(v) for kind, v in factors)):
+        coeffs = [0] * m
+        for ks in product(*element):
+            coeffs[sum(k * s for k, s in zip(ks, steps)) % m] += 1
+        basis.append(CycloElt.from_coeffs(m, coeffs))
+    field = FieldDesc(family, params, m, n, tuple(basis), disc)
+    if n <= 20:
         _check_trace_gram(field)
     return field
 
@@ -160,19 +178,10 @@ def _check_trace_gram(field: FieldDesc) -> None:
 
 def subfield_degrees(field: FieldDesc) -> tuple[int, int]:
     """(n1, n2) for the two compositum factors."""
-    if field.family == "comp-pow2-odd":
-        return 2 ** (field.param("r") - 2), (field.param("p") - 1) // 2
-    if field.family == "comp-odd-odd":
-        return (field.param("p1") - 1) // 2, (field.param("p2") - 1) // 2
-    raise ValueError(f"{field.family} is not a compositum")
-
-
-def _factor_conductors(field: FieldDesc) -> tuple[int, int]:
-    if field.family == "comp-pow2-odd":
-        return 2 ** field.param("r"), field.param("p")
-    if field.family == "comp-odd-odd":
-        return field.param("p1"), field.param("p2")
-    raise ValueError(f"{field.family} is not a compositum")
+    degrees = factor_degrees(field.family, dict(field.params))
+    if len(degrees) != 2:
+        raise ValueError(f"{field.family} is not a compositum")
+    return degrees
 
 
 # -- Galois data ---------------------------------------------------------
@@ -180,13 +189,11 @@ def _factor_conductors(field: FieldDesc) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def fixing_generators(field: FieldDesc) -> tuple[int, ...]:
-    """Generators of the subgroup of (Z/mZ)^* whose fixed field this is."""
-    if field.family in ("pow2", "odd-prime"):
-        return (field.m - 1,)
-    m1, m2 = _factor_conductors(field)
-    s1 = crt(m1 - 1, m1, 1, m2)
-    s2 = crt(1, m1, m2 - 1, m2)
-    return (s1, s2)
+    """Generators of the subgroup of (Z/mZ)^* whose fixed field this is:
+    one per factor, acting as conjugation on that factor and trivially on
+    the others (found by CRT)."""
+    conductors = [kind.conductor(field.param(name)) for name, kind in FAMILIES[field.family]]
+    return tuple(crt(mi - 1, mi, 1, field.m // mi) for mi in conductors)
 
 
 @lru_cache(maxsize=None)
@@ -337,7 +344,12 @@ def field_to_json(field: FieldDesc) -> dict:
 
 
 def field_from_json(obj) -> FieldDesc:
-    field = make_field(str(obj["family"]), **{k: int(v) for k, v in obj["params"].items()})
-    if field.m != int(obj["m"]) or field.n != int(obj["n"]) or field.disc != int(obj["disc"]):
+    if not isinstance(obj, dict):
+        raise ValueError("field must be a JSON object")
+    if not isinstance(obj["params"], dict):
+        raise ValueError("field params must be a JSON object")
+    field = make_field(str(obj["family"]), **obj["params"])
+    if any(str(obj[key]) != str(value) for key, value in
+           (("m", field.m), ("n", field.n), ("disc", field.disc))):
         raise ValueError("stored field data does not match its parameters")
     return field

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rotlat.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNVERIFIED, main
 from rotlat.constructions import module_to_json
 from rotlat import TwistedModule
@@ -68,6 +70,38 @@ def test_verify_corrupted_json_exits_two(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def _malform(obj, shape):
+    if shape == "params-list":
+        obj["field"]["params"] = []
+    elif shape == "gamma-null":
+        obj["gamma"] = None
+    elif shape == "field-string":
+        obj["field"] = "abc"
+    elif shape == "top-level-list":
+        obj = [obj]
+    elif shape == "alpha-zero-denominator":
+        obj["alpha"]["coeffs"][0] = "1/0"
+    elif shape == "params-float":
+        obj["field"]["params"]["p"] = 7.5
+    return obj
+
+
+@pytest.mark.parametrize(
+    "shape",
+    ["params-list", "gamma-null", "field-string", "top-level-list",
+     "alpha-zero-denominator", "params-float"],
+)
+@pytest.mark.parametrize("command", ["verify", "embed"])
+def test_malformed_module_json_exits_two(tmp_path, capsys, shape, command):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(_malform(module_to_json(get_module("p32", p=7)), shape)))
+    assert main([command, str(path)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
 def test_verify_missing_file_exits_two(tmp_path, capsys):
     code = main(["verify", str(tmp_path / "absent.json")])
     assert code == EXIT_INPUT_ERROR
@@ -115,6 +149,20 @@ def test_embed_precision_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("ROTLAT_PRECISION")
     assert main(["embed", str(out), "--precision", "96"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("# precision_bits=96")
+    # the flag and the variable share one check: an integer >= 8, else exit 2
+    for argv, env, source in (
+        (["--precision", "0"], None, "--precision"),
+        (["--precision", "-5"], None, "--precision"),
+        ([], "4", "ROTLAT_PRECISION"),
+        ([], "abc", "ROTLAT_PRECISION"),
+    ):
+        if env is not None:
+            monkeypatch.setenv("ROTLAT_PRECISION", env)
+        assert main(["embed", str(out), *argv]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {source} must be an integer >= 8, got "
+                                             f"{(argv[1:] or [env])[0]!r}"]
 
 
 def test_byte_identical_reruns(tmp_path):

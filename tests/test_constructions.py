@@ -7,6 +7,7 @@ from rotlat import (
     TwistedModule,
     build,
     coords_in_module,
+    dp_rel_exponents,
     element_from_coords,
     elementary_divisors,
     in_module,
@@ -17,6 +18,7 @@ from rotlat import (
     module_index,
     module_to_json,
 )
+from rotlat.distance import lattice_dimension
 from helpers import get_module, BATTERY
 
 
@@ -78,11 +80,25 @@ def test_p31_low_r_warns_and_flags():
         ("p34", {"r": 3, "p": 4}, "p must be"),
         ("p37", {"p1": 5, "p2": 5}, "p1 != p2"),
         ("p37", {"p1": 3, "p2": 7}, "primes >= 5"),
+        # non-primes the closed forms once accepted
+        ("p32", {"p": 9}, "p must be a prime >= 7"),
+        ("p34", {"r": 3, "p": 6}, "p must be a prime >= 5"),
+        ("p37", {"p1": 5, "p2": 15}, "primes >= 5"),
+        # non-integers, once truncated silently
+        ("p31", {"r": 3.7}, "'r' must be an integer"),
+        ("p32", {"p": 7.5}, "'p' must be an integer"),
+        ("p34", {"r": 3, "p": True}, "'p' must be an integer"),
+        ("p37", {"p1": 5}, "missing parameter 'p2'"),
     ],
 )
 def test_parameter_validation(code, params, message):
+    # the builder and the closed forms share one parameter check
     with pytest.raises(ValueError, match=message):
         build(code, **params)
+    with pytest.raises(ValueError, match=message):
+        dp_rel_exponents(code, **params)
+    with pytest.raises(ValueError, match=message):
+        lattice_dimension(code, **params)
 
 
 def test_unknown_construction():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -16,9 +17,10 @@ from rotlat import (
 from rotlat.distance import (
     exponents_to_square_radicand,
     lattice_dimension,
+    norm_alpha_exponents,
     scale_exponents,
 )
-from helpers import PUBLISHED_CELLS, agrees_significant, get_module
+from helpers import BATTERY, PUBLISHED_CELLS, agrees_significant, get_module
 
 
 def test_per_dim_convention_pins_down_published_cells():
@@ -88,6 +90,23 @@ def test_p31_principal_ideal_two_routes_agree():
         assert min_norm == 2
         route2_squared = n_alpha * min_norm**2
         assert route1_squared == route2_squared
+
+
+def _squared(table) -> Fraction:
+    return Fraction(prod(Fraction(p) ** int(2 * e) for p, e in table.items()))
+
+
+@pytest.mark.parametrize("code,params", BATTERY)
+def test_construction_table_matches_built_module(code, params):
+    # the closed-form tables, read without building anything, against the
+    # module that build() made
+    m = get_module(code, **params)
+    norm_alpha = norm_real(m.alpha, m.field)
+    assert _squared(norm_alpha_exponents(code, **params)) == norm_alpha**2
+    assert _squared(scale_exponents(code, **params)) == m.c**2
+    assert lattice_dimension(code, **params) == m.field.n
+    min_norm = dp_closed_form(m).min_norm_assumed
+    assert _squared(dp_unscaled_exponents(code, **params)) == norm_alpha * min_norm**2
 
 
 def test_dp_closed_form_result_fields():
