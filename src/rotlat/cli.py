@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from .constructions import CONSTRUCTIONS, build, module_from_json, module_to_json
 from .distance import table1_csv
@@ -106,13 +107,21 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    with open(args.module) as handle:
+def _load_module(path: str):
+    with open(path) as handle:
         obj = json.load(handle)
-    module = module_from_json(obj)
-    report = verify_rotated_dn(module)
+    try:
+        return module_from_json(obj)
+    except KeyError as exc:
+        raise ValueError(f"module file is missing key {exc.args[0]!r}") from None
+
+
+def _cmd_verify(args) -> int:
+    module = _load_module(args.module)
+    module_gram = gram(module)
+    report = verify_rotated_dn(module, module_gram)
     payload = report.to_json()
-    det_gram = det_exact(gram(module))
+    det_gram = det_exact(module_gram)
     det_formula = det_via_formula(module)
     payload["det_cross_check"] = {
         "gram": str(det_gram),
@@ -143,9 +152,7 @@ def _cmd_feasibility(args) -> int:
 
 def _cmd_embed(args) -> int:
     precision = _precision(args.precision)
-    with open(args.module) as handle:
-        obj = json.load(handle)
-    module = module_from_json(obj)
+    module = _load_module(args.module)
     _emit(embedding_csv(module, precision), args.out)
     return EXIT_OK
 
@@ -159,11 +166,17 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return _COMMANDS[args.command](args)
     except json.JSONDecodeError as exc:
         print(f"error: parse error in module file: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -3,7 +3,8 @@
 An element is a rational coefficient vector over the power basis
 {1, zeta_m, ..., zeta_m^(phi(m)-1)}, kept reduced modulo the m-th
 cyclotomic polynomial.  On top of the ring operations this module
-provides absolute traces (via the closed form for Tr(zeta_m^k)),
+provides absolute traces (via the closed form Tr(zeta_m^k) = c_m(k), the
+Ramanujan sum), the integer trace-form kernel built on that closed form,
 multiplication-operator matrices (the independent route to traces and
 norms), and certified real-interval enclosures of embedding values.
 
@@ -23,6 +24,7 @@ from math import gcd, isqrt
 
 import mpmath
 
+from .linalg import clear_denominators, det_rational
 from .numtheory import divisors, euler_phi, mobius
 
 _ZERO = Fraction(0)
@@ -242,13 +244,14 @@ class CycloElt:
 
 
 @lru_cache(maxsize=None)
-def _trace_table(m: int) -> tuple[Fraction, ...]:
-    """Tr(zeta_m^k) for k = 0..phi(m)-1: mu(m/d) * phi(m)/phi(m/d), d = gcd(k, m)."""
+def _trace_table(m: int) -> tuple[int, ...]:
+    """Tr(zeta_m^t) for t = 0..m-1: the Ramanujan sum c_m(t) =
+    mu(m/d) * phi(m)/phi(m/d), d = gcd(t, m), an integer for every t."""
     phi = euler_phi(m)
     out = []
-    for k in range(phi):
-        md = m // gcd(k, m)
-        out.append(Fraction(mobius(md) * phi, euler_phi(md)))
+    for t in range(m):
+        md = m // gcd(t, m)
+        out.append(mobius(md) * (phi // euler_phi(md)))
     return tuple(out)
 
 
@@ -256,6 +259,41 @@ def trace_abs(x: CycloElt) -> Fraction:
     """Trace of x from Q(zeta_m) down to Q."""
     table = _trace_table(x.m)
     return sum((c * t for c, t in zip(x.coeffs, table)), _ZERO)
+
+
+def trace_form(xs, ys, twist: CycloElt | None = None) -> list[list[Fraction]]:
+    """Tr(twist * x_i * y_j) for all i, j (twist defaults to 1), in integers.
+
+    Tr(zeta^t) = c_m(t) holds for every integer t, so with
+    u[t] = Tr(twist * zeta^t) = sum_a twist_a c_m((a + t) mod m) and
+    v_x[l] = sum_k x_k u[(k + l) mod m], each entry is the dot product of
+    y's coefficients with v_x over the common denominators; no product is
+    formed or reduced modulo Phi_m.
+    """
+    m = xs[0].m
+    if twist is None:
+        twist = CycloElt.one(m)
+    if any(e.m != m for e in (*xs, *ys, twist)):
+        raise ValueError("trace_form needs one conductor")
+    phi = euler_phi(m)
+    table = _trace_table(m)
+    (twist_coeffs,), (den,) = clear_denominators([twist.coeffs])
+    u = [0] * m
+    for a, c in enumerate(twist_coeffs):
+        if c:
+            u = [s + c * b for s, b in zip(u, table[a:] + table[:a])]
+    wrapped = u + u[:phi]
+    y_rows, y_dens = clear_denominators([y.coeffs for y in ys])
+    sparse_ys = [([(l, c) for l, c in enumerate(coeffs) if c], d * den)
+                 for coeffs, d in zip(y_rows, y_dens)]
+    rows = []
+    for coeffs, dx in zip(*clear_denominators([x.coeffs for x in xs])):
+        v = [0] * phi
+        for k, c in enumerate(coeffs):
+            if c:
+                v = [a + c * b for a, b in zip(v, wrapped[k:k + phi])]
+        rows.append([Fraction(sum(c * v[l] for l, c in nz), dx * dy) for nz, dy in sparse_ys])
+    return rows
 
 
 def mult_matrix_abs(x: CycloElt) -> list[list[Fraction]]:
@@ -281,8 +319,6 @@ def trace_via_mult_matrix(x: CycloElt) -> Fraction:
 
 def norm_abs(x: CycloElt) -> Fraction:
     """Norm of x from Q(zeta_m) down to Q (determinant of the multiplication map)."""
-    from .linalg import det_rational
-
     return det_rational(mult_matrix_abs(x))
 
 

@@ -31,6 +31,7 @@ from .cyclo import (
     Enclosure,
     real_embedding_enclosures,
     trace_abs,
+    trace_form,
 )
 from .linalg import det_rational, inverse_rational, vec_mat
 from .numtheory import crt, euler_phi, is_prime, v2
@@ -161,14 +162,7 @@ def _build_field(family: str, params: tuple[tuple[str, int], ...]) -> FieldDesc:
 
 
 def _check_trace_gram(field: FieldDesc) -> None:
-    idx = field.codegree
-    n = field.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            t = trace_abs(field.basis[i] * field.basis[j]) / idx
-            rows[i][j] = rows[j][i] = t
-    got = det_rational(rows)
+    got = det_rational(trace_form(field.basis, field.basis)) / field.codegree ** field.n
     if got != field.disc:
         raise RuntimeError(
             f"integral basis self-check failed for {field.family}{dict(field.params)}: "

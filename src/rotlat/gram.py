@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .cyclo import Enclosure, real_embedding_enclosures, trace_abs
+from .cyclo import Enclosure, real_embedding_enclosures, trace_form
 from .constructions import TwistedModule, module_index
 from .fields import embedding_reps, norm_real
 from .linalg import det_rational, leading_principal_minors
@@ -58,16 +58,9 @@ class GramMatrix:
 
 def gram(module: TwistedModule) -> GramMatrix:
     """Unscaled Gram matrix: trace of alpha * gamma_i * gamma_j over the field."""
-    K = module.field
-    idx = K.codegree
-    twisted = [module.alpha * g for g in module.gamma]
-    n = K.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            t = trace_abs(twisted[i] * module.gamma[j]) / idx
-            rows[i][j] = rows[j][i] = t
-    return GramMatrix(tuple(tuple(r) for r in rows))
+    idx = module.field.codegree
+    rows = trace_form(module.gamma, module.gamma, module.alpha)
+    return GramMatrix(tuple(tuple(t / idx for t in row) for row in rows))
 
 
 def gram_scaled(module: TwistedModule) -> GramMatrix:

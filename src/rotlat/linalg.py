@@ -1,8 +1,9 @@
 """Exact linear algebra over integers and rationals.
 
-Everything here is fraction-free or plain-rational Gaussian elimination;
-matrices are lists of lists and stay small (n <= 20), so clarity wins
-over sparsity or asymptotics.
+Everything here is fraction-free or plain-rational Gaussian elimination
+on lists of lists.  Matrices reach n = 128 (the trace-form Grams of the
+largest Table-1 rows), so rational input is cleared to integers and
+eliminated fraction-free wherever the result allows it.
 """
 
 from __future__ import annotations
@@ -57,21 +58,54 @@ def det_int(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_rational(rows) -> Fraction:
-    """Exact determinant of a rational matrix (denominators cleared per row)."""
-    scale = Fraction(1)
-    int_rows = []
+def clear_denominators(rows) -> tuple[list[list[int]], list[int]]:
+    """Each rational row times the lcm of its denominators, and those lcms."""
+    int_rows, mults = [], []
     for row in rows:
         frow = [Fraction(x) for x in row]
         mult = lcm(*(f.denominator for f in frow)) if frow else 1
+        mults.append(mult)
+        int_rows.append([f.numerator * (mult // f.denominator) for f in frow])
+    return int_rows, mults
+
+
+def det_rational(rows) -> Fraction:
+    """Exact determinant of a rational matrix (denominators cleared per row)."""
+    int_rows, mults = clear_denominators(rows)
+    scale = 1
+    for mult in mults:
         scale *= mult
-        int_rows.append([int(f * mult) for f in frow])
-    return Fraction(det_int(int_rows)) / scale
+    return Fraction(det_int(int_rows), scale)
 
 
 def leading_principal_minors(rows) -> list[Fraction]:
+    """Determinants of the leading k x k blocks, k = 1..n.
+
+    One Bareiss pass without pivoting: its k-th pivot is the k-th leading
+    minor of the integer matrix.  A zero pivot stops the pass (the next
+    step would divide by it), and the remaining minors are then computed
+    one determinant each.
+    """
     n = len(rows)
-    return [det_rational([row[:k] for row in rows[:k]]) for k in range(1, n + 1)]
+    a, mults = clear_denominators(rows)
+    minors: list[Fraction] = []
+    scale = 1
+    prev = 1
+    for k in range(n):
+        scale *= mults[k]
+        pk = a[k][k]
+        minors.append(Fraction(pk, scale))
+        if pk == 0:
+            minors.extend(det_rational([row[:j] for row in rows[:j]]) for j in range(k + 2, n + 1))
+            return minors
+        rowk = a[k]
+        for i in range(k + 1, n):
+            rowi = a[i]
+            aik = rowi[k]
+            for j in range(k + 1, n):
+                rowi[j] = (rowi[j] * pk - aik * rowk[j]) // prev
+        prev = pk
+    return minors
 
 
 def inverse_rational(rows) -> list[list[Fraction]]:

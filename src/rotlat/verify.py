@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .cyclo import CycloElt, trace_abs
+from .cyclo import CycloElt, trace_form
 from .constructions import TwistedModule, module_index
 from .fields import FieldDesc
 from .gram import GramMatrix, det_exact, gram
@@ -104,9 +105,11 @@ def lll_reduce(g: GramMatrix, delta: Fraction = DEFAULT_DELTA):
                 k = max(k - 1, 1)
     reduced = GramMatrix(tuple(tuple(row) for row in work), g.scale_applied)
     transform = tuple(tuple(row) for row in t)
-    check = mat_mul(mat_mul([list(r) for r in transform], original),
-                    transpose([list(r) for r in transform]))
-    if check != work:
+    # T G T^t = W exactly iff T (D G) T^t = D W, D > 0 the common denominator of G
+    den = lcm(*(e.denominator for row in original for e in row))
+    scaled = [[e.numerator * (den // e.denominator) for e in row] for row in original]
+    check = mat_mul(mat_mul(t, scaled), transpose(t))
+    if check != [[e * den for e in row] for row in work]:
         raise RuntimeError("LLL transform failed its own certificate check")
     return reduced, transform
 
@@ -119,6 +122,14 @@ def _is_identity(entries) -> bool:
     )
 
 
+def ambient_gram(field: FieldDesc, alpha: CycloElt, c: int) -> GramMatrix:
+    """Gram matrix of the scaled twisted embedding of the full ring of
+    integers: trace of alpha * w_i * w_j over the field, divided by c."""
+    scale = field.codegree * c
+    rows = trace_form(field.basis, field.basis, alpha)
+    return GramMatrix(tuple(tuple(t / scale for t in row) for row in rows))
+
+
 def verify_ambient_zn(field: FieldDesc, alpha: CycloElt, c: int):
     """Certify that the scaled twisted embedding of the full ring of
     integers is an isometric copy of Z^n.
@@ -126,15 +137,7 @@ def verify_ambient_zn(field: FieldDesc, alpha: CycloElt, c: int):
     Returns (True, T) with T unimodular and T G T^t = I on success,
     (False, None) when LLL does not reach the identity (inconclusive).
     """
-    idx = field.codegree
-    n = field.n
-    twisted = [alpha * w for w in field.basis]
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = trace_abs(twisted[i] * field.basis[j]) / idx / c
-            rows[i][j] = rows[j][i] = v
-    reduced, transform = lll_reduce(GramMatrix(tuple(tuple(r) for r in rows)))
+    reduced, transform = lll_reduce(ambient_gram(field, alpha, c))
     if _is_identity(reduced.entries):
         return True, transform
     return False, None
@@ -157,10 +160,17 @@ class VerificationReport:
         }
 
 
-def verify_rotated_dn(module: TwistedModule) -> VerificationReport:
-    """Run the full certification chain for one twisted module."""
+def verify_rotated_dn(module: TwistedModule,
+                      module_gram: GramMatrix | None = None) -> VerificationReport:
+    """Run the full certification chain for one twisted module.
+
+    ``module_gram``, when given, must be ``gram(module)``; a caller that
+    needs that matrix as well passes it in so it is built once.
+    """
     ambient, transform = verify_ambient_zn(module.field, module.alpha, module.c)
-    scaled = gram(module).scaled(Fraction(1, module.c))
+    if module_gram is None:
+        module_gram = gram(module)
+    scaled = module_gram.scaled(Fraction(1, module.c))
     integral = scaled.is_integral()
     even = integral and scaled.has_even_diagonal()
     det_is_4 = det_exact(scaled) == 4

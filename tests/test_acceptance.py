@@ -7,6 +7,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from rotlat import (
     CycloElt,
     conjugates_real,
@@ -307,3 +309,19 @@ def test_criterion_9_lll_certificates():
         n = module.field.n
         assert product2 == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     _line(9, "LLL certificate soundness", True)
+
+
+@pytest.mark.parametrize("code, params", [("p37", {"p1": 7, "p2": 11}), ("p31", {"r": 7})])
+def test_kernel_grams_match_trace_oracle_at_certify_sizes(code, params):
+    # the integer trace-form kernel against per-product traces, beyond the n <= 12 battery
+    from rotlat.verify import ambient_gram
+
+    module = get_module(code, **params)
+    K, alpha, c = module.field, module.alpha, module.c
+    assert [list(r) for r in ambient_gram(K, alpha, c).entries] == _ambient_gram_rows(K, alpha, c)
+    entries = gram(module).entries
+    for i, x in enumerate(module.gamma):
+        twisted = alpha * x
+        for j in range(i, K.n):
+            expected = trace_abs(twisted * module.gamma[j]) / K.codegree
+            assert entries[i][j] == entries[j][i] == expected

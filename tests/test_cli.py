@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -100,6 +101,64 @@ def test_malformed_module_json_exits_two(tmp_path, capsys, shape, command):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+def _drop_key(obj, where):
+    if where == "gamma[0].m":
+        del obj["gamma"][0]["m"]
+    elif where == "field.params":
+        del obj["field"]["params"]
+    elif where == "alpha":
+        del obj["alpha"]
+    return obj
+
+
+@pytest.mark.parametrize("where, key", [("gamma[0].m", "m"), ("field.params", "params"),
+                                        ("alpha", "alpha")])
+@pytest.mark.parametrize("command", ["verify", "embed"])
+def test_missing_module_key_is_named(tmp_path, capsys, where, key, command):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(_drop_key(module_to_json(get_module("p32", p=7)), where)))
+    assert main([command, str(path)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: module file is missing key {key!r}"]
+
+
+def test_warning_is_one_line(tmp_path, capsys):
+    out = tmp_path / "module.json"
+    with warnings.catch_warnings():
+        # tests/conftest.py silences RuntimeWarning; this test needs it shown
+        warnings.simplefilter("always", RuntimeWarning)
+        code = main(["construct", "--construction", "p31", "--r", "3", "--out", str(out)])
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "warning: p31 with r=3 extends the construction below its stated range (r >= 5); "
+        "certification decides empirically"
+    ]
+    assert json.loads(out.read_text())["field"]["params"] == {"r": 3}
+
+
+def test_verify_builds_the_module_gram_once(tmp_path, capsys, monkeypatch):
+    import rotlat.cli
+    import rotlat.verify
+    from rotlat.gram import gram
+
+    calls = []
+
+    def counted(module):
+        calls.append(module)
+        return gram(module)
+
+    monkeypatch.setattr(rotlat.cli, "gram", counted)
+    monkeypatch.setattr(rotlat.verify, "gram", counted)
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module_to_json(get_module("p32", p=7))))
+    assert main(["verify", str(path)]) == EXIT_OK
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["det_cross_check"]["equal"] is True
 
 
 def test_verify_missing_file_exits_two(tmp_path, capsys):

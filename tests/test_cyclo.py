@@ -14,6 +14,7 @@ from rotlat.cyclo import (
     norm_abs,
     real_embedding_enclosures,
     trace_abs,
+    trace_form,
     trace_via_mult_matrix,
 )
 from rotlat.numtheory import euler_phi
@@ -107,6 +108,30 @@ def test_trace_formula_equals_operator_trace(x):
 @settings(max_examples=40, deadline=None)
 def test_trace_formula_equals_operator_trace_pow2odd(x):
     assert trace_abs(x) == trace_via_mult_matrix(x)
+
+
+def _element_lists(m):
+    return st.lists(_elements(m, max_den=6), min_size=1, max_size=3)
+
+
+@given(st.sampled_from((8, 15, 20, 35, 44, 77)).flatmap(
+    lambda m: st.tuples(_element_lists(m), _element_lists(m), st.none() | _elements(m, max_den=6))))
+@settings(max_examples=30, deadline=None)
+def test_trace_form_equals_product_traces(case):
+    xs, ys, twist = case
+    form = trace_form(xs, ys, twist)
+    assert len(form) == len(xs) and all(len(row) == len(ys) for row in form)
+    for x, row in zip(xs, form):
+        for y, entry in zip(ys, row):
+            product = x * y if twist is None else twist * x * y
+            assert entry == trace_abs(product) == trace_via_mult_matrix(product)
+
+
+def test_trace_form_rejects_mixed_conductors():
+    with pytest.raises(ValueError):
+        trace_form([CycloElt.one(8)], [CycloElt.one(12)])
+    with pytest.raises(ValueError):
+        trace_form([CycloElt.one(8)], [CycloElt.one(8)], CycloElt.one(12))
 
 
 @given(_elements(16), _elements(16))

@@ -71,6 +71,30 @@ def test_leading_minors():
     assert leading_principal_minors(rows) == [2, 3]
 
 
+def test_leading_minors_after_a_zero_minor():
+    assert leading_principal_minors([[0, 1], [1, 0]]) == [0, -1]
+    rows = [[1, 1, 0], [1, 1, 1], [0, 1, 5]]
+    assert leading_principal_minors(rows) == [1, 0, -1]
+
+
+# small entries make zero and negative leading minors common
+sq_rational_matrix = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                 min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@given(sq_rational_matrix)
+@settings(max_examples=100)
+def test_leading_minors_equal_per_block_determinants(rows):
+    expected = [det_rational([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1)]
+    assert leading_principal_minors(rows) == expected
+
+
 @given(sq_int_matrix)
 @settings(max_examples=100)
 def test_smith_normal_form_invariants(rows):

@@ -52,6 +52,28 @@ def test_lll_rejects_bad_delta():
         lll_reduce(G, Fraction(1))
 
 
+def test_lll_certificate_rejects_a_corrupted_transform(monkeypatch):
+    import rotlat.verify as verify_mod
+
+    def gram_only(g, t, k, j, coef):
+        # the Gram update of _add_row_multiple, without the transform update
+        n = len(g)
+        new_row = [g[k][col] + coef * g[j][col] for col in range(n)]
+        new_row[k] = g[k][k] + 2 * coef * g[k][j] + coef * coef * g[j][j]
+        g[k] = new_row
+        for i in range(n):
+            g[i][k] = new_row[i]
+
+    monkeypatch.setattr(verify_mod, "_add_row_multiple", gram_only)
+    with pytest.raises(RuntimeError, match="certificate check"):
+        lll_reduce(GramMatrix(_frac_rows([[5, 3], [3, 2]])))
+    with pytest.raises(RuntimeError, match="certificate check"):
+        lll_reduce(GramMatrix((
+            (Fraction(5, 3), Fraction(4, 3)),
+            (Fraction(4, 3), Fraction(7, 5)),
+        )))
+
+
 rand_basis = st.integers(min_value=2, max_value=5).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n),
