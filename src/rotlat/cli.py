@@ -1,7 +1,9 @@
 """Command-line front end: construct modules, certify them, tabulate
 minimum product distances, and run ideal-feasibility checks.
 
-Exit codes: 0 success (or verified), 1 verified-false, 2 input error.
+Exit codes: 0 success (or verified), 1 verified-false, 2 input error or
+any other failure (a failed internal self-check prints one error line
+rather than a traceback, so 1 always means "not verified").
 Identical invocations produce byte-identical output files.
 """
 
@@ -180,10 +182,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: parse error in module file: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -20,15 +20,15 @@ from .cyclo import CycloElt
 from .fields import (
     FieldDesc,
     check_params,
-    coords_on_basis,
     factor_degrees,
     field_from_json,
     field_to_json,
+    integer_coords,
     is_totally_positive,
     make_field,
     subfield_degrees,
 )
-from .linalg import det_int, inverse_rational, smith_normal_form, vec_mat
+from .linalg import det_int, pivot_inverse, smith_normal_form, sparse_vec_mat
 from .numtheory import is_prime
 
 
@@ -40,6 +40,11 @@ class TwistedModule:
     c: int
     construction: str
     extrapolated: bool = False
+
+    def __hash__(self) -> int:
+        # fields that == also compares, without every Fraction of gamma and
+        # alpha: a module keys the caches of every coordinate query
+        return hash((self.field, self.construction, self.c))
 
 
 def _p31(field: FieldDesc, q: dict) -> tuple[tuple[CycloElt, ...], CycloElt]:
@@ -177,10 +182,10 @@ def coordinate_matrix(module: TwistedModule) -> tuple[tuple[int, ...], ...]:
         )
     rows = []
     for g in module.gamma:
-        coords = coords_on_basis(module.field, g)
-        if any(q.denominator != 1 for q in coords):
+        acc, scale = integer_coords(module.field, g)
+        if any(a % scale for a in acc):
             raise ValueError("gamma element has non-integer coordinates over the integral basis")
-        rows.append(tuple(int(q) for q in coords))
+        rows.append(tuple(a // scale for a in acc))
     return tuple(rows)
 
 
@@ -198,24 +203,33 @@ def elementary_divisors(module: TwistedModule) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _gamma_inverse(module: TwistedModule) -> tuple[tuple[Fraction, ...], ...]:
-    rows = [[Fraction(v) for v in row] for row in coordinate_matrix(module)]
-    return tuple(tuple(r) for r in inverse_rational(rows))
+def _gamma_solver(module: TwistedModule):
+    """D and the sparse rows of D * inverse of the (square) coordinate
+    matrix, whose pivot columns are all of its columns."""
+    _, den, inv = pivot_inverse(coordinate_matrix(module))
+    return den, inv
+
+
+def _module_coords(module: TwistedModule, x: CycloElt) -> tuple[list[int], int]:
+    """Coordinates of x over gamma as integers b_i and one denominator s:
+    x = sum_i (b_i / s) gamma_i."""
+    acc, scale = integer_coords(module.field, x)
+    den, inv = _gamma_solver(module)
+    return sparse_vec_mat(acc, inv, module.field.n), den * scale
 
 
 def coords_in_module(module: TwistedModule, x: CycloElt) -> tuple[Fraction, ...]:
     """Coordinates of x over gamma (rational; integral iff x is in the module)."""
-    y = coords_on_basis(module.field, x)
-    inv = [list(r) for r in _gamma_inverse(module)]
-    return tuple(vec_mat(list(y), inv))
+    coords, scale = _module_coords(module, x)
+    return tuple(Fraction(b, scale) for b in coords)
 
 
 def in_module(module: TwistedModule, x: CycloElt) -> bool:
     try:
-        coords = coords_in_module(module, x)
+        coords, scale = _module_coords(module, x)
     except ValueError:
         return False
-    return all(q.denominator == 1 for q in coords)
+    return not any(b % scale for b in coords)
 
 
 def element_from_coords(module: TwistedModule, coords) -> CycloElt:

@@ -15,6 +15,15 @@ prod d_i^(n/n_i) (Neukirch, Algebraic Number Theory I.2.11); one builder
 serves every family.  At construction time (n <= 20) the discriminant is
 revalidated against the determinant of the trace form on the integral
 basis, which catches basis or reduction bugs at the source.
+
+Coordinates over the integral basis come from one sparse integer solve
+per field (``linalg.pivot_inverse`` of the basis matrix, cached): the
+bases are nearly triangular in the power basis, so D times the inverse of
+the pivot block has few nonzero entries (the identity for pow2).  A
+query is integer dot products over those entries plus an exact check
+that the result reproduces x.  A FieldDesc hashes by (family, params),
+which determine everything else, so cache lookups keyed on a field stay
+cheap.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Callable
 
 from .cyclo import (
@@ -33,7 +42,7 @@ from .cyclo import (
     trace_abs,
     trace_form,
 )
-from .linalg import det_rational, inverse_rational, vec_mat
+from .linalg import det_int, det_rational, pivot_inverse, sparse_vec_mat
 from .numtheory import crt, euler_phi, is_prime, v2
 
 
@@ -91,6 +100,12 @@ class FieldDesc:
     n: int
     basis: tuple[CycloElt, ...]
     disc: int
+
+    def __hash__(self) -> int:
+        # family and params determine m, n, basis and disc, so this agrees
+        # with the full-field ==; hashing every Fraction of the basis would
+        # cost milliseconds per cache lookup at n = 64
+        return hash((self.family, self.params))
 
     def param(self, name: str) -> int:
         return dict(self.params)[name]
@@ -235,49 +250,54 @@ def _require_member(x: CycloElt, field: FieldDesc) -> None:
 
 @lru_cache(maxsize=None)
 def _basis_solver(field: FieldDesc):
-    """Pivot columns plus inverse of the pivot submatrix of the basis matrix."""
-    rows = [list(w.coeffs) for w in field.basis]
-    work = [row[:] for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(len(rows[0])):
-        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][col]
-        work[rank] = [v / pv for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == field.n:
-            break
-    if rank < field.n:
-        raise RuntimeError("integral basis is not full rank")
-    sub = [[rows[i][c] for c in pivots] for i in range(field.n)]
-    return tuple(pivots), tuple(tuple(r) for r in inverse_rational(sub))
+    """The sparse integer solve for coordinates over the integral basis:
+    ``pivot_inverse`` of the basis matrix (a row per basis element, over
+    the power basis), and the nonzero integer coefficients of each basis
+    element, for the span check."""
+    rows = [w.coeffs for w in field.basis]
+    if any(c.denominator != 1 for row in rows for c in row):
+        raise RuntimeError("integral basis has non-integer coefficients")
+    try:
+        solve = pivot_inverse([[c.numerator for c in row] for row in rows])
+    except ValueError:
+        raise RuntimeError("integral basis is not full rank") from None
+    terms = tuple(tuple((k, c.numerator) for k, c in enumerate(row) if c) for row in rows)
+    return (*solve, terms)
+
+
+def integer_coords(field: FieldDesc, x: CycloElt) -> tuple[list[int], int]:
+    """Coordinates of x over the integral basis as integers a_j and one
+    denominator s > 0: x = sum_j (a_j / s) w_j.
+
+    x is cleared to integers once (d_x the lcm of its denominators), its
+    pivot entries are multiplied into the sparse rows of D * inverse, and
+    the result is accepted only if sum_j a_j w_j = D d_x x holds exactly,
+    which is the case iff x lies in the rational span of the basis.
+    """
+    if x.m != field.m:
+        raise ValueError(f"conductor mismatch: {x.m} vs {field.m}")
+    pivots, den, inv, terms = _basis_solver(field)
+    dx = 1
+    for c in x.coeffs:
+        if c.denominator != 1:
+            dx = lcm(dx, c.denominator)
+    xs = [c.numerator * (dx // c.denominator) for c in x.coeffs]
+    acc = sparse_vec_mat([xs[c] for c in pivots], inv, field.n)
+    recon = [0] * len(xs)
+    for a, w in zip(acc, terms):
+        if a:
+            for k, c in w:
+                recon[k] += a * c
+    if any(r != den * v for r, v in zip(recon, xs)):
+        raise ValueError("element is outside the rational span of the integral basis")
+    return acc, den * dx
 
 
 def coords_on_basis(field: FieldDesc, x: CycloElt) -> tuple[Fraction, ...]:
-    """Coordinates of x over the integral basis; x must lie in the field."""
-    if x.m != field.m:
-        raise ValueError(f"conductor mismatch: {x.m} vs {field.m}")
-    pivots, inv = _basis_solver(field)
-    picked = [x.coeffs[c] for c in pivots]
-    a = vec_mat(picked, [list(r) for r in inv])
-    # the pivot solve is only valid if x really lies in the rational span
-    recon = [Fraction(0)] * len(x.coeffs)
-    for coef, w in zip(a, field.basis):
-        if coef:
-            for idx, wc in enumerate(w.coeffs):
-                if wc:
-                    recon[idx] += coef * wc
-    if tuple(recon) != x.coeffs:
-        raise ValueError("element is outside the rational span of the integral basis")
-    return tuple(a)
+    """Coordinates of x over the integral basis; x must lie in the rational
+    span of the basis (else ValueError).  See ``integer_coords``."""
+    acc, scale = integer_coords(field, x)
+    return tuple(Fraction(a, scale) for a in acc)
 
 
 # -- field-relative trace, norm, embeddings -------------------------------
@@ -293,8 +313,12 @@ def norm_real(x: CycloElt, field: FieldDesc) -> Fraction:
     """Norm of x from the field down to Q, as the determinant of
     multiplication by x expressed on the integral basis."""
     _require_member(x, field)
-    rows = [list(coords_on_basis(field, x * w)) for w in field.basis]
-    return det_rational(rows)
+    rows, scale = [], 1
+    for w in field.basis:
+        acc, s = integer_coords(field, x * w)
+        rows.append(acc)
+        scale *= s
+    return Fraction(det_int(rows), scale)
 
 
 def conjugates_real(x: CycloElt, field: FieldDesc, precision: int = 128) -> tuple[Enclosure, ...]:

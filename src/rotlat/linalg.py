@@ -9,7 +9,7 @@ eliminated fraction-free wherever the result allows it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -23,10 +23,6 @@ def transpose(a):
 def mat_mul(a, b):
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def vec_mat(v, a):
-    return [sum(x * a[i][j] for i, x in enumerate(v)) for j in range(len(a[0]))]
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -125,6 +121,64 @@ def inverse_rational(rows) -> list[list[Fraction]]:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     return [row[n:] for row in a]
+
+
+def pivot_inverse(rows: list[list[int]]):
+    """The pivot columns of an integer matrix A of full row rank n (its
+    first n linearly independent columns), and the inverse of the n x n
+    block of A on those columns as a common denominator D > 0 plus the
+    nonzero entries (column, value) of the integer matrix D * inverse,
+    row by row.  Raises ValueError if the rank is below n.
+
+    One fraction-free Gauss-Jordan pass over [A | I] (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.2), each row kept primitive;
+    rows with a zero in the pivot column are not touched, so sparse,
+    nearly triangular input stays cheap.
+    """
+    n = len(rows)
+    width = len(rows[0]) if n else 0
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    pivots: list[int] = []
+    for col in range(width):
+        k = len(pivots)
+        if k == n:
+            break
+        piv = next((i for i in range(k, n) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[k], a[piv] = a[piv], a[k]
+        rowk = a[k]
+        pk = rowk[col]
+        for i in range(n):
+            f = a[i][col]
+            if f and i != k:
+                row = [pk * x - f * y for x, y in zip(a[i], rowk)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+    if len(pivots) < n:
+        raise ValueError("matrix does not have full row rank")
+    # row k reads p_k at pivots[k] and 0 at the other pivots, so row k of
+    # the inverse is its right half divided by p_k
+    inv = []
+    for k, row in enumerate(a):
+        g = gcd(row[pivots[k]], *row[width:])
+        inv.append((row[pivots[k]] // g, [x // g for x in row[width:]]))
+    den = lcm(*(abs(q) for q, _ in inv))
+    return tuple(pivots), den, tuple(
+        tuple((j, x * (den // q)) for j, x in enumerate(right) if x) for q, right in inv
+    )
+
+
+def sparse_vec_mat(v: list[int], rows, width: int) -> list[int]:
+    """v * A for an integer vector v and the sparse rows of an integer
+    matrix A with ``width`` columns, over the nonzero entries only."""
+    acc = [0] * width
+    for x, row in zip(v, rows):
+        if x:
+            for j, a in row:
+                acc[j] += x * a
+    return acc
 
 
 def smith_normal_form(rows: list[list[int]]) -> list[int]:

@@ -235,3 +235,24 @@ def test_byte_identical_reruns(tmp_path):
     for path in (ta, tb):
         assert main(["table1", "--out", str(path)]) == EXIT_OK
     assert ta.read_bytes() == tb.read_bytes()
+
+
+@pytest.mark.parametrize("command, layer, name, message", [
+    ("verify", "rotlat.verify", "lll_reduce", "LLL transform failed its own certificate check"),
+    ("embed", "rotlat.gram", "embedding_enclosure_rows", "requested precision unreachable"),
+])
+def test_internal_runtime_error_exits_two(tmp_path, capsys, monkeypatch, command, layer, name,
+                                          message):
+    # a failed self-check is not a "not verified" verdict: one line, exit 2
+    import importlib
+
+    def fail(*args, **kwargs):
+        raise RuntimeError(message)
+
+    monkeypatch.setattr(importlib.import_module(layer), name, fail)
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module_to_json(get_module("p32", p=7))))
+    assert main([command, str(path)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]

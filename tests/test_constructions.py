@@ -1,6 +1,8 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotlat import (
     CycloElt,
@@ -18,7 +20,9 @@ from rotlat import (
     module_index,
     module_to_json,
 )
+from rotlat.constructions import coordinate_matrix
 from rotlat.distance import lattice_dimension
+from rotlat.linalg import inverse_rational
 from helpers import get_module, BATTERY
 
 
@@ -135,6 +139,36 @@ def test_membership_and_coords():
     assert coords_in_module(m, y) == (1, -2, 3)
     b3 = m.field.basis[2]
     assert not in_module(m, b3)  # only even multiples of the last basis vector
+
+
+@given(st.sampled_from(BATTERY), st.lists(st.integers(-9, 9), min_size=12, max_size=12),
+       st.sampled_from([1, 2, 3, 4, 6]))
+@settings(max_examples=60, deadline=None)
+def test_coords_in_module_equals_dense_oracle(case, nums, den):
+    code, params = case
+    m = get_module(code, **params)
+    K = m.field
+    y = [Fraction(a, den) for a in nums[:K.n]]  # coordinates over the integral basis
+    x = CycloElt.zero(K.m)
+    for a, w in zip(y, K.basis):
+        x = x + a * w
+    # test-side oracle: y times the dense rational inverse of the coordinate matrix
+    inv = inverse_rational([list(row) for row in coordinate_matrix(m)])
+    expected = tuple(sum(y[i] * inv[i][j] for i in range(K.n)) for j in range(K.n))
+    assert coords_in_module(m, x) == expected
+    assert in_module(m, x) == all(q.denominator == 1 for q in expected)
+    assert element_from_coords(m, expected) == x
+
+
+def test_module_hash_is_consistent_with_equality():
+    m = get_module("p37", p1=5, p2=7)
+    again = TwistedModule(m.field, tuple(m.gamma), m.alpha, m.c, m.construction)
+    assert again == m and hash(again) == hash(m)
+    doubled = TwistedModule(m.field, (2 * m.gamma[0],) + m.gamma[1:], m.alpha, m.c, m.construction)
+    assert doubled != m
+    # equal hashes, different modules: the caches keyed on modules keep them apart
+    assert coords_in_module(doubled, m.gamma[0]) == (Fraction(1, 2),) + (0,) * (m.field.n - 1)
+    assert coords_in_module(m, m.gamma[0]) == (1,) + (0,) * (m.field.n - 1)
 
 
 def test_is_ideal_verdicts():

@@ -1,5 +1,11 @@
+import dataclasses
+from fractions import Fraction
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import rotlat.fields
 
 from rotlat import (
     CycloElt,
@@ -17,7 +23,7 @@ from rotlat import (
     trace_abs,
     trace_real,
 )
-from rotlat.linalg import det_rational
+from rotlat.linalg import det_rational, inverse_rational
 
 
 @pytest.mark.parametrize(
@@ -144,6 +150,92 @@ def test_coords_on_basis_round_trip():
     outside = CycloElt.zeta(40)
     with pytest.raises(ValueError):
         coords_on_basis(K, outside)
+
+
+# one field per family, up to n = 64 (pow2 r=8) and p32's p = 41
+SOLVE_FIELDS = [
+    ("pow2", {"r": 8}),
+    ("odd-prime", {"p": 41}),
+    ("comp-pow2-odd", {"r": 4, "p": 11}),
+    ("comp-odd-odd", {"p1": 7, "p2": 11}),
+]
+
+
+@lru_cache(maxsize=None)
+def _dense_solve(family, params):
+    """Test-side oracle: a = x B^t (B B^t)^-1 for the basis matrix B, with a
+    dense rational inverse and no pivot choice."""
+    K = make_field(family, **dict(params))
+    rows = [list(w.coeffs) for w in K.basis]
+    return K, rows, inverse_rational([[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows])
+
+
+def _dense_coords(family, params, x):
+    K, rows, inv = _dense_solve(family, tuple(params.items()))
+    xb = [sum(a * b for a, b in zip(x.coeffs, r)) for r in rows]
+    return tuple(sum(xb[i] * inv[i][j] for i in range(K.n)) for j in range(K.n))
+
+
+def _combination(K, coeffs):
+    x = CycloElt.zero(K.m)
+    for a, w in zip(coeffs, K.basis):
+        if a:
+            x = x + a * w
+    return x
+
+
+@given(st.sampled_from(SOLVE_FIELDS), st.lists(st.integers(-20, 20), min_size=64, max_size=64),
+       st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=63))
+@settings(max_examples=30, deadline=None)
+def test_coords_on_basis_equals_dense_oracle(field, nums, den, zeros):
+    family, params = field
+    K = make_field(family, **params)
+    # mixed denominators (den, den + 1, ...), and sparse combinations too
+    coeffs = [Fraction(a, den + j % 3) for j, a in enumerate(nums[:K.n])]
+    coeffs[: zeros % K.n] = [Fraction(0)] * (zeros % K.n)
+    x = _combination(K, coeffs)
+    got = coords_on_basis(K, x)
+    assert got == tuple(coeffs) == _dense_coords(family, params, x)
+    assert all(type(q) is Fraction for q in got)
+
+
+@pytest.mark.parametrize("family, params", SOLVE_FIELDS)
+def test_coords_outside_the_field_rejected(family, params):
+    K = make_field(family, **params)
+    for x in (CycloElt.zeta(K.m), CycloElt.zeta(K.m) + Fraction(1, 3),
+              K.basis[-1] + Fraction(1, 7) * CycloElt.zeta(K.m, 3)):
+        with pytest.raises(ValueError, match="outside the rational span"):
+            coords_on_basis(K, x)
+    with pytest.raises(ValueError, match="conductor mismatch"):
+        coords_on_basis(K, CycloElt.one(K.m * 3))
+
+
+@pytest.mark.parametrize("family, params", SOLVE_FIELDS[1:])  # pow2's inverse is the identity
+def test_corrupted_solver_entry_is_caught(monkeypatch, family, params):
+    # every single entry of D * inverse, off by one, must be caught by the
+    # span check rather than give wrong coordinates
+    K = make_field(family, **params)
+    pivots, den, inv, terms = rotlat.fields._basis_solver(K)
+    for i, row in enumerate(inv):
+        x = Fraction(1, 3) * next(w for w in K.basis if w.coeffs[pivots[i]])
+        for pos, (j, v) in enumerate(row):
+            bad = inv[:i] + (row[:pos] + ((j, v + 1),) + row[pos + 1:],) + inv[i + 1:]
+            monkeypatch.setattr(rotlat.fields, "_basis_solver",
+                                lambda field, bad=bad: (pivots, den, bad, terms))
+            with pytest.raises(ValueError, match="outside the rational span"):
+                coords_on_basis(K, x)
+            with pytest.raises(ValueError, match="outside the rational span"):
+                norm_real(K.basis[0], K)
+
+
+def test_field_hash_agrees_with_equality():
+    K = make_field("pow2", r=8)
+    again = rotlat.fields._build_field.__wrapped__("pow2", (("r", 8),))
+    assert again is not K and again == K and hash(again) == hash(K)
+    other = dataclasses.replace(K, basis=(2 * K.basis[0],) + K.basis[1:])
+    assert hash(other) == hash(K)
+    assert other != K
+    assert make_field("pow2", r=7) != K
 
 
 def test_conjugates_closed_forms():

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,9 @@ from rotlat.linalg import (
     inverse_rational,
     leading_principal_minors,
     mat_mul,
+    pivot_inverse,
     smith_normal_form,
+    sparse_vec_mat,
     transpose,
 )
 
@@ -64,6 +68,54 @@ def test_inverse_rational(rows):
     inv = inverse_rational(rows)
     n = len(rows)
     assert mat_mul(rows, inv) == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+wide_int_matrix = st.tuples(st.integers(1, 3), st.integers(0, 3)).flatmap(
+    lambda nk: st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=sum(nk), max_size=sum(nk)),
+        min_size=nk[0],
+        max_size=nk[0],
+    )
+)
+
+
+@given(wide_int_matrix)
+@settings(max_examples=150)
+def test_pivot_inverse_matches_dense_inverse(rows):
+    n, width = len(rows), len(rows[0])
+    full_rank = any(det_int([[row[c] for c in cols] for row in rows])
+                    for cols in combinations(range(width), n))
+    if not full_rank:
+        with pytest.raises(ValueError):
+            pivot_inverse(rows)
+        return
+    pivots, den, inv = pivot_inverse(rows)
+    # the pivots are the first independent columns: each other column
+    # depends on the pivots before it
+    assert len(pivots) == n and list(pivots) == sorted(pivots)
+    for c in range(width):
+        if c not in pivots:
+            sub = [[row[j] for j in pivots if j < c] + [row[c]] for row in rows]
+            assert _rank(sub) == _rank([r[:-1] for r in sub])
+    expected = inverse_rational([[row[c] for c in pivots] for row in rows])
+    assert den > 0 and gcd(den, *(v for r in inv for _, v in r)) == 1
+    assert all(v for r in inv for _, v in r)
+    dense = [[Fraction(0)] * n for _ in range(n)]
+    for i, r in enumerate(inv):
+        for j, v in r:
+            dense[i][j] = Fraction(v, den)
+    assert dense == expected
+    for v in ([1] * n, list(range(-1, n - 1))):
+        assert sparse_vec_mat(v, inv, n) == [sum(v[i] * den * expected[i][j] for i in range(n))
+                                             for j in range(n)]
+
+
+def _rank(rows):
+    width = len(rows[0]) if rows else 0
+    return max((k for k in range(1, min(len(rows), width) + 1)
+                if any(det_int([[rows[i][j] for j in cols] for i in rs])
+                       for rs in combinations(range(len(rows)), k)
+                       for cols in combinations(range(width), k))), default=0)
 
 
 def test_leading_minors():
