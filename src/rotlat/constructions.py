@@ -24,6 +24,7 @@ from .fields import (
     field_from_json,
     field_to_json,
     integer_coords,
+    integral_coords,
     is_totally_positive,
     make_field,
     subfield_degrees,
@@ -42,7 +43,7 @@ class TwistedModule:
     extrapolated: bool = False
 
     def __hash__(self) -> int:
-        # fields that == also compares, without every Fraction of gamma and
+        # fields that == also compares, without every coefficient of gamma and
         # alpha: a module keys the caches of every coordinate query
         return hash((self.field, self.construction, self.c))
 
@@ -180,13 +181,7 @@ def coordinate_matrix(module: TwistedModule) -> tuple[tuple[int, ...], ...]:
         raise ValueError(
             f"gamma must have exactly {module.field.n} elements, got {len(module.gamma)}"
         )
-    rows = []
-    for g in module.gamma:
-        acc, scale = integer_coords(module.field, g)
-        if any(a % scale for a in acc):
-            raise ValueError("gamma element has non-integer coordinates over the integral basis")
-        rows.append(tuple(a // scale for a in acc))
-    return tuple(rows)
+    return tuple(integral_coords(module.field, g) for g in module.gamma)
 
 
 def module_index(module: TwistedModule) -> int:

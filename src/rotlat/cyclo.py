@@ -1,8 +1,10 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_m).
 
-An element is a rational coefficient vector over the power basis
-{1, zeta_m, ..., zeta_m^(phi(m)-1)}, kept reduced modulo the m-th
-cyclotomic polynomial.  On top of the ring operations this module
+An element is phi(m) integer numerators over the power basis
+{1, zeta_m, ..., zeta_m^(phi(m)-1)} and one common denominator, kept in
+lowest terms and reduced modulo the monic m-th cyclotomic polynomial, so
+the ring operations run in integers; ``coeffs`` is a read-only view of
+the rational coordinates.  On top of the ring operations this module
 provides absolute traces (via the closed form Tr(zeta_m^k) = c_m(k), the
 Ramanujan sum), the integer trace-form kernel built on that closed form,
 multiplication-operator matrices (the independent route to traces and
@@ -20,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import mpmath
 
-from .linalg import clear_denominators, det_rational
+from .linalg import det_rational
 from .numtheory import divisors, euler_phi, mobius
 
 _ZERO = Fraction(0)
@@ -65,43 +67,77 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(quo)
 
 
-def _reduce(coeffs: list[Fraction], m: int) -> tuple[Fraction, ...]:
+@lru_cache(maxsize=None)
+def _phi_terms(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(m) and the nonzero (j, coefficient) pairs of Phi_m below its
+    leading term: what reduction modulo the monic Phi_m subtracts."""
     poly = cyclotomic_polynomial(m)
     deg = len(poly) - 1
-    c = list(coeffs)
+    return deg, tuple((j, c) for j, c in enumerate(poly[:deg]) if c)
+
+
+def _reduce(c: list[int], m: int) -> tuple[int, ...]:
+    """Integer polynomial c (consumed) modulo Phi_m, as phi(m) coefficients."""
+    deg, terms = _phi_terms(m)
     if len(c) < deg:
-        c.extend([_ZERO] * (deg - len(c)))
+        c.extend([0] * (deg - len(c)))
     for i in range(len(c) - 1, deg - 1, -1):
         t = c[i]
         if t:
-            c[i] = _ZERO
-            for j in range(deg):
-                if poly[j]:
-                    c[i - deg + j] -= t * poly[j]
+            base = i - deg
+            for j, p in terms:
+                c[base + j] -= t * p
     return tuple(c[:deg])
+
+
+def _clear(values) -> tuple[list[int], int]:
+    """Rational values as integer numerators over one common denominator;
+    integers pass through untouched."""
+    values = list(values)
+    if all(isinstance(v, int) for v in values):
+        return values, 1
+    fracs = [Fraction(v) for v in values]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 @dataclass(frozen=True)
 class CycloElt:
-    """Element of Q(zeta_m): phi(m) rational coordinates over the power basis."""
+    """Element of Q(zeta_m): phi(m) integer numerators ``num`` over the power
+    basis and one denominator ``den`` > 0, in lowest terms, so == and hash
+    are value equality."""
 
     m: int
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("conductor must be positive")
-        if len(self.coeffs) != euler_phi(self.m):
+        if len(self.num) != euler_phi(self.m):
             raise ValueError(
                 f"conductor {self.m} needs {euler_phi(self.m)} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"got {len(self.num)}"
             )
+        if self.den < 1:
+            raise ValueError("denominator must be positive")
+        g = gcd(self.den, *self.num)  # also rejects non-integer numerators
+        if g != 1:
+            object.__setattr__(self, "num", tuple(c // g for c in self.num))
+            object.__setattr__(self, "den", self.den // g)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coordinates over the power basis (a read-only view)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_coeffs(cls, m: int, seq) -> "CycloElt":
-        return cls(m, _reduce([Fraction(x) for x in seq], m))
+        """The element sum_k seq[k] zeta_m^k, for rational seq of any length."""
+        num, den = _clear(seq)
+        return cls(m, _reduce(num, m), den)
 
     @classmethod
     def zero(cls, m: int) -> "CycloElt":
@@ -113,13 +149,13 @@ class CycloElt:
 
     @classmethod
     def rational(cls, m: int, value) -> "CycloElt":
-        return cls.from_coeffs(m, [Fraction(value)])
+        return cls.from_coeffs(m, [value])
 
     @classmethod
     def zeta(cls, m: int, k: int = 1) -> "CycloElt":
         """zeta_m^k."""
         k %= m
-        return cls.from_coeffs(m, [_ZERO] * k + [Fraction(1)])
+        return cls.from_coeffs(m, [0] * k + [1])
 
     @classmethod
     def zeta_pair(cls, m: int, k: int) -> "CycloElt":
@@ -141,7 +177,8 @@ class CycloElt:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloElt(self.m, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        return CycloElt(self.m, tuple(a * db + b * da for a, b in zip(self.num, other.num)), da * db)
 
     __radd__ = __add__
 
@@ -149,7 +186,7 @@ class CycloElt:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloElt(self.m, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -158,72 +195,56 @@ class CycloElt:
         return other - self
 
     def __neg__(self):
-        return CycloElt(self.m, tuple(-a for a in self.coeffs))
+        return CycloElt(self.m, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return CycloElt(self.m, tuple(q * a for a in self.coeffs))
+            return CycloElt(self.m, tuple(q.numerator * a for a in self.num), q.denominator * self.den)
         if not isinstance(other, CycloElt):
             return NotImplemented
-        if other.m != self.m:
-            raise ValueError(f"conductor mismatch: {self.m} vs {other.m}")
-        a, b = self.coeffs, other.coeffs
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
+        m = self.m
+        if other.m != m:
+            raise ValueError(f"conductor mismatch: {m} vs {other.m}")
+        # cyclic convolution in Z[x]/(x^m - 1), then one reduction modulo Phi_m
+        b = [(j, c) for j, c in enumerate(other.num) if c]
+        out = [0] * m
+        for i, ai in enumerate(self.num):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return CycloElt(self.m, _reduce(out, self.m))
+                for j, bj in b:
+                    out[(i + j) % m] += ai * bj
+        return CycloElt(m, _reduce(out, m), self.den * other.den)
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not supported")
-        result = CycloElt.one(self.m)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     # -- Galois action and conductor embedding ------------------------
+
+    def _spread(self, target: int, step: int) -> "CycloElt":
+        """The image under zeta_m |-> zeta_target^step."""
+        out = [0] * target
+        for j, c in enumerate(self.num):
+            if c:
+                out[j * step % target] += c
+        return CycloElt(target, _reduce(out, target), self.den)
 
     def galois(self, s: int) -> "CycloElt":
         """Image under zeta_m |-> zeta_m^s; s must be invertible mod m."""
         s %= self.m
         if gcd(s, self.m) != 1:
             raise ValueError(f"{s} is not invertible modulo {self.m}")
-        out = [_ZERO] * self.m
-        for j, cj in enumerate(self.coeffs):
-            if cj:
-                out[j * s % self.m] += cj
-        return CycloElt(self.m, _reduce(out, self.m))
+        return self._spread(self.m, s)
 
     def conj(self) -> "CycloElt":
         return self.galois(-1)
-
-    @property
-    def is_real(self) -> bool:
-        return self.conj() == self
 
     def lift(self, target: int) -> "CycloElt":
         """Image in Q(zeta_target) under zeta_m |-> zeta_target^(target/m)."""
         if target % self.m != 0:
             raise ValueError(f"conductor {target} is not a multiple of {self.m}")
-        step = target // self.m
-        out = [_ZERO] * target
-        for j, cj in enumerate(self.coeffs):
-            if cj:
-                out[j * step] += cj
-        return CycloElt(target, _reduce(out, target))
+        return self._spread(target, target // self.m)
 
     # -- serialization -------------------------------------------------
 
@@ -235,7 +256,9 @@ class CycloElt:
         if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
             raise ValueError("element must be an object with a 'coeffs' list")
         try:
-            return cls(int(obj["m"]), tuple(Fraction(s) for s in obj["coeffs"]))
+            m = int(obj["m"])
+            num, den = _clear(Fraction(s) for s in obj["coeffs"])
+            return cls(m, tuple(num), den)
         except (TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed element: {exc}") from None
 
@@ -258,7 +281,7 @@ def _trace_table(m: int) -> tuple[int, ...]:
 def trace_abs(x: CycloElt) -> Fraction:
     """Trace of x from Q(zeta_m) down to Q."""
     table = _trace_table(x.m)
-    return sum((c * t for c, t in zip(x.coeffs, table)), _ZERO)
+    return Fraction(sum(c * t for c, t in zip(x.num, table)), x.den)
 
 
 def trace_form(xs, ys, twist: CycloElt | None = None) -> list[list[Fraction]]:
@@ -267,8 +290,8 @@ def trace_form(xs, ys, twist: CycloElt | None = None) -> list[list[Fraction]]:
     Tr(zeta^t) = c_m(t) holds for every integer t, so with
     u[t] = Tr(twist * zeta^t) = sum_a twist_a c_m((a + t) mod m) and
     v_x[l] = sum_k x_k u[(k + l) mod m], each entry is the dot product of
-    y's coefficients with v_x over the common denominators; no product is
-    formed or reduced modulo Phi_m.
+    y's numerators with v_x over the denominators; no product is formed or
+    reduced modulo Phi_m.
     """
     m = xs[0].m
     if twist is None:
@@ -277,22 +300,19 @@ def trace_form(xs, ys, twist: CycloElt | None = None) -> list[list[Fraction]]:
         raise ValueError("trace_form needs one conductor")
     phi = euler_phi(m)
     table = _trace_table(m)
-    (twist_coeffs,), (den,) = clear_denominators([twist.coeffs])
     u = [0] * m
-    for a, c in enumerate(twist_coeffs):
+    for a, c in enumerate(twist.num):
         if c:
             u = [s + c * b for s, b in zip(u, table[a:] + table[:a])]
     wrapped = u + u[:phi]
-    y_rows, y_dens = clear_denominators([y.coeffs for y in ys])
-    sparse_ys = [([(l, c) for l, c in enumerate(coeffs) if c], d * den)
-                 for coeffs, d in zip(y_rows, y_dens)]
+    sparse_ys = [([(l, c) for l, c in enumerate(y.num) if c], y.den * twist.den) for y in ys]
     rows = []
-    for coeffs, dx in zip(*clear_denominators([x.coeffs for x in xs])):
+    for x in xs:
         v = [0] * phi
-        for k, c in enumerate(coeffs):
+        for k, c in enumerate(x.num):
             if c:
                 v = [a + c * b for a, b in zip(v, wrapped[k:k + phi])]
-        rows.append([Fraction(sum(c * v[l] for l, c in nz), dx * dy) for nz, dy in sparse_ys])
+        rows.append([Fraction(sum(c * v[l] for l, c in nz), x.den * dy) for nz, dy in sparse_ys])
     return rows
 
 
@@ -304,11 +324,11 @@ def mult_matrix_abs(x: CycloElt) -> list[list[Fraction]]:
     """
     phi = euler_phi(x.m)
     rows = []
-    cur = list(x.coeffs)
+    cur = x.num
     for j in range(phi):
-        rows.append(list(cur))
+        rows.append([Fraction(c, x.den) for c in cur])
         if j != phi - 1:
-            cur = list(_reduce([_ZERO] + cur, x.m))
+            cur = _reduce([0, *cur], x.m)
     return rows
 
 
@@ -439,14 +459,17 @@ def real_embedding_enclosures(x: CycloElt, reps, prec: int) -> list[Enclosure]:
     """Enclosures of sum_j c_j cos(2*pi*j*k/m) for each k in reps.
 
     For x fixed by complex conjugation this equals the embedding
-    zeta_m |-> exp(2*pi*i*k/m) of x, which is then real.
+    zeta_m |-> exp(2*pi*i*k/m) of x, which is then real.  The leaves are
+    scaled by the integer numerators and the sum once by 1/den, which is
+    exact, so the result equals scaling each leaf by c_j itself.
     """
     table = cos_enclosures(x.m, prec)
+    inv_den = Fraction(1, x.den)
     out = []
     for k in reps:
         acc = Enclosure(_ZERO, _ZERO)
-        for j, cj in enumerate(x.coeffs):
+        for j, cj in enumerate(x.num):
             if cj:
                 acc = acc + table[j * k % x.m].scale(cj)
-        out.append(acc)
+        out.append(acc.scale(inv_den))
     return out

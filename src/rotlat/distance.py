@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import TwistedModule, lookup
-from .fields import coords_on_basis
+from .fields import integral_coords
 from .linalg import det_int
 from .numtheory import factorize
 
@@ -136,20 +136,11 @@ class NormSearchResult:
     evaluated: int
 
 
-def _mult_matrices(module: TwistedModule) -> list[list[list[int]]]:
+def _mult_matrices(module: TwistedModule) -> list[list[tuple[int, ...]]]:
     """Integer matrices of multiplication by each gamma element on the
     integral basis; the norm of sum a_i gamma_i is det(sum a_i M_i)."""
     K = module.field
-    mats = []
-    for g in module.gamma:
-        rows = []
-        for w in K.basis:
-            coords = coords_on_basis(K, g * w)
-            if any(q.denominator != 1 for q in coords):
-                raise ValueError("gamma is not contained in the ring of integers")
-            rows.append([int(q) for q in coords])
-        mats.append(rows)
-    return mats
+    return [[integral_coords(K, g * w) for w in K.basis] for g in module.gamma]
 
 
 def min_norm_search(

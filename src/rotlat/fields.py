@@ -20,8 +20,9 @@ Coordinates over the integral basis come from one sparse integer solve
 per field (``linalg.pivot_inverse`` of the basis matrix, cached): the
 bases are nearly triangular in the power basis, so D times the inverse of
 the pivot block has few nonzero entries (the identity for pow2).  A
-query is integer dot products over those entries plus an exact check
-that the result reproduces x.  A FieldDesc hashes by (family, params),
+query is integer dot products of x's numerators (an element is integer
+numerators over one denominator) with those entries, plus an exact
+check that the result reproduces x.  A FieldDesc hashes by (family, params),
 which determine everything else, so cache lookups keyed on a field stay
 cheap.
 """
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Callable
 
 from .cyclo import (
@@ -103,7 +104,7 @@ class FieldDesc:
 
     def __hash__(self) -> int:
         # family and params determine m, n, basis and disc, so this agrees
-        # with the full-field ==; hashing every Fraction of the basis would
+        # with the full-field ==; hashing every coefficient of the basis would
         # cost milliseconds per cache lookup at n = 64
         return hash((self.family, self.params))
 
@@ -254,14 +255,14 @@ def _basis_solver(field: FieldDesc):
     ``pivot_inverse`` of the basis matrix (a row per basis element, over
     the power basis), and the nonzero integer coefficients of each basis
     element, for the span check."""
-    rows = [w.coeffs for w in field.basis]
-    if any(c.denominator != 1 for row in rows for c in row):
+    if any(w.den != 1 for w in field.basis):
         raise RuntimeError("integral basis has non-integer coefficients")
+    rows = [w.num for w in field.basis]
     try:
-        solve = pivot_inverse([[c.numerator for c in row] for row in rows])
+        solve = pivot_inverse(rows)
     except ValueError:
         raise RuntimeError("integral basis is not full rank") from None
-    terms = tuple(tuple((k, c.numerator) for k, c in enumerate(row) if c) for row in rows)
+    terms = tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
     return (*solve, terms)
 
 
@@ -269,19 +270,15 @@ def integer_coords(field: FieldDesc, x: CycloElt) -> tuple[list[int], int]:
     """Coordinates of x over the integral basis as integers a_j and one
     denominator s > 0: x = sum_j (a_j / s) w_j.
 
-    x is cleared to integers once (d_x the lcm of its denominators), its
-    pivot entries are multiplied into the sparse rows of D * inverse, and
-    the result is accepted only if sum_j a_j w_j = D d_x x holds exactly,
+    The pivot entries of x's integer numerators are multiplied into the
+    sparse rows of D * inverse, and the result is accepted only if
+    sum_j a_j w_j = D d_x x holds exactly (d_x the denominator of x),
     which is the case iff x lies in the rational span of the basis.
     """
     if x.m != field.m:
         raise ValueError(f"conductor mismatch: {x.m} vs {field.m}")
     pivots, den, inv, terms = _basis_solver(field)
-    dx = 1
-    for c in x.coeffs:
-        if c.denominator != 1:
-            dx = lcm(dx, c.denominator)
-    xs = [c.numerator * (dx // c.denominator) for c in x.coeffs]
+    xs, dx = x.num, x.den
     acc = sparse_vec_mat([xs[c] for c in pivots], inv, field.n)
     recon = [0] * len(xs)
     for a, w in zip(acc, terms):
@@ -291,6 +288,15 @@ def integer_coords(field: FieldDesc, x: CycloElt) -> tuple[list[int], int]:
     if any(r != den * v for r, v in zip(recon, xs)):
         raise ValueError("element is outside the rational span of the integral basis")
     return acc, den * dx
+
+
+def integral_coords(field: FieldDesc, x: CycloElt) -> tuple[int, ...]:
+    """Coordinates of x over the integral basis, which must be integers,
+    i.e. x must lie in the ring of integers (else ValueError)."""
+    acc, scale = integer_coords(field, x)
+    if any(a % scale for a in acc):
+        raise ValueError("element has non-integer coordinates over the integral basis")
+    return tuple(a // scale for a in acc)
 
 
 def coords_on_basis(field: FieldDesc, x: CycloElt) -> tuple[Fraction, ...]:

@@ -241,7 +241,7 @@ def test_criterion_7_comp_pow2_odd_4_5_as_stated():
 
 def _random_cyclo(rng, m, span=9):
     phi = euler_phi(m)
-    return CycloElt(m, tuple(Fraction(rng.randint(-span, span)) for _ in range(phi)))
+    return CycloElt.from_coeffs(m, [Fraction(rng.randint(-span, span)) for _ in range(phi)])
 
 
 def _random_member(rng, field, span=4):

@@ -94,7 +94,7 @@ def _elements(m, max_den=1):
         min_value=-9, max_value=9, max_denominator=max_den
     ) if max_den > 1 else st.integers(min_value=-9, max_value=9)
     return st.lists(coeff, min_size=phi, max_size=phi).map(
-        lambda cs: CycloElt(m, tuple(Fraction(c) for c in cs))
+        lambda cs: CycloElt.from_coeffs(m, [Fraction(c) for c in cs])
     )
 
 
@@ -168,6 +168,90 @@ def test_serialization_round_trip():
     obj = x.to_json()
     assert obj["m"] == 12 and all(isinstance(s, str) for s in obj["coeffs"])
     assert CycloElt.from_json(obj) == x
+
+
+# -- the integer format: numerators over one denominator, in lowest terms --
+
+
+def _oracle_reduce(coeffs, m):
+    """Dense Fraction reduction modulo Phi_m, independent of the module's."""
+    poly = cyclotomic_polynomial(m)
+    deg = len(poly) - 1
+    c = [Fraction(x) for x in coeffs] + [Fraction(0)] * deg
+    for i in range(len(c) - 1, deg - 1, -1):
+        t, c[i] = c[i], Fraction(0)
+        for j in range(deg):
+            c[i - deg + j] -= t * poly[j]
+    return tuple(c[:deg])
+
+
+def _oracle_mul(a, b, m):
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _oracle_reduce(out, m)
+
+
+def _oracle_spread(a, target, step):
+    out = [Fraction(0)] * target
+    for j, c in enumerate(a):
+        out[j * step % target] += c
+    return _oracle_reduce(out, target)
+
+
+def _is_canonical(x):
+    return x.den > 0 and math.gcd(x.den, *x.num) == 1
+
+
+def _format_case(m):
+    phi = euler_phi(m)
+    coeffs = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                      min_size=phi, max_size=phi)
+    units = [s for s in range(1, m) if math.gcd(s, m) == 1]
+    return st.tuples(st.just(m), coeffs, coeffs, st.sampled_from(units), st.integers(1, 3))
+
+
+@given(st.sampled_from((8, 15, 20, 35, 44, 77)).flatmap(_format_case))
+@settings(max_examples=40, deadline=None)
+def test_integer_format_matches_fraction_oracle(case):
+    m, a, b, s, k = case
+    x, y = CycloElt.from_coeffs(m, a), CycloElt.from_coeffs(m, b)
+    assert x.coeffs == tuple(a) and y.coeffs == tuple(b)
+    results = (
+        (x * y, _oracle_mul(a, b, m)),
+        (x + y, tuple(p + q for p, q in zip(a, b))),
+        (x - y, tuple(p - q for p, q in zip(a, b))),
+        (x.galois(s), _oracle_spread(a, m, s)),
+        (x.lift(k * m), _oracle_spread(a, k * m, k)),
+    )
+    for got, expected in results:
+        assert got.coeffs == expected
+        assert _is_canonical(got)
+    assert _is_canonical(x) and _is_canonical(y)
+
+
+@given(_elements(20, max_den=6), _elements(20, max_den=6))
+@settings(max_examples=40, deadline=None)
+def test_equal_values_hash_equal(x, y):
+    z = (x + y) - y
+    assert z == x and hash(z) == hash(x)
+    assert (x * 2) * Fraction(1, 2) == x and hash((x * 2) * Fraction(1, 2)) == hash(x)
+
+
+def test_from_json_reduces_to_lowest_terms():
+    halves = CycloElt.from_json({"m": 8, "coeffs": ["2/4", "0", "-3/6", "4/2"]})
+    assert halves == CycloElt.from_coeffs(8, [Fraction(1, 2), 0, Fraction(-1, 2), 2])
+    assert (halves.num, halves.den) == ((1, 0, -1, 4), 2)
+
+
+def test_constructor_is_canonical_and_rejects_bad_denominators():
+    assert CycloElt(8, (2, 0, 0, 0), 2) == CycloElt.one(8)
+    assert hash(CycloElt(8, (2, 0, 0, 0), 2)) == hash(CycloElt.one(8))
+    assert CycloElt(8, (0, 0, 0, 0), 5) == CycloElt.zero(8)
+    for den in (0, -1):
+        with pytest.raises(ValueError):
+            CycloElt(8, (1, 0, 0, 0), den)
 
 
 def test_enclosure_arithmetic_exact():

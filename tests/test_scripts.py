@@ -1,0 +1,44 @@
+"""The scripts under scripts/ run end to end against the package in src/."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from helpers import BATTERY
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(name, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, str(SCRIPTS / f"{name}.py"), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_certify_constructions_certifies_the_battery():
+    done = _run("certify_constructions")
+    assert done.returncode == 0, done.stderr
+    verdicts = [line for line in done.stdout.splitlines() if line.strip().startswith("verdict")]
+    assert len(verdicts) == len(BATTERY) == 11
+    assert all("rotated D_n CERTIFIED" in line for line in verdicts)
+
+
+def test_certify_constructions_battery_matches_the_tests():
+    assert tuple(_load("certify_constructions").BATTERY) == BATTERY
+
+
+def test_feasibility_survey_prints_one_row_per_field():
+    done = _run("feasibility_survey", "--max-r", "4", "--max-p", "7")
+    assert done.returncode == 0, done.stderr
+    rows = done.stdout.splitlines()[1:]
+    assert len(rows) == len(_load("feasibility_survey").survey(4, 7)) == 9
