@@ -184,6 +184,7 @@ def coordinate_matrix(module: TwistedModule) -> tuple[tuple[int, ...], ...]:
     return tuple(integral_coords(module.field, g) for g in module.gamma)
 
 
+@lru_cache(maxsize=None)
 def module_index(module: TwistedModule) -> int:
     """Index of the module in the full ring of integers, |det| of the coordinate matrix."""
     d = det_int([list(r) for r in coordinate_matrix(module)])

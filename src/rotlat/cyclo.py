@@ -26,7 +26,7 @@ from math import gcd, isqrt, lcm
 
 import mpmath
 
-from .linalg import det_rational
+from .linalg import det_int
 from .numtheory import divisors, euler_phi, mobius
 
 _ZERO = Fraction(0)
@@ -255,11 +255,13 @@ class CycloElt:
     def from_json(cls, obj) -> "CycloElt":
         if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
             raise ValueError("element must be an object with a 'coeffs' list")
+        m = obj["m"]
+        if type(m) is not int or any(type(s) not in (str, int) for s in obj["coeffs"]):
+            raise ValueError("element needs an integer 'm' and string or integer coeffs")
         try:
-            m = int(obj["m"])
             num, den = _clear(Fraction(s) for s in obj["coeffs"])
             return cls(m, tuple(num), den)
-        except (TypeError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise ValueError(f"malformed element: {exc}") from None
 
 
@@ -284,14 +286,15 @@ def trace_abs(x: CycloElt) -> Fraction:
     return Fraction(sum(c * t for c, t in zip(x.num, table)), x.den)
 
 
-def trace_form(xs, ys, twist: CycloElt | None = None) -> list[list[Fraction]]:
-    """Tr(twist * x_i * y_j) for all i, j (twist defaults to 1), in integers.
+def trace_form(xs, ys, twist: CycloElt | None = None) -> tuple[list[list[int]], int]:
+    """Tr(twist * x_i * y_j) for all i, j (twist defaults to 1), as integer
+    numerators over one positive denominator (not reduced).
 
     Tr(zeta^t) = c_m(t) holds for every integer t, so with
     u[t] = Tr(twist * zeta^t) = sum_a twist_a c_m((a + t) mod m) and
-    v_x[l] = sum_k x_k u[(k + l) mod m], each entry is the dot product of
-    y's numerators with v_x over the denominators; no product is formed or
-    reduced modulo Phi_m.
+    v_x[l] = sum_k x_k u[(k + l) mod m], each numerator is the dot product
+    of y's numerators with v_x, scaled to the common denominator; no
+    product is formed or reduced modulo Phi_m.
     """
     m = xs[0].m
     if twist is None:
@@ -305,14 +308,27 @@ def trace_form(xs, ys, twist: CycloElt | None = None) -> list[list[Fraction]]:
         if c:
             u = [s + c * b for s, b in zip(u, table[a:] + table[:a])]
     wrapped = u + u[:phi]
-    sparse_ys = [([(l, c) for l, c in enumerate(y.num) if c], y.den * twist.den) for y in ys]
+    dx = lcm(*(x.den for x in xs))
+    dy = lcm(*(y.den for y in ys))
+    sparse_ys = [([(l, c) for l, c in enumerate(y.num) if c], dy // y.den) for y in ys]
     rows = []
     for x in xs:
         v = [0] * phi
         for k, c in enumerate(x.num):
             if c:
                 v = [a + c * b for a, b in zip(v, wrapped[k:k + phi])]
-        rows.append([Fraction(sum(c * v[l] for l, c in nz), x.den * dy) for nz, dy in sparse_ys])
+        fx = dx // x.den
+        rows.append([fx * fy * sum(c * v[l] for l, c in nz) for nz, fy in sparse_ys])
+    return rows, dx * dy * twist.den
+
+
+def _mult_rows(x: CycloElt) -> list[list[int]]:
+    """den(x) times the matrix of multiplication by x on the power basis
+    (row j = x * zeta^j)."""
+    phi = euler_phi(x.m)
+    rows = [list(x.num)]
+    for _ in range(phi - 1):
+        rows.append(list(_reduce([0, *rows[-1]], x.m)))
     return rows
 
 
@@ -322,14 +338,7 @@ def mult_matrix_abs(x: CycloElt) -> list[list[Fraction]]:
     Independent of the trace table above; used to cross-check traces and
     to compute norms as determinants.
     """
-    phi = euler_phi(x.m)
-    rows = []
-    cur = x.num
-    for j in range(phi):
-        rows.append([Fraction(c, x.den) for c in cur])
-        if j != phi - 1:
-            cur = _reduce([0, *cur], x.m)
-    return rows
+    return [[Fraction(c, x.den) for c in row] for row in _mult_rows(x)]
 
 
 def trace_via_mult_matrix(x: CycloElt) -> Fraction:
@@ -339,7 +348,8 @@ def trace_via_mult_matrix(x: CycloElt) -> Fraction:
 
 def norm_abs(x: CycloElt) -> Fraction:
     """Norm of x from Q(zeta_m) down to Q (determinant of the multiplication map)."""
-    return det_rational(mult_matrix_abs(x))
+    rows = _mult_rows(x)
+    return Fraction(det_int(rows), x.den ** len(rows))
 
 
 # -- certified real enclosures ------------------------------------------

@@ -43,7 +43,7 @@ from .cyclo import (
     trace_abs,
     trace_form,
 )
-from .linalg import det_int, det_rational, pivot_inverse, sparse_vec_mat
+from .linalg import det_int, pivot_inverse, sparse_vec_mat
 from .numtheory import crt, euler_phi, is_prime, v2
 
 
@@ -178,7 +178,8 @@ def _build_field(family: str, params: tuple[tuple[str, int], ...]) -> FieldDesc:
 
 
 def _check_trace_gram(field: FieldDesc) -> None:
-    got = det_rational(trace_form(field.basis, field.basis)) / field.codegree ** field.n
+    rows, den = trace_form(field.basis, field.basis)
+    got = Fraction(det_int(rows), (den * field.codegree) ** field.n)
     if got != field.disc:
         raise RuntimeError(
             f"integral basis self-check failed for {field.family}{dict(field.params)}: "

@@ -1,4 +1,5 @@
-"""Trace-form Gram matrices: exact entries, exact determinants, the
+"""Trace-form Gram matrices: integer numerators over one denominator, the
+leading minors and determinant from one fraction-free pass, the
 determinant identity over module index / twist norm / discriminant, and
 floating embedding matrices with certified error control.
 """
@@ -8,59 +9,85 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import gcd, lcm
 
 import mpmath
 
-from .cyclo import Enclosure, real_embedding_enclosures, trace_form
+from .cyclo import CycloElt, Enclosure, real_embedding_enclosures, trace_form
 from .constructions import TwistedModule, module_index
 from .fields import embedding_reps, norm_real
-from .linalg import det_rational, leading_principal_minors
+from .linalg import leading_principal_minors
 
 _ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric positive-definite matrix of exact rationals."""
+    """Symmetric positive-definite rational matrix: integer numerators
+    ``num`` over one denominator ``den`` > 0, in lowest terms, so == and
+    hash are value equality.  ``minors`` are the leading principal minors
+    of ``num``, from the positive-definiteness pass."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
-    scale_applied: Fraction = dc_field(default=_ONE)
+    num: tuple[tuple[int, ...], ...]
+    den: int = 1
+    scale_applied: Fraction = _ONE
+    minors: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
+        n = len(self.num)
+        if any(len(row) != n for row in self.num):
             raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-        if any(d <= 0 for d in leading_principal_minors([list(r) for r in self.entries])):
+        if any(self.num[i][j] != self.num[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("Gram matrix must be symmetric")
+        if self.den < 1:
+            raise ValueError("denominator must be positive")
+        g = gcd(self.den, *(e for row in self.num for e in row))  # rejects non-integers
+        if g != 1:
+            object.__setattr__(self, "num", tuple(tuple(e // g for e in row) for row in self.num))
+            object.__setattr__(self, "den", self.den // g)
+        minors = tuple(leading_principal_minors(self.num))
+        if any(d <= 0 for d in minors):
             raise ValueError("Gram matrix must be positive definite")
+        object.__setattr__(self, "minors", minors)
+
+    @classmethod
+    def from_rows(cls, rows, scale_applied=_ONE) -> "GramMatrix":
+        """The Gram matrix with rational entries ``rows``."""
+        fracs = [[Fraction(e) for e in row] for row in rows]
+        den = lcm(*(e.denominator for row in fracs for e in row))
+        num = tuple(tuple(e.numerator * (den // e.denominator) for e in row) for row in fracs)
+        return cls(num, den, Fraction(scale_applied))
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rational entries (a read-only view)."""
+        return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.num)
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.num)
 
     def scaled(self, factor) -> "GramMatrix":
         q = Fraction(factor)
-        rows = tuple(tuple(e * q for e in row) for row in self.entries)
-        return GramMatrix(rows, self.scale_applied * q)
+        rows = tuple(tuple(e * q.numerator for e in row) for row in self.num)
+        return GramMatrix(rows, self.den * q.denominator, self.scale_applied * q)
 
     def is_integral(self) -> bool:
-        return all(e.denominator == 1 for row in self.entries for e in row)
+        return self.den == 1
 
     def has_even_diagonal(self) -> bool:
-        return all(
-            self.entries[i][i].denominator == 1 and self.entries[i][i].numerator % 2 == 0
-            for i in range(self.n)
-        )
+        return all(self.num[i][i] % (2 * self.den) == 0 for i in range(self.n))
+
+
+def twisted_gram(xs, alpha: CycloElt, divisor: int) -> GramMatrix:
+    """Gram matrix of the trace form Tr(alpha * x_i * x_j) / divisor."""
+    rows, den = trace_form(xs, xs, alpha)
+    return GramMatrix(tuple(map(tuple, rows)), den * divisor)
 
 
 def gram(module: TwistedModule) -> GramMatrix:
     """Unscaled Gram matrix: trace of alpha * gamma_i * gamma_j over the field."""
-    idx = module.field.codegree
-    rows = trace_form(module.gamma, module.gamma, module.alpha)
-    return GramMatrix(tuple(tuple(t / idx for t in row) for row in rows))
+    return twisted_gram(module.gamma, module.alpha, module.field.codegree)
 
 
 def gram_scaled(module: TwistedModule) -> GramMatrix:
@@ -69,8 +96,8 @@ def gram_scaled(module: TwistedModule) -> GramMatrix:
 
 
 def det_exact(g: GramMatrix) -> Fraction:
-    """Exact determinant via fraction-free elimination."""
-    return det_rational([list(r) for r in g.entries])
+    """Exact determinant, the last leading minor over den^n."""
+    return Fraction(g.minors[-1] if g.n else 1, g.den ** g.n)
 
 
 def det_via_formula(module: TwistedModule) -> Fraction:

@@ -1,9 +1,7 @@
-"""Exact linear algebra over integers and rationals.
-
-Everything here is fraction-free or plain-rational Gaussian elimination
-on lists of lists.  Matrices reach n = 128 (the trace-form Grams of the
-largest Table-1 rows), so rational input is cleared to integers and
-eliminated fraction-free wherever the result allows it.
+"""Exact linear algebra over integers: fraction-free elimination on lists
+of lists, for matrices up to n = 128 (the trace-form Grams of the largest
+Table-1 rows).  A rational matrix arrives as integer numerators over one
+denominator its owner keeps; ``inverse_rational`` is the test oracle.
 """
 
 from __future__ import annotations
@@ -54,45 +52,22 @@ def det_int(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def clear_denominators(rows) -> tuple[list[list[int]], list[int]]:
-    """Each rational row times the lcm of its denominators, and those lcms."""
-    int_rows, mults = [], []
-    for row in rows:
-        frow = [Fraction(x) for x in row]
-        mult = lcm(*(f.denominator for f in frow)) if frow else 1
-        mults.append(mult)
-        int_rows.append([f.numerator * (mult // f.denominator) for f in frow])
-    return int_rows, mults
-
-
-def det_rational(rows) -> Fraction:
-    """Exact determinant of a rational matrix (denominators cleared per row)."""
-    int_rows, mults = clear_denominators(rows)
-    scale = 1
-    for mult in mults:
-        scale *= mult
-    return Fraction(det_int(int_rows), scale)
-
-
-def leading_principal_minors(rows) -> list[Fraction]:
-    """Determinants of the leading k x k blocks, k = 1..n.
+def leading_principal_minors(rows: list[list[int]]) -> list[int]:
+    """Determinants of the leading k x k blocks of an integer matrix, k = 1..n.
 
     One Bareiss pass without pivoting: its k-th pivot is the k-th leading
-    minor of the integer matrix.  A zero pivot stops the pass (the next
-    step would divide by it), and the remaining minors are then computed
-    one determinant each.
+    minor.  A zero pivot stops the pass (the next step would divide by
+    it), and the remaining minors are then computed one determinant each.
     """
     n = len(rows)
-    a, mults = clear_denominators(rows)
-    minors: list[Fraction] = []
-    scale = 1
+    a = [list(r) for r in rows]
+    minors: list[int] = []
     prev = 1
     for k in range(n):
-        scale *= mults[k]
         pk = a[k][k]
-        minors.append(Fraction(pk, scale))
+        minors.append(pk)
         if pk == 0:
-            minors.extend(det_rational([row[:j] for row in rows[:j]]) for j in range(k + 2, n + 1))
+            minors.extend(det_int([row[:j] for row in rows[:j]]) for j in range(k + 2, n + 1))
             return minors
         rowk = a[k]
         for i in range(k + 1, n):

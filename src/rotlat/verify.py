@@ -7,6 +7,9 @@ diagonal make the module's scaled lattice an even sublattice of that
 copy; (iii) determinant 4 together with submodule index 2 pin it down to
 the largest even sublattice of Z^n, the checkerboard lattice D_n.
 
+LLL is integral LLL (Cohen, GTM 138, 2.6.7) on the Gram numerators; its
+decisions do not change when the Gram matrix is scaled.
+
 LLL success is a sufficient certificate; failure to reach the identity
 is reported as "not certified" rather than a refutation, because LLL is
 not a complete isometry test.
@@ -17,49 +20,39 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .cyclo import CycloElt, trace_form
+from .cyclo import CycloElt
 from .constructions import TwistedModule, module_index
 from .fields import FieldDesc
-from .gram import GramMatrix, det_exact, gram
+from .gram import GramMatrix, gram, twisted_gram
 from .linalg import identity_matrix, mat_mul, transpose
 
 DEFAULT_DELTA = Fraction(99, 100)
 
 
-def _gso(g):
-    """Gram-Schmidt data (mu, squared norms) straight from a Gram matrix."""
-    n = len(g)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    norms = [Fraction(0)] * n
-    proj = [[Fraction(0)] * n for _ in range(n)]  # proj[i][j] = <b_i, b*_j>
-    for i in range(n):
+def _gso(g, start, d, lam):
+    """Integer Gram-Schmidt data of the integer Gram matrix g, rows
+    ``start``.. rebuilt in place: d[i] is the leading i x i minor
+    (d[0] = 1) and lam[i][j] = d[j + 1] * mu_ij for j < i."""
+    for i in range(start, len(g)):
+        lam_i, g_i = lam[i], g[i]
         for j in range(i + 1):
-            s = Fraction(g[i][j])
-            for t in range(j):
-                s -= mu[j][t] * proj[i][t]
-            proj[i][j] = s
-            if j == i:
-                if s <= 0:
-                    raise ValueError("matrix is not positive definite")
-                norms[i] = s
+            lam_j = lam[j]
+            u = g_i[j]
+            for l in range(j):
+                u = (d[l + 1] * u - lam_i[l] * lam_j[l]) // d[l]
+            if j < i:
+                lam_i[j] = u
             else:
-                mu[i][j] = s / norms[j]
-    return mu, norms
-
-
-def _round_nearest(q: Fraction) -> int:
-    return (2 * q.numerator + q.denominator) // (2 * q.denominator)
+                d[i + 1] = u
 
 
 def _add_row_multiple(g, t, k, j, coef):
     """Basis change b_k += coef * b_j, applied to Gram rows/cols and transform."""
     n = len(g)
     t[k] = [a + coef * b for a, b in zip(t[k], t[j])]
-    new_kk = g[k][k] + 2 * coef * g[k][j] + coef * coef * g[j][j]
     new_row = [g[k][col] + coef * g[j][col] for col in range(n)]
-    new_row[k] = new_kk
+    new_row[k] = g[k][k] + 2 * coef * g[k][j] + coef * coef * g[j][j]
     g[k] = new_row
     for i in range(n):
         g[i][k] = new_row[i]
@@ -82,52 +75,41 @@ def lll_reduce(g: GramMatrix, delta: Fraction = DEFAULT_DELTA):
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
         raise ValueError("delta must lie strictly between 1/4 and 1")
-    original = [list(row) for row in g.entries]
-    work = [row[:] for row in original]
+    dn, dd = delta.numerator, delta.denominator
+    work = [list(row) for row in g.num]
     n = len(work)
     t = identity_matrix(n)
-    if n > 1:
-        mu, norms = _gso(work)
-        k = 1
-        while k < n:
-            for j in range(k - 1, -1, -1):
-                q = _round_nearest(mu[k][j])
-                if q:
-                    _add_row_multiple(work, t, k, j, -q)
-                    for l in range(j):
-                        mu[k][l] -= q * mu[j][l]
-                    mu[k][j] -= q
-            if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
-                k += 1
-            else:
-                _swap_rows(work, t, k)
-                mu, norms = _gso(work)
-                k = max(k - 1, 1)
-    reduced = GramMatrix(tuple(tuple(row) for row in work), g.scale_applied)
-    transform = tuple(tuple(row) for row in t)
-    # T G T^t = W exactly iff T (D G) T^t = D W, D > 0 the common denominator of G
-    den = lcm(*(e.denominator for row in original for e in row))
-    scaled = [[e.numerator * (den // e.denominator) for e in row] for row in original]
-    check = mat_mul(mat_mul(t, scaled), transpose(t))
-    if check != [[e * den for e in row] for row in work]:
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    _gso(work, 0, d, lam)
+    k = 1
+    while k < n:
+        lam_k = lam[k]
+        for j in range(k - 1, -1, -1):
+            q = (2 * lam_k[j] + d[j + 1]) // (2 * d[j + 1])  # nearest integer to mu_kj
+            if q:
+                _add_row_multiple(work, t, k, j, -q)
+                lam_j = lam[j]
+                for l in range(j):
+                    lam_k[l] -= q * lam_j[l]
+                lam_k[j] -= q * d[j + 1]
+        # Lovasz: B_k >= (delta - mu_k,k-1^2) B_(k-1), times d_k d_(k-1) dd
+        if dd * d[k + 1] * d[k - 1] >= dn * d[k] ** 2 - dd * lam_k[k - 1] ** 2:
+            k += 1
+        else:
+            _swap_rows(work, t, k)
+            _gso(work, k - 1, d, lam)
+            k = max(k - 1, 1)
+    if mat_mul(mat_mul(t, g.num), transpose(t)) != work:
         raise RuntimeError("LLL transform failed its own certificate check")
-    return reduced, transform
-
-
-def _is_identity(entries) -> bool:
-    return all(
-        entries[i][j] == (1 if i == j else 0)
-        for i in range(len(entries))
-        for j in range(len(entries))
-    )
+    reduced = GramMatrix(tuple(map(tuple, work)), g.den, g.scale_applied)
+    return reduced, tuple(map(tuple, t))
 
 
 def ambient_gram(field: FieldDesc, alpha: CycloElt, c: int) -> GramMatrix:
     """Gram matrix of the scaled twisted embedding of the full ring of
     integers: trace of alpha * w_i * w_j over the field, divided by c."""
-    scale = field.codegree * c
-    rows = trace_form(field.basis, field.basis, alpha)
-    return GramMatrix(tuple(tuple(t / scale for t in row) for row in rows))
+    return twisted_gram(field.basis, alpha, field.codegree * c)
 
 
 def verify_ambient_zn(field: FieldDesc, alpha: CycloElt, c: int):
@@ -138,7 +120,7 @@ def verify_ambient_zn(field: FieldDesc, alpha: CycloElt, c: int):
     (False, None) when LLL does not reach the identity (inconclusive).
     """
     reduced, transform = lll_reduce(ambient_gram(field, alpha, c))
-    if _is_identity(reduced.entries):
+    if reduced.den == 1 and reduced.num == tuple(map(tuple, identity_matrix(reduced.n))):
         return True, transform
     return False, None
 
@@ -170,10 +152,11 @@ def verify_rotated_dn(module: TwistedModule,
     ambient, transform = verify_ambient_zn(module.field, module.alpha, module.c)
     if module_gram is None:
         module_gram = gram(module)
-    scaled = module_gram.scaled(Fraction(1, module.c))
-    integral = scaled.is_integral()
-    even = integral and scaled.has_even_diagonal()
-    det_is_4 = det_exact(scaled) == 4
+    # G / c has entries num / (den c) and determinant minors[-1] / (den c)^n
+    d = module_gram.den * module.c
+    integral = all(e % d == 0 for row in module_gram.num for e in row)
+    even = integral and all(module_gram.num[i][i] % (2 * d) == 0 for i in range(module_gram.n))
+    det_is_4 = module_gram.minors[-1] == 4 * d ** module_gram.n
     index_is_2 = module_index(module) == 2
     checks = (
         ("ambient_is_zn", ambient),

@@ -298,7 +298,7 @@ def test_criterion_9_lll_certificates():
     for code, params in BATTERY:
         module = get_module(code, **params)
         rows = _ambient_gram_rows(module.field, module.alpha, module.c)
-        reduced, transform = lll_reduce(GramMatrix(tuple(tuple(r) for r in rows)))
+        reduced, transform = lll_reduce(GramMatrix.from_rows(rows))
         t_rows = [list(r) for r in transform]
         product = mat_mul(mat_mul(t_rows, rows), transpose(t_rows))
         assert [list(map(Fraction, r)) for r in product] == [list(r) for r in reduced.entries]

@@ -1,10 +1,12 @@
 import json
 import warnings
+from fractions import Fraction
 
 import pytest
 
 from rotlat.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNVERIFIED, main
 from rotlat.constructions import module_to_json
+from rotlat.linalg import det_int
 from rotlat import TwistedModule
 from helpers import get_module
 
@@ -84,13 +86,22 @@ def _malform(obj, shape):
         obj["alpha"]["coeffs"][0] = "1/0"
     elif shape == "params-float":
         obj["field"]["params"]["p"] = 7.5
+    elif shape == "alpha-m-float":
+        obj["alpha"]["m"] = 7.9
+    elif shape == "alpha-m-string":
+        obj["alpha"]["m"] = "7"
+    elif shape == "gamma-coeff-float":
+        # the same value, written as a JSON float instead of a string
+        coeffs = obj["gamma"][0]["coeffs"]
+        coeffs[0] = float(Fraction(coeffs[0]))
     return obj
 
 
 @pytest.mark.parametrize(
     "shape",
     ["params-list", "gamma-null", "field-string", "top-level-list",
-     "alpha-zero-denominator", "params-float"],
+     "alpha-zero-denominator", "params-float", "alpha-m-float", "alpha-m-string",
+     "gamma-coeff-float"],
 )
 @pytest.mark.parametrize("command", ["verify", "embed"])
 def test_malformed_module_json_exits_two(tmp_path, capsys, shape, command):
@@ -154,10 +165,22 @@ def test_verify_builds_the_module_gram_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(rotlat.cli, "gram", counted)
     monkeypatch.setattr(rotlat.verify, "gram", counted)
+    # and the module index (a determinant of the coordinate matrix) once
+    import rotlat.constructions
+
+    dets = []
+
+    def counted_det(rows):
+        dets.append(rows)
+        return det_int(rows)
+
+    rotlat.constructions.module_index.cache_clear()
+    monkeypatch.setattr(rotlat.constructions, "det_int", counted_det)
     path = tmp_path / "module.json"
     path.write_text(json.dumps(module_to_json(get_module("p32", p=7))))
     assert main(["verify", str(path)]) == EXIT_OK
     assert len(calls) == 1
+    assert len(dets) == 1
     assert json.loads(capsys.readouterr().out)["det_cross_check"]["equal"] is True
 
 

@@ -119,12 +119,13 @@ def _element_lists(m):
 @settings(max_examples=30, deadline=None)
 def test_trace_form_equals_product_traces(case):
     xs, ys, twist = case
-    form = trace_form(xs, ys, twist)
-    assert len(form) == len(xs) and all(len(row) == len(ys) for row in form)
-    for x, row in zip(xs, form):
+    rows, den = trace_form(xs, ys, twist)
+    assert den > 0
+    assert len(rows) == len(xs) and all(len(row) == len(ys) for row in rows)
+    for x, row in zip(xs, rows):
         for y, entry in zip(ys, row):
             product = x * y if twist is None else twist * x * y
-            assert entry == trace_abs(product) == trace_via_mult_matrix(product)
+            assert Fraction(entry, den) == trace_abs(product) == trace_via_mult_matrix(product)
 
 
 def test_trace_form_rejects_mixed_conductors():

@@ -23,7 +23,7 @@ from rotlat import (
     trace_abs,
     trace_real,
 )
-from rotlat.linalg import det_rational, inverse_rational
+from rotlat.linalg import det_int, inverse_rational
 
 
 @pytest.mark.parametrize(
@@ -56,12 +56,11 @@ def test_compositum_degree_multiplies():
 def test_trace_gram_determinant_is_disc():
     # recompute the construction-time self-check independently
     K = make_field("odd-prime", p=7)
-    idx = K.codegree
-    rows = [
-        [trace_abs(wi * wj) / idx for wj in K.basis]
-        for wi in K.basis
-    ]
-    assert det_rational(rows) == K.disc == 49
+    traces = [[trace_abs(wi * wj) for wj in K.basis] for wi in K.basis]
+    # the basis is integral, so every trace is an integer
+    assert all(t.denominator == 1 for row in traces for t in row)
+    det = Fraction(det_int([[int(t) for t in row] for row in traces]), K.codegree ** K.n)
+    assert det == K.disc == 49
 
 
 @pytest.mark.parametrize(

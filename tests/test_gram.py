@@ -30,9 +30,23 @@ def test_gram_integral_basis_pow2_alpha_one():
 
 def test_gram_requires_symmetry_and_positivity():
     with pytest.raises(ValueError):
-        GramMatrix(((Fraction(1), Fraction(2)), (Fraction(3), Fraction(1))))
+        GramMatrix.from_rows([[1, 2], [3, 1]])
     with pytest.raises(ValueError):
-        GramMatrix(((Fraction(1), Fraction(2)), (Fraction(2), Fraction(1))))
+        GramMatrix.from_rows([[1, 2], [2, 1]])
+
+
+def test_gram_is_integer_numerators_over_one_denominator_in_lowest_terms():
+    G = GramMatrix(((4, 2), (2, 4)), 6)
+    assert (G.num, G.den, G.minors) == (((2, 1), (1, 2)), 3, (2, 3))
+    H = GramMatrix.from_rows([[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]])
+    assert H == G and hash(H) == hash(G)
+    assert G.entries == ((Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 3), Fraction(2, 3)))
+    assert det_exact(G) == Fraction(1, 3)
+    assert not G.is_integral() and G.scaled(3).is_integral()
+    assert G.scaled(3).has_even_diagonal() and not G.scaled(Fraction(3, 2)).has_even_diagonal()
+    for bad in ((((1, 0), (0, 1)), 0), (((Fraction(1, 2), 0), (0, 1)), 1)):
+        with pytest.raises((ValueError, TypeError)):
+            GramMatrix(*bad)
 
 
 def _p34_expected_diag(r, p, n2, i, j, doubled):
@@ -81,7 +95,7 @@ def test_det_examples():
     m = get_module("p34", r=3, p=5)
     assert det_exact(gram(m)) == 4 * 20**4
     assert det_exact(gram_scaled(m)) == 4
-    assert det_exact(GramMatrix(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))) == 1
+    assert det_exact(GramMatrix.from_rows([[1, 0], [0, 1]])) == 1
 
 
 def test_det_via_formula_examples():

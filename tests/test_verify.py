@@ -8,6 +8,8 @@ from rotlat import (
     CycloElt,
     GramMatrix,
     TwistedModule,
+    det_exact,
+    gram,
     gram_scaled,
     lll_reduce,
     make_field,
@@ -15,7 +17,7 @@ from rotlat import (
     verify_rotated_dn,
 )
 from rotlat.linalg import det_int, mat_mul, transpose
-from rotlat.verify import _gso, report_json
+from rotlat.verify import report_json
 from helpers import BATTERY, get_module
 
 
@@ -23,15 +25,29 @@ def _frac_rows(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
+def _rational_gso(g):
+    """Gram-Schmidt coefficients mu and squared norms B of a rational Gram
+    matrix, in Fractions: the oracle for the integral LLL's conditions."""
+    n = len(g)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = []
+    for i in range(n):
+        for j in range(i):
+            s = g[i][j] - sum(mu[j][t] * mu[i][t] * norms[t] for t in range(j))
+            mu[i][j] = s / norms[j]
+        norms.append(g[i][i] - sum(mu[i][t] ** 2 * norms[t] for t in range(i)))
+    return mu, norms
+
+
 def test_lll_identity_fixed_point():
-    G = GramMatrix(_frac_rows([[1, 0], [0, 1]]))
+    G = GramMatrix.from_rows([[1, 0], [0, 1]])
     red, T = lll_reduce(G)
     assert red.entries == _frac_rows([[1, 0], [0, 1]])
     assert T == ((1, 0), (0, 1))
 
 
 def test_lll_already_reduced_hexagonal():
-    G = GramMatrix(_frac_rows([[2, 1], [1, 2]]))
+    G = GramMatrix.from_rows([[2, 1], [1, 2]])
     red, T = lll_reduce(G)
     # reduced up to sign convention; diagonal and determinant preserved
     assert red.entries in (_frac_rows([[2, 1], [1, 2]]), _frac_rows([[2, -1], [-1, 2]]))
@@ -39,13 +55,13 @@ def test_lll_already_reduced_hexagonal():
 
 
 def test_lll_unimodular_frame_reaches_identity():
-    G = GramMatrix(_frac_rows([[5, 3], [3, 2]]))
+    G = GramMatrix.from_rows([[5, 3], [3, 2]])
     red, T = lll_reduce(G)
     assert red.entries == _frac_rows([[1, 0], [0, 1]])
 
 
 def test_lll_rejects_bad_delta():
-    G = GramMatrix(_frac_rows([[1, 0], [0, 1]]))
+    G = GramMatrix.from_rows([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         lll_reduce(G, Fraction(1, 8))
     with pytest.raises(ValueError):
@@ -66,12 +82,12 @@ def test_lll_certificate_rejects_a_corrupted_transform(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "_add_row_multiple", gram_only)
     with pytest.raises(RuntimeError, match="certificate check"):
-        lll_reduce(GramMatrix(_frac_rows([[5, 3], [3, 2]])))
+        lll_reduce(GramMatrix.from_rows([[5, 3], [3, 2]]))
     with pytest.raises(RuntimeError, match="certificate check"):
-        lll_reduce(GramMatrix((
-            (Fraction(5, 3), Fraction(4, 3)),
-            (Fraction(4, 3), Fraction(7, 5)),
-        )))
+        lll_reduce(GramMatrix.from_rows([
+            [Fraction(5, 3), Fraction(4, 3)],
+            [Fraction(4, 3), Fraction(7, 5)],
+        ]))
 
 
 rand_basis = st.integers(min_value=2, max_value=5).flatmap(
@@ -87,7 +103,7 @@ rand_basis = st.integers(min_value=2, max_value=5).flatmap(
 @settings(max_examples=60, deadline=None)
 def test_lll_certificate_and_conditions(rows):
     gram_rows = mat_mul(rows, transpose(rows))
-    G = GramMatrix(_frac_rows(gram_rows))
+    G = GramMatrix.from_rows(gram_rows)
     delta = Fraction(99, 100)
     red, T = lll_reduce(G, delta)
     # exact certificate
@@ -96,13 +112,26 @@ def test_lll_certificate_and_conditions(rows):
     assert _frac_rows(product) == red.entries
     assert abs(det_int(t_rows)) == 1
     # size-reduction and Lovasz conditions hold for the output
-    mu, norms = _gso([list(r) for r in red.entries])
+    mu, norms = _rational_gso(red.entries)
     n = len(norms)
     for i in range(n):
         for j in range(i):
             assert abs(mu[i][j]) <= Fraction(1, 2)
     for k in range(1, n):
         assert norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]
+
+
+@given(rand_basis, st.integers(min_value=2, max_value=7), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_lll_transform_is_scale_invariant(rows, k, invert):
+    # every LLL decision is homogeneous in the Gram matrix, so the integer
+    # numerators of G and of G * q lead to the same transform
+    G = GramMatrix.from_rows(mat_mul(rows, transpose(rows)))
+    q = Fraction(1, k) if invert else Fraction(k)
+    red, T = lll_reduce(G)
+    red_q, T_q = lll_reduce(G.scaled(q))
+    assert T_q == T
+    assert red_q == red.scaled(q)
 
 
 @pytest.mark.parametrize(
@@ -151,6 +180,25 @@ def test_verify_battery(code, params):
     assert report.transform is not None
 
 
+@pytest.mark.parametrize("code,params", [("p32", {"p": 257}), ("p31", {"r": 9})])
+def test_verify_certifies_the_n128_rows(code, params):
+    report = verify_rotated_dn(get_module(code, **params))
+    assert report.verdict
+    assert all(v for _, v in report.checks)
+
+
+@pytest.mark.parametrize("c", [1, 4, 20, 40, 60])
+def test_module_checks_match_the_scaled_gram(c):
+    # verify reads G / c from the numerators, denominator and minors of G;
+    # the scaled GramMatrix is the oracle (c = 20 is the module's own scale)
+    m = get_module("p34", r=3, p=5)
+    report = verify_rotated_dn(TwistedModule(m.field, m.gamma, m.alpha, c, m.construction))
+    scaled = gram(m).scaled(Fraction(1, c))
+    assert report.check("integral") == scaled.is_integral()
+    assert report.check("even") == (scaled.is_integral() and scaled.has_even_diagonal())
+    assert report.check("det_is_4") == (det_exact(scaled) == 4)
+
+
 def test_verify_ambient_false_when_not_unimodular():
     # untwisted trace form of the r=3 field has determinant 8, so no basis
     # change reaches the identity; the check reports false, not an error
@@ -160,7 +208,7 @@ def test_verify_ambient_false_when_not_unimodular():
 
 
 def test_lll_single_dimension():
-    G = GramMatrix(((Fraction(5),),))
+    G = GramMatrix.from_rows([[5]])
     red, T = lll_reduce(G)
     assert red.entries == ((5,),) and T == ((1,),)
 
