@@ -8,6 +8,7 @@ from .cyclo import (
     cyclotomic_polynomial,
     mult_matrix_abs,
     norm_abs,
+    real_embedding_bounds,
     real_embedding_enclosures,
     trace_abs,
     trace_via_mult_matrix,
@@ -80,8 +81,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CycloElt", "Enclosure", "cos_enclosures", "cyclotomic_polynomial",
-    "mult_matrix_abs", "norm_abs", "real_embedding_enclosures", "trace_abs",
-    "trace_via_mult_matrix",
+    "mult_matrix_abs", "norm_abs", "real_embedding_bounds", "real_embedding_enclosures",
+    "trace_abs", "trace_via_mult_matrix",
     "FieldDesc", "conjugates_real", "coords_on_basis",
     "discriminant_2adic_valuation", "embedding_reps", "field_from_json",
     "field_to_json", "is_element", "is_totally_positive", "make_field",

@@ -1,0 +1,6 @@
+"""``python -m rotlat``: the same entry point as the ``rotlat`` command."""
+
+from .cli import console_entry
+
+if __name__ == "__main__":
+    console_entry()

@@ -293,7 +293,9 @@ def module_from_json(obj) -> TwistedModule:
         raise ValueError("scale c must be a positive integer")
     if alpha.m != field.m or any(g.m != field.m for g in gamma):
         raise ValueError("conductor mismatch between field and elements")
-    construction = str(obj["construction"])
+    construction = obj["construction"]
+    if not isinstance(construction, str):
+        raise ValueError("construction must be a JSON string")
     extrapolated = False
     if construction in CONSTRUCTIONS:
         spec = CONSTRUCTIONS[construction]

@@ -11,10 +11,16 @@ multiplication-operator matrices (the independent route to traces and
 norms), and certified real-interval enclosures of embedding values.
 
 Enclosure policy: cosine values at the rational angles 2*pi*t/m are
-enclosed once per (m, precision) with directed rounding; everything
-downstream combines those leaves with exact rational interval
-arithmetic, so reported intervals are true enclosures whose width is
-governed by the leaf precision alone.
+enclosed once per (m, precision) with directed rounding and kept as
+integer lower and upper numerators over one power of two 2^S.  One
+kernel, ``real_embedding_bounds``, sums those leaves in integers into
+bounds over x.den * 2^S, choosing the lower or upper leaf by the sign of
+each coefficient, so reported intervals are true enclosures whose width
+is governed by the leaf precision alone.  Total positivity and the
+embedding rows read the integer bounds; ``Fraction`` appears only at the
+view boundary (``cos_enclosures``, ``real_embedding_enclosures`` and the
+cells ``gram`` returns).  ``Enclosure`` arithmetic stays as the exact
+oracle the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -428,58 +434,73 @@ class Enclosure:
         return Enclosure(lo, hi)
 
 
-def _raw_mpf_to_fraction(t) -> Fraction:
+def _dyadic(t) -> tuple[int, int]:
+    """A finite raw mpmath endpoint as (signed mantissa, exponent)."""
     sign, man, exp, _ = t
     man = int(man)
     if man == 0:
         if exp == 0:
-            return Fraction(0)
+            return 0, 0
         raise ValueError("nonfinite interval endpoint")
-    v = Fraction(man) * Fraction(2) ** exp
-    return -v if sign else v
+    return (-man if sign else man), exp
 
 
-_COS_CACHE: dict[tuple[int, int], tuple[Enclosure, ...]] = {}
-
-
-def cos_enclosures(m: int, prec: int) -> tuple[Enclosure, ...]:
-    """Certified enclosures of cos(2*pi*t/m) for t = 0..m-1."""
-    key = (m, prec)
-    got = _COS_CACHE.get(key)
-    if got is not None:
-        return got
+@lru_cache(maxsize=None)
+def _cos_table(m: int, prec: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Leaves of every enclosure: cos(2*pi*t/m) for t = 0..m-1, enclosed at
+    prec bits with directed rounding, as (S, lower numerators, upper
+    numerators) over the one denominator 2^S."""
     ctx = mpmath.iv
     old = ctx.prec
     try:
         ctx.prec = prec
         two_pi = 2 * ctx.pi
-        vals = []
+        ends = []
         for t in range(m):
-            c = ctx.cos(two_pi * t / m)
-            a, b = c._mpi_
-            vals.append(Enclosure(_raw_mpf_to_fraction(a), _raw_mpf_to_fraction(b)))
+            a, b = ctx.cos(two_pi * t / m)._mpi_
+            ends.append((_dyadic(a), _dyadic(b)))
     finally:
         ctx.prec = old
-    enc = tuple(vals)
-    _COS_CACHE[key] = enc  # idempotent; concurrent recomputation is harmless
-    return enc
+    shift = max(0, *(-e for pair in ends for _, e in pair))
+    lo = tuple(man << (shift + e) for (man, e), _ in ends)
+    hi = tuple(man << (shift + e) for _, (man, e) in ends)
+    return shift, lo, hi
+
+
+def cos_enclosures(m: int, prec: int) -> tuple[Enclosure, ...]:
+    """Certified enclosures of cos(2*pi*t/m) for t = 0..m-1 (a view of the
+    integer leaves)."""
+    shift, lo, hi = _cos_table(m, prec)
+    d = 1 << shift
+    return tuple(Enclosure(Fraction(a, d), Fraction(b, d)) for a, b in zip(lo, hi))
+
+
+def real_embedding_bounds(x: CycloElt, reps, prec: int) -> tuple[list[tuple[int, int]], int]:
+    """Certified bounds of sum_j c_j cos(2*pi*j*k/m) for each k in reps, as
+    integer (lower, upper) numerators over one positive denominator.
+
+    For x fixed by complex conjugation this is the embedding
+    zeta_m |-> exp(2*pi*i*k/m) of x, which is then real.  With leaves
+    [L_t, U_t] / 2^S, the lower numerator is
+    sum_{c_j > 0} c_j L_(jk mod m) + sum_{c_j < 0} c_j U_(jk mod m) and the
+    upper one its mirror, over x.den * 2^S: exactly the interval sum of the
+    leaves scaled by c_j / x.den, formed in integers.
+    """
+    shift, lo, hi = _cos_table(x.m, prec)
+    m = x.m
+    pos = [(j, c) for j, c in enumerate(x.num) if c > 0]
+    neg = [(j, c) for j, c in enumerate(x.num) if c < 0]
+    out = []
+    for k in reps:
+        out.append((
+            sum(c * lo[j * k % m] for j, c in pos) + sum(c * hi[j * k % m] for j, c in neg),
+            sum(c * hi[j * k % m] for j, c in pos) + sum(c * lo[j * k % m] for j, c in neg),
+        ))
+    return out, x.den << shift
 
 
 def real_embedding_enclosures(x: CycloElt, reps, prec: int) -> list[Enclosure]:
-    """Enclosures of sum_j c_j cos(2*pi*j*k/m) for each k in reps.
-
-    For x fixed by complex conjugation this equals the embedding
-    zeta_m |-> exp(2*pi*i*k/m) of x, which is then real.  The leaves are
-    scaled by the integer numerators and the sum once by 1/den, which is
-    exact, so the result equals scaling each leaf by c_j itself.
-    """
-    table = cos_enclosures(x.m, prec)
-    inv_den = Fraction(1, x.den)
-    out = []
-    for k in reps:
-        acc = Enclosure(_ZERO, _ZERO)
-        for j, cj in enumerate(x.num):
-            if cj:
-                acc = acc + table[j * k % x.m].scale(cj)
-        out.append(acc.scale(inv_den))
-    return out
+    """Enclosures of sum_j c_j cos(2*pi*j*k/m) for each k in reps (a view of
+    ``real_embedding_bounds``)."""
+    bounds, den = real_embedding_bounds(x, reps, prec)
+    return [Enclosure(Fraction(lo, den), Fraction(hi, den)) for lo, hi in bounds]

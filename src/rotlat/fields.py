@@ -39,6 +39,7 @@ from typing import Callable
 from .cyclo import (
     CycloElt,
     Enclosure,
+    real_embedding_bounds,
     real_embedding_enclosures,
     trace_abs,
     trace_form,
@@ -338,12 +339,15 @@ def is_totally_positive(x: CycloElt, field: FieldDesc, max_precision: int = 1 <<
     """Certified total-positivity check; precision escalates until signs resolve."""
     if not x:
         return False
+    _require_member(x, field)
+    reps = embedding_reps(field)
     prec = 64
     while True:
-        enclosures = conjugates_real(x, field, prec)
-        if all(e.is_positive for e in enclosures):
+        # signs of the integer numerators: the denominator is positive
+        bounds, _ = real_embedding_bounds(x, reps, prec)
+        if all(lo > 0 for lo, _ in bounds):
             return True
-        if any(e.is_negative for e in enclosures):
+        if any(hi < 0 for _, hi in bounds):
             return False
         if prec >= max_precision:
             raise RuntimeError("sign certification did not converge at the precision cap")
@@ -373,8 +377,9 @@ def field_from_json(obj) -> FieldDesc:
         raise ValueError("field must be a JSON object")
     if not isinstance(obj["params"], dict):
         raise ValueError("field params must be a JSON object")
+    if any(type(obj[key]) is not int for key in ("m", "n")) or not isinstance(obj["disc"], str):
+        raise ValueError("field needs integer 'm' and 'n' and a string 'disc'")
     field = make_field(str(obj["family"]), **obj["params"])
-    if any(str(obj[key]) != str(value) for key, value in
-           (("m", field.m), ("n", field.n), ("disc", field.disc))):
+    if (obj["m"], obj["n"], obj["disc"]) != (field.m, field.n, str(field.disc)):
         raise ValueError("stored field data does not match its parameters")
     return field

@@ -9,11 +9,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import mpmath
 
-from .cyclo import CycloElt, Enclosure, real_embedding_enclosures, trace_form
+from .cyclo import CycloElt, Enclosure, real_embedding_bounds, trace_form
 from .constructions import TwistedModule, module_index
 from .fields import embedding_reps, norm_real
 from .linalg import leading_principal_minors
@@ -121,34 +121,54 @@ def embedding_enclosure_rows(module: TwistedModule, precision: int = 128):
     2^-(precision+4) relative, so collapsing to midpoints at the requested
     precision keeps row-norm errors far inside 2^-(precision/2).
     """
-    K = module.field
-    reps = embedding_reps(K)
-    target = Fraction(1, 1 << (precision + 4))
+    reps = embedding_reps(module.field)
     work = precision + 16
     while True:
-        alpha_enc = real_embedding_enclosures(module.alpha, reps, work)
-        if all(e.is_positive for e in alpha_enc):
-            roots = [e.sqrt(work) for e in alpha_enc]
-            inv_scale = Enclosure(Fraction(module.c), Fraction(module.c)).sqrt(work).reciprocal()
-            rows = []
-            tight = True
-            for g in module.gamma:
-                row = [
-                    (root * cell) * inv_scale
-                    for root, cell in zip(roots, real_embedding_enclosures(g, reps, work))
-                ]
-                for cell in row:
-                    if cell.width > target * max(_ONE, abs(cell.mid)):
-                        tight = False
-                        break
-                rows.append(row)
-                if not tight:
-                    break
-            if tight:
-                return rows
+        rows = _rows_at(module, reps, work, precision)
+        if rows is not None:
+            return rows
         if work >= _WORK_CAP:
             raise RuntimeError("requested precision unreachable")
         work *= 2
+
+
+def _rows_at(module: TwistedModule, reps, work: int, precision: int):
+    """The entry enclosures at one working precision, or None when alpha's
+    signs are unresolved or as soon as an entry is wider than the target;
+    integers throughout, up to the cells returned.
+
+    sqrt(alpha_k) lies in [a, b] / 2^work and sqrt(c) in [r, r + 1] / 2^work
+    (floor and ceiling square roots, rounded outward as ``Enclosure.sqrt``
+    does).  sigma_k(gamma_i) lies in [lo, hi] / D.  As a >= 0, the product
+    with the root takes each endpoint's factor by that endpoint's sign, and
+    so does the product with 1/sqrt(c) in [1/(r + 1), 1/r] * 2^work, where
+    the 2^work cancels: each entry lies over the one denominator
+    D * r * (r + 1).
+    """
+    alpha, alpha_den = real_embedding_bounds(module.alpha, reps, work)
+    if not all(lo > 0 for lo, _ in alpha):
+        return None
+    sq = 1 << (2 * work)
+    roots = [(isqrt(lo * sq // alpha_den), isqrt(-(-hi * sq // alpha_den)) + 1)
+             for lo, hi in alpha]
+    r = isqrt(module.c * sq)
+    r1 = r + 1
+    two_tol = 1 << (precision + 5)  # width <= 2^-(precision+4) * max(1, |mid|)
+    rows = []
+    for g in module.gamma:
+        bounds, den = real_embedding_bounds(g, reps, work)
+        den *= r * r1
+        row = []
+        for (a, b), (lo, hi) in zip(roots, bounds):
+            lo *= a if lo >= 0 else b
+            hi *= b if hi >= 0 else a
+            lo *= r if lo >= 0 else r1
+            hi *= r1 if hi >= 0 else r
+            if (hi - lo) * two_tol > max(2 * den, abs(lo + hi)):
+                return None
+            row.append(Enclosure(Fraction(lo, den), Fraction(hi, den)))
+        rows.append(row)
+    return rows
 
 
 def embedding_matrix(module: TwistedModule, precision: int = 128):

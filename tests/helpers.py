@@ -1,10 +1,13 @@
-"""Shared test data: the certification battery, published table cells, and
-tolerance helpers."""
+"""Shared test data: the certification battery, published table cells,
+tolerance helpers, and the ``Enclosure``-arithmetic oracles for the integer
+enclosure kernel."""
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
-from rotlat import build
+from rotlat import build, embedding_reps
+from rotlat.cyclo import Enclosure, cos_enclosures
 
 # Constructions certified by the acceptance suite.
 BATTERY = (
@@ -68,3 +71,52 @@ def agrees_significant(ours: float, printed: str, sig_cap: int = 5) -> bool:
     sig = min(sig_cap, digits)
     mag = math.floor(math.log10(abs(float(printed))))
     return abs(ours - float(printed)) < 10.0 ** (mag - sig + 1)
+
+
+# -- Enclosure-arithmetic oracles ---------------------------------------------
+
+
+def embedding_enclosures_oracle(x, reps, prec):
+    """The real embeddings of x as an interval sum of the cosine leaves, each
+    scaled by its numerator, the sum scaled by 1/den."""
+    table = cos_enclosures(x.m, prec)
+    out = []
+    for k in reps:
+        acc = Enclosure(Fraction(0), Fraction(0))
+        for j, c in enumerate(x.num):
+            if c:
+                acc = acc + table[j * k % x.m].scale(c)
+        out.append(acc.scale(Fraction(1, x.den)))
+    return out
+
+
+def enclosure_rows_oracle_at(module, work, precision):
+    """The rows sqrt(alpha_k) * sigma_k(gamma_i) / sqrt(c) in ``Enclosure``
+    arithmetic at one working precision, or None when alpha's signs are
+    unresolved or an entry is wider than 2^-(precision+4) relative."""
+    reps = embedding_reps(module.field)
+    target = Fraction(1, 1 << (precision + 4))
+    alpha_enc = embedding_enclosures_oracle(module.alpha, reps, work)
+    if not all(e.is_positive for e in alpha_enc):
+        return None
+    roots = [e.sqrt(work) for e in alpha_enc]
+    inv_scale = Enclosure(Fraction(module.c), Fraction(module.c)).sqrt(work).reciprocal()
+    rows = [[(root * cell) * inv_scale
+             for root, cell in zip(roots, embedding_enclosures_oracle(g, reps, work))]
+            for g in module.gamma]
+    if any(cell.width > target * max(1, abs(cell.mid)) for row in rows for cell in row):
+        return None
+    return rows
+
+
+def enclosure_rows_oracle(module, precision):
+    """``enclosure_rows_oracle_at``, doubling the working precision from
+    precision + 16 until the rows are tight."""
+    work = precision + 16
+    while True:
+        rows = enclosure_rows_oracle_at(module, work, precision)
+        if rows is not None:
+            return rows
+        if work >= 1 << 14:
+            raise RuntimeError("requested precision unreachable")
+        work *= 2

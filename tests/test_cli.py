@@ -94,6 +94,12 @@ def _malform(obj, shape):
         # the same value, written as a JSON float instead of a string
         coeffs = obj["gamma"][0]["coeffs"]
         coeffs[0] = float(Fraction(coeffs[0]))
+    elif shape == "field-m-string":
+        obj["field"]["m"] = str(obj["field"]["m"])
+    elif shape == "field-disc-int":
+        obj["field"]["disc"] = int(obj["field"]["disc"])
+    elif shape == "construction-int":
+        obj["construction"] = 32
     return obj
 
 
@@ -101,7 +107,7 @@ def _malform(obj, shape):
     "shape",
     ["params-list", "gamma-null", "field-string", "top-level-list",
      "alpha-zero-denominator", "params-float", "alpha-m-float", "alpha-m-string",
-     "gamma-coeff-float"],
+     "gamma-coeff-float", "field-m-string", "field-disc-int", "construction-int"],
 )
 @pytest.mark.parametrize("command", ["verify", "embed"])
 def test_malformed_module_json_exits_two(tmp_path, capsys, shape, command):
@@ -279,3 +285,16 @@ def test_internal_runtime_error_exits_two(tmp_path, capsys, monkeypatch, command
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_python_dash_m_runs_from_a_checkout():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-m", "rotlat", "--help"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: rotlat ")

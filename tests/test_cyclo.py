@@ -2,6 +2,8 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,12 +14,14 @@ from rotlat.cyclo import (
     cyclotomic_polynomial,
     mult_matrix_abs,
     norm_abs,
+    real_embedding_bounds,
     real_embedding_enclosures,
     trace_abs,
     trace_form,
     trace_via_mult_matrix,
 )
 from rotlat.numtheory import euler_phi
+from helpers import embedding_enclosures_oracle
 
 
 def eval_complex(x: CycloElt) -> complex:
@@ -286,3 +290,32 @@ def test_real_embedding_enclosures_width_shrinks():
     w1 = real_embedding_enclosures(x, (1, 3, 5, 7), 48)
     w2 = real_embedding_enclosures(x, (1, 3, 5, 7), 192)
     assert all(b.width < a.width for a, b in zip(w1, w2))
+
+
+def test_cos_leaves_are_the_directed_rounding_endpoints():
+    # one power-of-two denominator, the same values as mpmath.iv gives
+    old, mpmath.iv.prec = mpmath.iv.prec, 40
+    try:
+        expected = [mpmath.iv.cos(2 * mpmath.iv.pi * t / 7)._mpi_ for t in range(7)]
+    finally:
+        mpmath.iv.prec = old
+    for ends, got in zip(expected, cos_enclosures(7, 40)):
+        lo, hi = (Fraction((-1) ** sign * man) * Fraction(2) ** exp for sign, man, exp, _ in ends)
+        assert (got.lo, got.hi) == (lo, hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.sampled_from([8, 15, 20, 35, 44, 77]),
+    prec=st.sampled_from([16, 48, 144]),
+    data=st.data(),
+)
+def test_integer_kernel_equals_enclosure_arithmetic(m, prec, data):
+    coeffs = data.draw(st.lists(
+        st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),
+        min_size=euler_phi(m), max_size=euler_phi(m)))
+    x = CycloElt.from_coeffs(m, coeffs)
+    reps = range(m)
+    assert real_embedding_enclosures(x, reps, prec) == embedding_enclosures_oracle(x, reps, prec)
+    bounds, den = real_embedding_bounds(x, reps, prec)
+    assert den > 0 and all(lo <= hi for lo, hi in bounds)

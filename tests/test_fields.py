@@ -19,6 +19,7 @@ from rotlat import (
     is_totally_positive,
     make_field,
     norm_real,
+    real_embedding_bounds,
     subfield_degrees,
     trace_abs,
     trace_real,
@@ -270,6 +271,27 @@ def test_totally_positive():
     assert not is_totally_positive(CycloElt.zero(8), K8)
 
 
+def test_total_positivity_escalates_past_64_bits():
+    # in Q(sqrt 2), e1 = zeta_8 + zeta_8^-1 is sqrt(2) at k = 1; with p/q a
+    # convergent of sqrt(2), q e1 - p is about 1/(2 sqrt(2) q) there, so
+    # x = (q e1 - p)^2 is totally positive with one embedding near 2^-82
+    K = make_field("pow2", r=3)
+    e1 = K.basis[1]
+    p, q = 1, 1
+    while q < 1 << 40:
+        p, q = p + 2 * q, p + q
+    y = q * e1 - p
+    x = y * y
+    reps = embedding_reps(K)
+    bounds, _ = real_embedding_bounds(x, reps, 64)
+    assert not all(lo > 0 for lo, _ in bounds)  # 64-bit leaves cannot decide
+    assert not any(hi < 0 for _, hi in bounds)
+    assert is_totally_positive(x, K)
+    assert not is_totally_positive(-x, K)
+    (lo, hi), = [b for k, b in zip(reps, real_embedding_bounds(y, reps, 128)[0]) if k == 1]
+    assert (lo > 0, hi < 0) == (2 * q * q > p * p, 2 * q * q < p * p)
+
+
 @given(st.integers(min_value=-9, max_value=9), st.integers(min_value=-9, max_value=9),
        st.integers(min_value=-9, max_value=9))
 @settings(max_examples=30, deadline=None)
@@ -319,4 +341,12 @@ def test_json_round_trip():
     assert field_from_json(obj) is make_field("comp-odd-odd", p1=5, p2=7)
     obj["disc"] = "123"
     with pytest.raises(ValueError):
+        field_from_json(obj)
+
+
+@pytest.mark.parametrize("key, value", [("m", "35"), ("n", 12.0), ("n", True), ("disc", 1)])
+def test_json_stored_data_must_have_its_json_type(key, value):
+    obj = field_to_json(make_field("comp-odd-odd", p1=5, p2=7))
+    obj[key] = value
+    with pytest.raises(ValueError, match="integer 'm' and 'n' and a string 'disc'"):
         field_from_json(obj)

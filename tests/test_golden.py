@@ -1,15 +1,16 @@
 """Byte pins: SHA-256 digests of ``rotlat verify`` stdout (the LLL
-transform and ``det_cross_check`` included) and of ``gram_json`` of the
-module Gram, for the battery and six larger modules.  A changed LLL
-decision or a changed Gram entry shows up here even when every verdict
-stays the same."""
+transform and ``det_cross_check`` included), of ``gram_json`` of the
+module Gram and of ``embedding_csv`` (what ``rotlat embed`` writes), for
+the battery and six larger modules.  A changed LLL decision, a changed
+Gram entry or a moved enclosure endpoint shows up here even when every
+verdict stays the same."""
 
 import hashlib
 import json
 
 import pytest
 
-from rotlat import gram, gram_json, module_to_json
+from rotlat import embedding_csv, gram, gram_json, module_to_json
 from rotlat.cli import EXIT_OK, main
 from helpers import BATTERY, get_module
 
@@ -74,3 +75,74 @@ def test_verify_and_gram_bytes_are_pinned(tmp_path, capsys, code, params):
     assert main(["verify", str(path)]) == EXIT_OK
     assert _digest(capsys.readouterr().out) == verify_digest
     assert _digest(gram_json(gram(module))) == gram_digest
+
+
+# embedding_csv digest per module and precision (bits)
+EMBED_GOLDEN = {
+    ("p31", 3): {
+        128: "2d3d872266ed46db2fe9303c382f2e54ed5660bd5e41d6614f80d708e6007643",
+    },
+    ("p31", 4): {
+        128: "eb4207dcab2ac10f70463f02d36ca8fde94a0b144b2aa9e9b6de71bb5def276e",
+    },
+    ("p31", 5): {
+        128: "f80f1762dcf28b2abc0b151e683d41af9e6b55cece949f6fe8071ac4c087723a",
+    },
+    ("p32", 7): {
+        128: "3292751c3f58aa126e8ba0f1744a64a3a49e59e666b99709114ebfd3975970b0",
+    },
+    ("p32", 11): {
+        128: "55f2d0763c6a1b4f73a3abe6e6afdb9cffb65a6cffc481267a49aa7c8da6d4f7",
+    },
+    ("p32", 13): {
+        128: "3ec8012113f7d4808f26f37a0dff6f0751f5a973f63bce20daf98b520ee45ef3",
+    },
+    ("p34", 3, 5): {
+        128: "8dca26ba0c512cd0d0a2fc45617ddd8d856363e1db3d5927b79ea024bd65501f",
+    },
+    ("p34", 4, 5): {
+        128: "8bbb803e0e2b9c21128e3dfd1b3e039d77409396132c7118a4ea752e13905ded",
+    },
+    ("p34", 3, 7): {
+        128: "a96f1ecbbd2eb8011c08815ac8f9b4376c35aa7766c08b697245be9f9d83fba2",
+    },
+    ("p37", 5, 7): {
+        128: "ad1f5ca8ec0741b63a5c30c84b260691f477f9db220ec13fb75fb48c946c635b",
+    },
+    ("p37", 5, 11): {
+        128: "e683496b410aea77dfc55de4ca5fba4c892846b12fbce21801f692e9aa8a9ddd",
+    },
+    ("p31", 6): {
+        128: "ae6612f8056d8d475a22d7eb02994a823c703e6c3f063934e34d85d1f61b90cf",
+    },
+    ("p31", 7): {
+        128: "2eb63d952d84c61375aa06aa8e0cbce7970e9bcbe147c110ffb3f37d84589340",
+    },
+    ("p31", 8): {
+        128: "1de5612b985d969314fefde9e0b8ac3d4cd55bbe8519708d2d38995d70563478",
+        64: "7c152e61bc0717c42686561b54ad337bf9bdeb037c3c17c80190f545dbd2b949",
+        256: "9a9b500ae3b8c1b9b79e06e10b9d5227ba72a73b9fc04a769da689d0c42afc0b",
+    },
+    ("p32", 41): {
+        128: "8459120ce5c6d86745f189619ac9f8976ff2a7f1243f0f6946c57cc23ce9df04",
+    },
+    ("p34", 4, 11): {
+        128: "254d07e1de574eccf3679d7dd3f0ca7351dda41c504cabee772e501787217d22",
+    },
+    ("p37", 7, 11): {
+        128: "cea091f65b405a76e2ea7143163f1dc1326fdfc48c818811ed0c6df9e7ce2a53",
+        64: "8b6535075b66fbbbdcd736fcc7d0fa7b2b37c048b9af3bc2740e2e93f7e18e4a",
+        256: "11494ce2bd185af257c1405dc2d9b6334968b1534f3abea52fcfe6a9a42d7c14",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "code,params,precision",
+    [(code, params, precision) for code, params in BATTERY + LARGER
+     for precision in EMBED_GOLDEN[(code, *params.values())]],
+)
+def test_embedding_csv_bytes_are_pinned(code, params, precision):
+    module = get_module(code, **params)
+    digest = EMBED_GOLDEN[(code, *params.values())][precision]
+    assert _digest(embedding_csv(module, precision)) == digest
