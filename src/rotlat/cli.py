@@ -81,13 +81,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _collect_params(args, kind: str, family: str) -> dict:
-    params = {}
-    for name, _ in FAMILIES[family]:
-        value = getattr(args, name)
-        if value is None:
-            raise ValueError(f"missing required parameter --{name} for {kind}")
-        params[name] = value
-    return params
+    """The family's parameter flags; a flag it needs but lacks, or one it
+    does not take, is an error that names the flag."""
+    takes = dict(FAMILIES[family])
+    for name in _PARAMS:
+        given = getattr(args, name) is not None
+        if given != (name in takes):
+            problem = "unexpected" if given else "missing required"
+            raise ValueError(f"{problem} parameter --{name} for {kind}")
+    return {name: getattr(args, name) for name in takes}
 
 
 def _write_text(path: str, text: str) -> None:

@@ -68,13 +68,12 @@ def _p32(field: FieldDesc, q: dict) -> tuple[tuple[CycloElt, ...], CycloElt]:
     return (head, *b[: n - 1]), 2 - b[0]
 
 
-def _product_twist(field: FieldDesc, m1: int, m2: int, doubled: int):
+def _product_twist(field: FieldDesc, doubled: int):
     """The compositum basis with one vector doubled, and alpha = (2 - e1)(2 - b1)
-    for e1, b1 the first basis pairs of the factors of conductors m1, m2."""
+    for e1, b1 the ring generators of the two factors."""
     gamma = list(field.basis)
     gamma[doubled] = 2 * gamma[doubled]
-    e1 = CycloElt.zeta_pair(m1, 1).lift(field.m)
-    b1 = CycloElt.zeta_pair(m2, 1).lift(field.m)
+    e1, b1 = field.generators
     return tuple(gamma), (2 - e1) * (2 - b1)
 
 
@@ -113,14 +112,14 @@ CONSTRUCTIONS: dict[str, Construction] = {
     "p34": Construction(
         "comp-pow2-odd", lambda q: {2: q["r"] - 1, q["p"]: 1},
         lambda q, d: {2: d[1], q["p"]: d[0]},
-        lambda K, q: _product_twist(K, 2 ** q["r"], q["p"], subfield_degrees(K)[1] - 1),
+        lambda K, q: _product_twist(K, subfield_degrees(K)[1] - 1),
     ),
     # compositum of two odd-prime fields, non-ideal module, product twist; the
     # last (i=n1, j=n2) product is doubled
     "p37": Construction(
         "comp-odd-odd", lambda q: {q["p1"]: 1, q["p2"]: 1},
         lambda q, d: {q["p1"]: d[1], q["p2"]: d[0]},
-        lambda K, q: _product_twist(K, q["p1"], q["p2"], K.n - 1),
+        lambda K, q: _product_twist(K, K.n - 1),
     ),
 }
 
@@ -241,7 +240,7 @@ def element_from_coords(module: TwistedModule, coords) -> CycloElt:
 
 @dataclass(frozen=True)
 class IdealityWitness:
-    basis_factor: CycloElt
+    basis_factor: CycloElt  # a ring generator (``FieldDesc.generators``)
     module_factor: CycloElt
     product: CycloElt
 
@@ -255,11 +254,12 @@ class IdealCheck:
 def is_ideal(module: TwistedModule) -> IdealCheck:
     """Whether the module is closed under multiplication by the ring of integers.
 
-    Products against every integral-basis element suffice: any algebraic
-    integer is an integer combination of them.  On failure the first
-    offending product (in basis x gamma order) is returned as a witness.
+    O_K = Z[generators], one generator per factor field, so a Z-module
+    closed under each generator is closed under O_K: n products per
+    generator.  On failure the first offending product (in generator x
+    gamma order) is returned as a witness.
     """
-    for w in module.field.basis:
+    for w in module.field.generators:
         for g in module.gamma:
             product = w * g
             if not in_module(module, product):

@@ -25,6 +25,7 @@ oracle the kernel is tested against.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -262,8 +263,11 @@ class CycloElt:
         if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
             raise ValueError("element must be an object with a 'coeffs' list")
         m = obj["m"]
-        if type(m) is not int or any(type(s) not in (str, int) for s in obj["coeffs"]):
-            raise ValueError("element needs an integer 'm' and string or integer coeffs")
+        if type(m) is not int or not all(
+            type(s) is int or type(s) is str and re.fullmatch("-?[0-9]+(/[0-9]+)?", s)
+            for s in obj["coeffs"]
+        ):
+            raise ValueError("element needs an integer 'm' and integer or 'a/b' string coeffs")
         try:
             num, den = _clear(Fraction(s) for s in obj["coeffs"])
             return cls(m, tuple(num), den)

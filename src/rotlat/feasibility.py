@@ -9,6 +9,9 @@ this package are not ideals, and their existence is unaffected.
 
 The divisibility condition is necessary, not sufficient: a verdict of
 "NecessaryConditionHolds" does not assert that a construction exists.
+The verdict reads invariants only: n, d_K, and the splitting of 2 from
+(m, H) by one rule for every family (Washington, Introduction to
+Cyclotomic Fields, ch. 3); no integral basis is built.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .fields import FieldDesc, discriminant_2adic_valuation, fixing_subgroup, subfield_degrees
-from .numtheory import order_in_quotient
+from .fields import FieldDesc, discriminant_2adic_valuation, fixing_subgroup
+from .numtheory import crt, order_in_quotient, v2
 
 VERDICT_IMPOSSIBLE_ODD_DISC = "ImpossibleOddDisc"
 VERDICT_IMPOSSIBLE_RESIDUE = "ImpossibleResidueCondition"
@@ -48,22 +51,19 @@ class FeasibilityReport:
 
 
 def splitting_of_two(field: FieldDesc) -> tuple[int, int, int]:
-    """(ramification index, residue degree, number of primes) of 2.
+    """(ramification index e, residue degree f, number of primes g) of 2,
+    read from the Galois group (Z/mZ)^*/H, H = ``fixing_subgroup``.
 
-    pow2: totally ramified.  Odd conductors: unramified, with f the order
-    of 2 in the Galois group (the quotient of (Z/mZ)^* by the subgroup
-    fixing the field).  The mixed compositum ramifies with index n1 while
-    f is inherited from the odd-prime factor.
+    With m = 2^a m', the inertia group of 2 is the image of I, the units
+    that are 1 mod m', so e = |I H| / |H|.  The Frobenius is the unit that
+    is 1 mod 2^a and 2 mod m', and f is its order modulo I H; g = n/(e f).
     """
-    if field.family == "pow2":
-        return field.n, 1, 1
-    if field.family == "comp-pow2-odd":
-        n1, n2 = subfield_degrees(field)
-        p = field.param("p")
-        f = order_in_quotient(2, p, frozenset((1, p - 1)))
-        return n1, f, n2 // f
-    f = order_in_quotient(2, field.m, fixing_subgroup(field))
-    return 1, f, field.n // f
+    m, subgroup = field.m, fixing_subgroup(field)
+    odd = m >> v2(m)
+    inertia_h = frozenset(u * h % m for u in range(1, m, odd) if u % 2 for h in subgroup)
+    e = len(inertia_h) // len(subgroup)
+    f = order_in_quotient(crt(1, m // odd, 2, odd), m, inertia_h)
+    return e, f, field.n // (e * f)
 
 
 def dn_feasibility(field: FieldDesc) -> FeasibilityReport:

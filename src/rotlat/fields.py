@@ -9,12 +9,13 @@ Families (conductor m, degree n):
   comp-odd-odd   compositum of two odd-prime fields   m = p1 * p2  n = n1*n2
 
 FAMILIES holds one row per family: its parameters and its factor fields.
-The factors' discriminants are coprime, so the integral basis of a
-compositum is the product of the factor bases and its discriminant is
-prod d_i^(n/n_i) (Neukirch, Algebraic Number Theory I.2.11); one builder
-serves every family.  At construction time (n <= 20) the discriminant is
-revalidated against the determinant of the trace form on the integral
-basis, which catches basis or reduction bugs at the source.
+A FieldDesc is a plain value: the closed-form invariants m, n and disc.
+The factors' discriminants are coprime, so a compositum's discriminant is
+prod d_i^(n/n_i), its integral basis is the product of the factor bases,
+and O_K = Z[generators], one zeta_{m_i} + zeta_{m_i}^-1 per factor
+(Neukirch, Algebraic Number Theory I.2.11).  The basis is built when first
+read, and then (n <= 20) the discriminant is revalidated against the
+trace-form determinant on it, which catches basis or reduction bugs.
 
 Coordinates over the integral basis come from one sparse integer solve
 per field (``linalg.pivot_inverse`` of the basis matrix, cached): the
@@ -22,16 +23,14 @@ bases are nearly triangular in the power basis, so D times the inverse of
 the pivot block has few nonzero entries (the identity for pow2).  A
 query is integer dot products of x's numerators (an element is integer
 numerators over one denominator) with those entries, plus an exact
-check that the result reproduces x.  A FieldDesc hashes by (family, params),
-which determine everything else, so cache lookups keyed on a field stay
-cheap.
+check that the result reproduces x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, prod
 from typing import Callable
@@ -94,20 +93,14 @@ FAMILIES: dict[str, tuple[tuple[str, Factor], ...]] = {
 
 @dataclass(frozen=True)
 class FieldDesc:
-    """A totally real field from one of the four supported families."""
+    """A totally real field from one of the four supported families, as
+    its invariants; ``basis`` and ``generators`` are built on first read."""
 
     family: str
     params: tuple[tuple[str, int], ...]
     m: int
     n: int
-    basis: tuple[CycloElt, ...]
     disc: int
-
-    def __hash__(self) -> int:
-        # family and params determine m, n, basis and disc, so this agrees
-        # with the full-field ==; hashing every coefficient of the basis would
-        # cost milliseconds per cache lookup at n = 64
-        return hash((self.family, self.params))
 
     def param(self, name: str) -> int:
         return dict(self.params)[name]
@@ -117,17 +110,55 @@ class FieldDesc:
         """Degree of Q(zeta_m) over this field."""
         return euler_phi(self.m) // self.n
 
+    @property
+    def conductors(self) -> tuple[int, ...]:
+        """The factor fields' conductors m_i, whose product is m."""
+        return tuple(kind.conductor(self.param(name)) for name, kind in FAMILIES[self.family])
+
+    @cached_property
+    def generators(self) -> tuple[CycloElt, ...]:
+        """zeta_{m_i} + zeta_{m_i}^-1 for each factor conductor m_i: O_K = Z[generators]."""
+        return tuple(CycloElt.zeta_pair(mi, 1).lift(self.m) for mi in self.conductors)
+
+    @cached_property
+    def basis(self) -> tuple[CycloElt, ...]:
+        """The integral basis, the product of the factor bases; built and
+        (n <= 20) checked against disc on first read."""
+        # zeta_{m_i}^k = zeta_m^(k m/m_i): each product of factor basis elements
+        # is a sum of powers of zeta_m, written down without lifting or multiplying
+        steps = [self.m // mi for mi in self.conductors]
+        exponents = [kind.exponents(self.param(name)) for name, kind in FAMILIES[self.family]]
+        basis = []
+        for element in product(*exponents):
+            coeffs = [0] * self.m
+            for ks in product(*element):
+                coeffs[sum(k * s for k, s in zip(ks, steps)) % self.m] += 1
+            basis.append(CycloElt.from_coeffs(self.m, coeffs))
+        if self.n <= 20:
+            rows, den = trace_form(basis, basis)
+            got = Fraction(det_int(rows), (den * self.codegree) ** self.n)
+            if got != self.disc:
+                raise RuntimeError(
+                    f"integral basis self-check failed for {self.family}{dict(self.params)}: "
+                    f"trace-form determinant {got} != stored discriminant {self.disc}"
+                )
+        return tuple(basis)
+
 
 def check_params(family: str, params, extra: Callable[[dict], None] | None = None) -> dict[str, int]:
     """The family's parameters from ``params``, checked; the package's one
     parameter check.
 
-    Each value must be an int (never truncated) valid for its factor, and
-    factors of the same kind must differ.  ``extra`` is a construction's own
-    condition; it sees the integer values before the family's rules run.
+    Each value must be an int (never truncated) valid for its factor,
+    factors of the same kind must differ, and no other name may appear.
+    ``extra`` is a construction's own condition; it sees the integer values
+    before the family's rules run.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
+    for name in params:
+        if name not in dict(FAMILIES[family]):
+            raise ValueError(f"unexpected parameter {name!r} for {family}")
     values = {}
     for name, _ in FAMILIES[family]:
         if name not in params:
@@ -160,32 +191,9 @@ def make_field(family: str, **params) -> FieldDesc:
 @lru_cache(maxsize=None)
 def _build_field(family: str, params: tuple[tuple[str, int], ...]) -> FieldDesc:
     factors = [(kind, dict(params)[name]) for name, kind in FAMILIES[family]]
-    m = prod(kind.conductor(v) for kind, v in factors)
     n = prod(kind.degree(v) for kind, v in factors)
     disc = prod(kind.disc(v) ** (n // kind.degree(v)) for kind, v in factors)
-    # zeta_{m_i}^k = zeta_m^(k m/m_i): each product of factor basis elements
-    # is a sum of powers of zeta_m, written down without lifting or multiplying
-    steps = [m // kind.conductor(v) for kind, v in factors]
-    basis = []
-    for element in product(*(kind.exponents(v) for kind, v in factors)):
-        coeffs = [0] * m
-        for ks in product(*element):
-            coeffs[sum(k * s for k, s in zip(ks, steps)) % m] += 1
-        basis.append(CycloElt.from_coeffs(m, coeffs))
-    field = FieldDesc(family, params, m, n, tuple(basis), disc)
-    if n <= 20:
-        _check_trace_gram(field)
-    return field
-
-
-def _check_trace_gram(field: FieldDesc) -> None:
-    rows, den = trace_form(field.basis, field.basis)
-    got = Fraction(det_int(rows), (den * field.codegree) ** field.n)
-    if got != field.disc:
-        raise RuntimeError(
-            f"integral basis self-check failed for {field.family}{dict(field.params)}: "
-            f"trace-form determinant {got} != stored discriminant {field.disc}"
-        )
+    return FieldDesc(family, params, prod(kind.conductor(v) for kind, v in factors), n, disc)
 
 
 def subfield_degrees(field: FieldDesc) -> tuple[int, int]:
@@ -204,8 +212,7 @@ def fixing_generators(field: FieldDesc) -> tuple[int, ...]:
     """Generators of the subgroup of (Z/mZ)^* whose fixed field this is:
     one per factor, acting as conjugation on that factor and trivially on
     the others (found by CRT)."""
-    conductors = [kind.conductor(field.param(name)) for name, kind in FAMILIES[field.family]]
-    return tuple(crt(mi - 1, mi, 1, field.m // mi) for mi in conductors)
+    return tuple(crt(mi - 1, mi, 1, field.m // mi) for mi in field.conductors)
 
 
 @lru_cache(maxsize=None)
@@ -356,7 +363,7 @@ def is_totally_positive(x: CycloElt, field: FieldDesc, max_precision: int = 1 <<
 
 def discriminant_2adic_valuation(field: FieldDesc) -> int:
     """v2 of the field discriminant."""
-    return v2(field.disc) if field.disc % 2 == 0 else 0
+    return v2(field.disc)
 
 
 # -- serialization ---------------------------------------------------------

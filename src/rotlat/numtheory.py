@@ -66,12 +66,7 @@ def v2(n: int) -> int:
     """2-adic valuation of a nonzero integer."""
     if n == 0:
         raise ValueError("v2(0) is undefined")
-    n = abs(n)
-    z = 0
-    while n % 2 == 0:
-        n //= 2
-        z += 1
-    return z
+    return (n & -n).bit_length() - 1
 
 
 def crt(a1: int, m1: int, a2: int, m2: int) -> int:

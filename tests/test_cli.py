@@ -100,6 +100,13 @@ def _malform(obj, shape):
         obj["field"]["disc"] = int(obj["field"]["disc"])
     elif shape == "construction-int":
         obj["construction"] = 32
+    elif shape == "field-params-extra":
+        obj["field"]["params"]["q"] = 3
+    elif shape == "coeff-exponent":
+        # parsing this would build a 33-million-bit integer
+        obj["gamma"][0]["coeffs"][0] = "1e9999999"
+    elif shape == "coeff-decimal":
+        obj["alpha"]["coeffs"][0] = "0.5"
     return obj
 
 
@@ -107,7 +114,8 @@ def _malform(obj, shape):
     "shape",
     ["params-list", "gamma-null", "field-string", "top-level-list",
      "alpha-zero-denominator", "params-float", "alpha-m-float", "alpha-m-string",
-     "gamma-coeff-float", "field-m-string", "field-disc-int", "construction-int"],
+     "gamma-coeff-float", "field-m-string", "field-disc-int", "construction-int",
+     "field-params-extra", "coeff-exponent", "coeff-decimal"],
 )
 @pytest.mark.parametrize("command", ["verify", "embed"])
 def test_malformed_module_json_exits_two(tmp_path, capsys, shape, command):
@@ -225,6 +233,26 @@ def test_feasibility_commands(capsys):
 
     assert main(["feasibility", "--family", "odd-prime", "--p", "6"]) == EXIT_INPUT_ERROR
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["feasibility", "--family", "pow2", "--r", "3", "--p", "5"], "--p"),
+    (["feasibility", "--family", "odd-prime", "--p", "7", "--p2", "11"], "--p2"),
+    (["construct", "--construction", "p32", "--p", "7", "--r", "3"], "--r"),
+])
+def test_stray_parameter_flag_exits_two(tmp_path, capsys, argv, flag):
+    out = ["--out", str(tmp_path / "x.json")] if argv[0] == "construct" else []
+    assert main(argv + out) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "x.json").exists()
+    assert captured.err.splitlines() == [f"error: unexpected parameter {flag} for {argv[2]}"]
+
+
+def test_feasibility_pow2_r16_needs_no_basis(capsys):
+    # the verdict reads invariants only; the basis would be 16384 x 32768
+    assert main(["feasibility", "--family", "pow2", "--r", "16"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert (report["e"], report["f"], report["g"], report["z"]) == (16384, 1, 1, 245759)
 
 
 def test_embed_precision_env_override(tmp_path, capsys, monkeypatch):

@@ -93,6 +93,7 @@ def test_p31_low_r_warns_and_flags():
         ("p32", {"p": 7.5}, "'p' must be an integer"),
         ("p34", {"r": 3, "p": True}, "'p' must be an integer"),
         ("p37", {"p1": 5}, "missing parameter 'p2'"),
+        ("p31", {"r": 5, "p": 7}, "unexpected parameter 'p'"),
     ],
 )
 def test_parameter_validation(code, params, message):
@@ -181,6 +182,26 @@ def test_is_ideal_verdicts():
         assert w is not None
         assert w.product == w.basis_factor * w.module_factor
         assert not in_module(get_module(code, **params), w.product)
+
+
+def test_is_ideal_multiplies_by_the_ring_generators_only(monkeypatch):
+    import rotlat.constructions
+
+    calls = []
+
+    def counted(module, x):
+        calls.append(x)
+        return in_module(module, x)
+
+    monkeypatch.setattr(rotlat.constructions, "in_module", counted)
+    m = get_module("p31", r=7)
+    assert is_ideal(m).is_ideal
+    assert len(calls) == 32  # one generator times n = 32 gamma elements, not n^2
+    calls.clear()
+    m = get_module("p37", p1=5, p2=7)
+    chk = is_ideal(m)
+    assert chk.witness.basis_factor in m.field.generators
+    assert len(calls) <= 2 * m.field.n
 
 
 def test_p34_known_witness_product():

@@ -250,6 +250,15 @@ def test_from_json_reduces_to_lowest_terms():
     assert (halves.num, halves.den) == ((1, 0, -1, 4), 2)
 
 
+@pytest.mark.parametrize("coeff", ["0.5", " 1 ", "1_0", "1e9999999", "+1", "1/-2", "1/2/3", "",
+                                   "\u0661", True, 1.0, None])
+def test_from_json_takes_only_the_coefficient_forms_to_json_writes(coeff):
+    with pytest.raises(ValueError, match="integer or 'a/b' string coeffs"):
+        CycloElt.from_json({"m": 8, "coeffs": ["0", coeff, "0", "0"]})
+    assert CycloElt.from_json({"m": 8, "coeffs": ["-7/3", 5, "007", "-0"]}).coeffs == (
+        Fraction(-7, 3), 5, 7, 0)
+
+
 def test_constructor_is_canonical_and_rejects_bad_denominators():
     assert CycloElt(8, (2, 0, 0, 0), 2) == CycloElt.one(8)
     assert hash(CycloElt(8, (2, 0, 0, 0), 2)) == hash(CycloElt.one(8))

@@ -24,6 +24,12 @@ from rotlat.feasibility import (
         ("comp-pow2-odd", {"r": 4, "p": 5}, (4, 2, 1)),
         ("comp-odd-odd", {"p1": 5, "p2": 7}, (1, 6, 1)),
         ("comp-odd-odd", {"p1": 5, "p2": 11}, (1, 10, 1)),
+        # values taken from the per-family rule this one replaced
+        ("odd-prime", {"p": 73}, (1, 9, 4)),
+        ("comp-pow2-odd", {"r": 6, "p": 17}, (16, 4, 2)),
+        ("comp-pow2-odd", {"r": 5, "p": 31}, (8, 5, 3)),
+        ("comp-odd-odd", {"p1": 7, "p2": 73}, (1, 9, 12)),
+        ("comp-odd-odd", {"p1": 17, "p2": 31}, (1, 20, 6)),
     ],
 )
 def test_splitting_of_two(family, params, efg):
@@ -119,6 +125,15 @@ def test_necessary_condition_never_asserts_existence():
     rep = dn_feasibility(make_field("comp-pow2-odd", r=4, p=5))
     assert rep.verdict == VERDICT_NECESSARY_HOLDS
     assert "not decided" in rep.rule
+
+
+def test_feasibility_builds_no_basis():
+    import rotlat.fields
+
+    for family, params in [("pow2", (("r", 6),)), ("comp-odd-odd", (("p1", 5), ("p2", 7)))]:
+        K = rotlat.fields._build_field.__wrapped__(family, params)
+        dn_feasibility(K)
+        assert "basis" not in vars(K)
 
 
 def test_report_json_shape():

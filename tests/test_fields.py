@@ -24,6 +24,7 @@ from rotlat import (
     trace_abs,
     trace_real,
 )
+from rotlat.fields import factor_degrees
 from rotlat.linalg import det_int, inverse_rational
 
 
@@ -228,13 +229,42 @@ def test_corrupted_solver_entry_is_caught(monkeypatch, family, params):
                 norm_real(K.basis[0], K)
 
 
+def test_basis_is_built_on_first_read_and_checked():
+    fresh = rotlat.fields._build_field.__wrapped__("comp-pow2-odd", (("r", 3), ("p", 7)))
+    assert "basis" not in vars(fresh)
+    assert fresh.basis == make_field("comp-pow2-odd", r=3, p=7).basis
+    assert "basis" in vars(fresh)
+    wrong = dataclasses.replace(fresh, disc=fresh.disc + 1)
+    assert "basis" not in vars(wrong)
+    for _ in range(2):  # a failed build caches nothing
+        with pytest.raises(RuntimeError, match="integral basis self-check failed"):
+            wrong.basis
+
+
+def test_generators_generate_the_ring():
+    # O_K = Z[generators]: the powers (products, for composita) of the
+    # generators have integer coordinates and span the integral basis
+    for family, params in [("pow2", {"r": 5}), ("odd-prime", {"p": 11}),
+                           ("comp-pow2-odd", {"r": 3, "p": 7}),
+                           ("comp-odd-odd", {"p1": 5, "p2": 7})]:
+        K = make_field(family, **params)
+        assert len(K.generators) == len(K.conductors)
+        assert all(is_element(K, x) for x in K.generators)
+        monomials = [CycloElt.one(K.m)]
+        for x, d in zip(K.generators, factor_degrees(family, params)):
+            powers = [CycloElt.one(K.m)]
+            for _ in range(d - 1):
+                powers.append(powers[-1] * x)
+            monomials = [a * b for a in monomials for b in powers]
+        rows = [coords_on_basis(K, x) for x in monomials]
+        assert all(q.denominator == 1 for row in rows for q in row)
+        assert abs(det_int([[int(q) for q in row] for row in rows])) == 1
+
+
 def test_field_hash_agrees_with_equality():
     K = make_field("pow2", r=8)
     again = rotlat.fields._build_field.__wrapped__("pow2", (("r", 8),))
     assert again is not K and again == K and hash(again) == hash(K)
-    other = dataclasses.replace(K, basis=(2 * K.basis[0],) + K.basis[1:])
-    assert hash(other) == hash(K)
-    assert other != K
     assert make_field("pow2", r=7) != K
 
 

@@ -57,6 +57,13 @@ def test_v2():
         v2(0)
 
 
+def test_v2_is_linear_in_the_bit_length():
+    # the pow2 r = 16 discriminant has this size; repeated halving took seconds
+    assert v2(3 * 2**245759) == 245759
+    assert v2(-(2**245759)) == 245759
+    assert v2(3**1000) == 0
+
+
 def test_crt():
     x = crt(7, 8, 1, 5)
     assert x % 8 == 7 and x % 5 == 1
