@@ -18,6 +18,7 @@ from rotlat import (
     module_index,
     verify_rotated_dn,
 )
+from rotlat.distance import NORM_SEARCH_BUDGET
 
 BATTERY = [
     ("p31", {"r": 3}), ("p31", {"r": 4}), ("p31", {"r": 5}),
@@ -27,10 +28,21 @@ BATTERY = [
 ]
 
 
+def norm_line(module, bound):
+    """The exact norm minimum over the coefficient box, or why the box
+    was not searched."""
+    box = (2 * bound + 1) ** module.field.n - 1
+    if box > NORM_SEARCH_BUDGET:
+        return f"skipped: box of {box} vectors exceeds the budget"
+    res = min_norm_search(module, bound)
+    return (f"min |norm| over box {bound}: {res.min_abs_norm} at {res.witness} "
+            f"({res.evaluated} vectors, {res.determinants} determinants)")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--norm-bound", type=int, default=0,
-                        help="also run the brute-force norm minimum up to this bound (0 = skip)")
+                        help="also search the exact norm minimum up to this bound (0 = skip)")
     args = parser.parse_args()
 
     warnings.simplefilter("ignore", RuntimeWarning)
@@ -51,10 +63,8 @@ def main():
         print(f"   det(gram) = {det_g}  formula = {det_f}  equal = {det_g == det_f}")
         print(f"   index = {module_index(module)}  divisors = {elementary_divisors(module)}")
         print(f"   ideal in the ring of integers: {ideal.is_ideal}")
-        if args.norm_bound and module.field.n <= 6:
-            res = min_norm_search(module, args.norm_bound)
-            print(f"   min |norm| over box {args.norm_bound}: {res.min_abs_norm} "
-                  f"at {res.witness} ({res.evaluated} vectors)")
+        if args.norm_bound:
+            print(f"   {norm_line(module, args.norm_bound)}")
         print()
 
 

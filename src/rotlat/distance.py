@@ -3,9 +3,10 @@
 Closed forms are carried as prime-exponent tables with half-integer
 exponents; floats appear only at the output boundary (the per-dimension
 value, i.e. the n-th root of the relative minimum product distance).
-A coefficient-box brute-force search over the module provides the
-independent check of the minimum-norm assumption behind the closed
-forms.
+A coefficient-box search over the module provides the independent
+check of the minimum-norm assumption behind the closed forms: exact
+determinants, with vectors that certified integer embedding bounds prove
+no smaller than the current minimum passed over.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .constructions import TwistedModule, lookup
-from .fields import integral_coords
+from .cyclo import real_embedding_bounds
+from .fields import embedding_reps, integral_coords
 from .linalg import det_int
 from .numtheory import factorize
 
@@ -125,7 +128,7 @@ def dp_closed_form(module: TwistedModule, confirm_bound: int | None = None) -> D
     )
 
 
-# -- brute-force minimum-norm oracle -----------------------------------------
+# -- minimum-norm oracle -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,16 @@ class NormSearchResult:
     min_abs_norm: int
     witness: tuple[int, ...]
     exhaustive: bool
-    evaluated: int
+    evaluated: int  # box vectors scanned
+    determinants: int  # exact norms computed; the rest were pruned
+
+
+# Default work budget of the search, in box vectors.
+NORM_SEARCH_BUDGET = 2_000_000
+
+# Leaf precision of the embedding bounds.  It only decides how many vectors
+# are pruned, never the result, so it is fixed and never escalated.
+_BOUND_PREC = 64
 
 
 def _mult_matrices(module: TwistedModule) -> list[list[tuple[int, ...]]]:
@@ -143,8 +155,70 @@ def _mult_matrices(module: TwistedModule) -> list[list[tuple[int, ...]]]:
     return [[integral_coords(K, g * w) for w in K.basis] for g in module.gamma]
 
 
+def _abs_norm(mats: list[list[tuple[int, ...]]], a: tuple[int, ...]) -> int:
+    """|N(sum a_i gamma_i)| = |det(sum a_i M_i)|, exactly."""
+    idx = range(len(mats))
+    acc = [[0] * len(mats) for _ in idx]
+    for coef, mat in zip(a, mats):
+        if coef:
+            for i in idx:
+                row = mat[i]
+                target = acc[i]
+                for j in idx:
+                    target[j] += coef * row[j]
+    return abs(det_int(acc))
+
+
+def _embedding_steps(module: TwistedModule, coeff_bound: int):
+    """Certified bounds of c * sigma_j(gamma_i) for every coefficient c in
+    [-coeff_bound, coeff_bound]: ``steps[i][c + coeff_bound]`` is the pair
+    (lower numerators, negated upper numerators) over the n embeddings, all
+    over one common denominator D, returned with D^n."""
+    reps = embedding_reps(module.field)
+    bounds = [real_embedding_bounds(g, reps, _BOUND_PREC) for g in module.gamma]
+    den = math.lcm(*(d for _, d in bounds))
+    steps = []
+    for pairs, d in bounds:
+        lo = [den // d * low for low, _ in pairs]
+        hi = [den // d * high for _, high in pairs]
+        row = []
+        for c in range(-coeff_bound, coeff_bound + 1):
+            low, high = (hi, lo) if c < 0 else (lo, hi)
+            row.append(([c * v for v in low], [-c * v for v in high]))
+        steps.append(row)
+    return steps, den ** len(reps)
+
+
+def _pruning_bounds(steps, coeff_bound: int):
+    """Each nonzero vector a of the box in lexicographic order, with
+    prod_j max(lo_j, -hi_j, 0): a lower bound of D^n |N(x)|, where
+    [lo_j, hi_j] is the interval sum of ``steps[i][a_i]`` enclosing
+    D sigma_j(x).  Prefix sums are kept per depth, so a vector costs n
+    additions per bound beyond its shared prefix."""
+    span = range(-coeff_bound, coeff_bound + 1)
+    n = len(steps)
+    zeros = [0] * n
+    sums = [(zeros, zeros)] * n  # sums[d]: the bounds of the first d terms
+    prev: tuple[int, ...] = ()
+    for head in itertools.product(span, repeat=n - 1):
+        changed = 0
+        while changed < len(prev) and head[changed] == prev[changed]:
+            changed += 1
+        for d in range(changed, n - 1):
+            lo, nhi = sums[d]
+            step_lo, step_nhi = steps[d][head[d] + coeff_bound]
+            sums[d + 1] = (list(map(add, lo, step_lo)), list(map(add, nhi, step_nhi)))
+        prev = head
+        lo, nhi = sums[n - 1]
+        zero_head = not any(head)
+        for c, (step_lo, step_nhi) in zip(span, steps[n - 1]):
+            if c or not zero_head:
+                lows = map(max, map(add, lo, step_lo), map(add, nhi, step_nhi), zeros)
+                yield head + (c,), math.prod(lows)
+
+
 def min_norm_search(
-    module: TwistedModule, coeff_bound: int, budget: int = 2_000_000
+    module: TwistedModule, coeff_bound: int, budget: int = NORM_SEARCH_BUDGET
 ) -> NormSearchResult:
     """Exact minimum of |norm| over nonzero integer combinations of gamma
     with coefficients bounded by coeff_bound, plus a witness vector.
@@ -153,9 +227,17 @@ def min_norm_search(
     lexicographically smallest vector attaining the minimum.  The scan
     stops early once a norm of 1 appears (no nonzero algebraic integer
     can do better); a budget overrun returns a partial, flagged result.
+
+    Every reported norm is an exact determinant.  A vector is passed over
+    only when its certified integer embedding bounds prove |N(x)| >= the
+    current minimum, so it could never replace it (Fincke & Pohst's
+    pruning, applied to the norm form); the first vector attaining each
+    new minimum always reaches the determinant.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     n = module.field.n
     box = (2 * coeff_bound + 1) ** n - 1
     if box > budget:
@@ -166,30 +248,23 @@ def min_norm_search(
             stacklevel=2,
         )
     mats = _mult_matrices(module)
-    idx = range(n)
+    steps, scale = _embedding_steps(module, coeff_bound)
     best: int | None = None
     witness: tuple[int, ...] = ()
-    evaluated = 0
-    for a in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=n):
-        if not any(a):
-            continue
+    evaluated = determinants = 0
+    for a, lower in _pruning_bounds(steps, coeff_bound):
         if evaluated >= budget:
-            return NormSearchResult(best, witness, False, evaluated)
+            return NormSearchResult(best, witness, False, evaluated, determinants)
         evaluated += 1
-        acc = [[0] * n for _ in idx]
-        for coef, mat in zip(a, mats):
-            if coef:
-                for i in idx:
-                    row = mat[i]
-                    target = acc[i]
-                    for j in idx:
-                        target[j] += coef * row[j]
-        value = abs(det_int(acc))
+        if best is not None and lower >= best * scale:
+            continue
+        determinants += 1
+        value = _abs_norm(mats, a)
         if best is None or value < best:
             best, witness = value, a
             if value == 1:
                 break
-    return NormSearchResult(best, witness, True, evaluated)
+    return NormSearchResult(best, witness, True, evaluated, determinants)
 
 
 # -- the published comparison table -------------------------------------------

@@ -1,13 +1,16 @@
 """Shared test data: the certification battery, published table cells,
-tolerance helpers, and the ``Enclosure``-arithmetic oracles for the integer
-enclosure kernel."""
+tolerance helpers, the ``Enclosure``-arithmetic oracles for the integer
+enclosure kernel, and the unpruned minimum-norm oracle."""
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 from rotlat import build, embedding_reps
 from rotlat.cyclo import Enclosure, cos_enclosures
+from rotlat.distance import NORM_SEARCH_BUDGET, NormSearchResult, _mult_matrices
+from rotlat.linalg import det_int
 
 # Constructions certified by the acceptance suite.
 BATTERY = (
@@ -120,3 +123,57 @@ def enclosure_rows_oracle(module, precision):
         if work >= 1 << 14:
             raise RuntimeError("requested precision unreachable")
         work *= 2
+
+
+def widen_leaves(monkeypatch, at, bits):
+    """Widen the cosine leaves by 2^-bits on each side at the working
+    precisions ``at`` (all of them when None); returns the precisions asked for."""
+    import rotlat.cyclo
+
+    real = rotlat.cyclo._cos_table
+    asked = []
+
+    def widened(m, prec):
+        asked.append(prec)
+        shift, lo, hi = real(m, prec)
+        if at is None or prec in at:
+            pad = 1 << (shift - bits)
+            return shift, tuple(a - pad for a in lo), tuple(b + pad for b in hi)
+        return shift, lo, hi
+
+    monkeypatch.setattr(rotlat.cyclo, "_cos_table", widened)
+    return asked
+
+
+# -- the minimum-norm oracle ---------------------------------------------------
+
+
+def min_norm_search_oracle(module, coeff_bound, budget=NORM_SEARCH_BUDGET):
+    """``min_norm_search`` without pruning: one exact determinant for every
+    vector of the box, scanned in lexicographic order."""
+    n = module.field.n
+    mats = _mult_matrices(module)
+    idx = range(n)
+    best = None
+    witness = ()
+    evaluated = 0
+    for a in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=n):
+        if not any(a):
+            continue
+        if evaluated >= budget:
+            return NormSearchResult(best, witness, False, evaluated, evaluated)
+        evaluated += 1
+        acc = [[0] * n for _ in idx]
+        for coef, mat in zip(a, mats):
+            if coef:
+                for i in idx:
+                    row = mat[i]
+                    target = acc[i]
+                    for j in idx:
+                        target[j] += coef * row[j]
+        value = abs(det_int(acc))
+        if best is None or value < best:
+            best, witness = value, a
+            if value == 1:
+                break
+    return NormSearchResult(best, witness, True, evaluated, evaluated)

@@ -1,3 +1,5 @@
+import itertools
+import warnings
 from fractions import Fraction
 from math import prod
 
@@ -15,12 +17,23 @@ from rotlat import (
     table1_csv,
 )
 from rotlat.distance import (
+    _abs_norm,
+    _embedding_steps,
+    _mult_matrices,
+    _pruning_bounds,
     exponents_to_square_radicand,
     lattice_dimension,
     norm_alpha_exponents,
     scale_exponents,
 )
-from helpers import BATTERY, PUBLISHED_CELLS, agrees_significant, get_module
+from helpers import (
+    BATTERY,
+    PUBLISHED_CELLS,
+    agrees_significant,
+    get_module,
+    min_norm_search_oracle,
+    widen_leaves,
+)
 
 
 def test_per_dim_convention_pins_down_published_cells():
@@ -156,8 +169,6 @@ def test_min_norm_search_p31_minimum_two():
 def test_min_norm_search_witness_is_lex_smallest():
     res = min_norm_search(get_module("p32", p=7), 1)
     # rescan the box: no attaining vector may precede the witness
-    import itertools
-
     from rotlat import element_from_coords
 
     m = get_module("p32", p=7)
@@ -179,8 +190,6 @@ def test_norm_homogeneity_of_witness():
 
 
 def test_min_norm_budget_flagging():
-    import warnings
-
     m = get_module("p32", p=7)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -199,6 +208,80 @@ def test_min_norm_budget_flagging():
 def test_min_norm_rejects_bad_bound():
     with pytest.raises(ValueError):
         min_norm_search(get_module("p32", p=7), 0)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_min_norm_rejects_bad_budget(budget):
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        min_norm_search(get_module("p32", p=7), 1, budget=budget)
+
+
+def _found(res):
+    return res.min_abs_norm, res.witness, res.exhaustive, res.evaluated
+
+
+# The benchmark's norm-oracle confirmations (ORACLE_BOUNDS in
+# perfbench/cases.py), with box 1 for p34(4, 5) so that the unpruned oracle
+# stays short (n = 8: 6560 vectors instead of 390624).
+ORACLE_CASES = (
+    ("p31", {"r": 3}, 2),
+    ("p31", {"r": 4}, 2),
+    ("p32", {"p": 7}, 2),
+    ("p32", {"p": 11}, 2),
+    ("p32", {"p": 13}, 2),
+    ("p34", {"r": 3, "p": 5}, 2),
+    ("p34", {"r": 3, "p": 7}, 2),
+    ("p37", {"p1": 5, "p2": 7}, 2),
+    ("p34", {"r": 4, "p": 5}, 1),
+    ("p31", {"r": 5}, 1),
+)
+
+
+@pytest.mark.parametrize("code,params,bound", ORACLE_CASES)
+def test_min_norm_search_matches_the_unpruned_oracle(code, params, bound):
+    module = get_module(code, **params)
+    res = min_norm_search(module, bound)
+    oracle = min_norm_search_oracle(module, bound)
+    assert _found(res) == _found(oracle)
+    assert oracle.determinants == oracle.evaluated
+    assert 1 <= res.determinants <= res.evaluated
+
+
+@pytest.mark.parametrize("budget", [1, 5, 100])
+@pytest.mark.parametrize("code,params", [("p32", {"p": 7}), ("p31", {"r": 4})])
+def test_min_norm_budget_overrun_matches_the_oracle(code, params, budget):
+    module = get_module(code, **params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = min_norm_search(module, 2, budget=budget)
+    assert _found(res) == _found(min_norm_search_oracle(module, 2, budget=budget))
+
+
+def test_pruning_bounds_are_certified():
+    # the walk yields every nonzero box vector in lexicographic order, each
+    # with a lower bound of D^n |N(x)| that the exact norm respects
+    module = get_module("p34", r=3, p=5)
+    steps, scale = _embedding_steps(module, 2)
+    walked = list(_pruning_bounds(steps, 2))
+    box = [a for a in itertools.product(range(-2, 3), repeat=4) if any(a)]
+    assert [a for a, _ in walked] == box
+    mats = _mult_matrices(module)
+    assert all(lower <= scale * _abs_norm(mats, a) for a, lower in walked)
+    assert sum(lower > 0 for _, lower in walked) > len(box) // 2
+
+
+def test_min_norm_search_bounds_only_prune(monkeypatch):
+    # cosine leaves widened to +-1/4 leave most embedding intervals around
+    # zero: far fewer vectors are pruned, and the result is still the
+    # oracle's (p31 r=4 scans the whole box, its minimum being 2)
+    module = get_module("p31", r=4)
+    oracle = min_norm_search_oracle(module, 2)
+    tight = min_norm_search(module, 2)
+    asked = widen_leaves(monkeypatch, None, 2)
+    loose = min_norm_search(module, 2)
+    assert asked
+    assert _found(loose) == _found(tight) == _found(oracle)
+    assert tight.determinants < loose.determinants <= loose.evaluated == oracle.evaluated
 
 
 def test_table_reproduces_published_cells():

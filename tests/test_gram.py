@@ -22,7 +22,13 @@ from rotlat import (
     subfield_degrees,
 )
 from rotlat.gram import embedding_enclosure_rows
-from helpers import BATTERY, enclosure_rows_oracle, enclosure_rows_oracle_at, get_module
+from helpers import (
+    BATTERY,
+    enclosure_rows_oracle,
+    enclosure_rows_oracle_at,
+    get_module,
+    widen_leaves,
+)
 
 
 def test_gram_integral_basis_pow2_alpha_one():
@@ -196,26 +202,6 @@ def test_embedding_rows_equal_enclosure_arithmetic(code, params):
     assert embedding_enclosure_rows(module, 128) == enclosure_rows_oracle(module, 128)
 
 
-def _widen_leaves(monkeypatch, at, bits):
-    """Widen the cosine leaves by 2^-bits on each side at the working
-    precisions ``at`` (all of them when None); returns the precisions asked for."""
-    import rotlat.cyclo
-
-    real = rotlat.cyclo._cos_table
-    asked = []
-
-    def widened(m, prec):
-        asked.append(prec)
-        shift, lo, hi = real(m, prec)
-        if at is None or prec in at:
-            pad = 1 << (shift - bits)
-            return shift, tuple(a - pad for a in lo), tuple(b + pad for b in hi)
-        return shift, lo, hi
-
-    monkeypatch.setattr(rotlat.cyclo, "_cos_table", widened)
-    return asked
-
-
 def test_embedding_rows_escalate_past_wide_leaves(monkeypatch):
     # no real module escalates at 8..256 bits, so the first working
     # precision is made too wide: alpha stays positive, the entries do not
@@ -223,7 +209,7 @@ def test_embedding_rows_escalate_past_wide_leaves(monkeypatch):
     module = get_module("p32", p=7)
     precision = 64
     first = precision + 16
-    asked = _widen_leaves(monkeypatch, {first}, 40)
+    asked = widen_leaves(monkeypatch, {first}, 40)
     rows = embedding_enclosure_rows(module, precision)
     assert sorted(set(asked)) == [first, 2 * first]
     alpha, _ = real_embedding_bounds(module.alpha, embedding_reps(module.field), first)
@@ -234,7 +220,7 @@ def test_embedding_rows_escalate_past_wide_leaves(monkeypatch):
 
 def test_embedding_rows_precision_cap_still_raises(monkeypatch):
     module = get_module("p32", p=7)
-    asked = _widen_leaves(monkeypatch, None, 40)
+    asked = widen_leaves(monkeypatch, None, 40)
     with pytest.raises(RuntimeError, match="requested precision unreachable"):
         embedding_enclosure_rows(module, 64)
     assert max(asked) >= 1 << 14

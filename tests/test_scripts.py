@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from helpers import BATTERY
+from helpers import BATTERY, get_module
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -31,6 +31,20 @@ def test_certify_constructions_certifies_the_battery():
     verdicts = [line for line in done.stdout.splitlines() if line.strip().startswith("verdict")]
     assert len(verdicts) == len(BATTERY) == 11
     assert all("rotated D_n CERTIFIED" in line for line in verdicts)
+
+
+def test_certify_constructions_searches_every_box_within_the_budget():
+    done = _run("certify_constructions", "--norm-bound", "1")
+    assert done.returncode == 0, done.stderr
+    norms = [line for line in done.stdout.splitlines() if line.strip().startswith("min |norm|")]
+    assert len(norms) == len(BATTERY) == 11
+    assert "skipped" not in done.stdout
+    assert all(line.rstrip().endswith(" determinants)") for line in norms)
+
+
+def test_certify_constructions_skips_a_box_beyond_the_budget():
+    line = _load("certify_constructions").norm_line(get_module("p31", r=5), 6)
+    assert line == f"skipped: box of {13**8 - 1} vectors exceeds the budget"
 
 
 def test_certify_constructions_battery_matches_the_tests():
