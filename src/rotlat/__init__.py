@@ -1,21 +1,9 @@
 """Exact construction and certification of rotated D_n lattices obtained
 from totally real subfields of cyclotomic fields and their composita."""
 
-from .cyclo import (
-    CycloElt,
-    Enclosure,
-    cos_enclosures,
-    cyclotomic_polynomial,
-    mult_matrix_abs,
-    norm_abs,
-    real_embedding_bounds,
-    real_embedding_enclosures,
-    trace_abs,
-    trace_via_mult_matrix,
-)
+from .cyclo import CycloElt, cyclotomic_polynomial, real_embedding_bounds, trace_abs
 from .fields import (
     FieldDesc,
-    conjugates_real,
     coords_on_basis,
     discriminant_2adic_valuation,
     embedding_reps,
@@ -80,10 +68,8 @@ from .feasibility import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CycloElt", "Enclosure", "cos_enclosures", "cyclotomic_polynomial",
-    "mult_matrix_abs", "norm_abs", "real_embedding_bounds", "real_embedding_enclosures",
-    "trace_abs", "trace_via_mult_matrix",
-    "FieldDesc", "conjugates_real", "coords_on_basis",
+    "CycloElt", "cyclotomic_polynomial", "real_embedding_bounds", "trace_abs",
+    "FieldDesc", "coords_on_basis",
     "discriminant_2adic_valuation", "embedding_reps", "field_from_json",
     "field_to_json", "is_element", "is_totally_positive", "make_field",
     "norm_real", "subfield_degrees", "trace_real",

@@ -286,13 +286,15 @@ def module_from_json(obj) -> TwistedModule:
     field = field_from_json(obj["field"])
     if not isinstance(obj["gamma"], list):
         raise ValueError("gamma must be a list of elements")
+    # conductors are compared before decoding: building an element factors its m
+    if any(isinstance(e, dict) and type(e["m"]) is int and e["m"] != field.m
+           for e in (*obj["gamma"], obj["alpha"])):
+        raise ValueError("conductor mismatch between field and elements")
     gamma = tuple(CycloElt.from_json(g) for g in obj["gamma"])
     alpha = CycloElt.from_json(obj["alpha"])
     c = obj["c"]
     if type(c) is not int or c <= 0:
         raise ValueError("scale c must be a positive integer")
-    if alpha.m != field.m or any(g.m != field.m for g in gamma):
-        raise ValueError("conductor mismatch between field and elements")
     construction = obj["construction"]
     if not isinstance(construction, str):
         raise ValueError("construction must be a JSON string")

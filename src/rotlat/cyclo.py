@@ -7,8 +7,7 @@ the ring operations run in integers; ``coeffs`` is a read-only view of
 the rational coordinates.  On top of the ring operations this module
 provides absolute traces (via the closed form Tr(zeta_m^k) = c_m(k), the
 Ramanujan sum), the integer trace-form kernel built on that closed form,
-multiplication-operator matrices (the independent route to traces and
-norms), and certified real-interval enclosures of embedding values.
+and certified real-interval enclosures of embedding values.
 
 Enclosure policy: cosine values at the rational angles 2*pi*t/m are
 enclosed once per (m, precision) with directed rounding and kept as
@@ -16,11 +15,9 @@ integer lower and upper numerators over one power of two 2^S.  One
 kernel, ``real_embedding_bounds``, sums those leaves in integers into
 bounds over x.den * 2^S, choosing the lower or upper leaf by the sign of
 each coefficient, so reported intervals are true enclosures whose width
-is governed by the leaf precision alone.  Total positivity and the
-embedding rows read the integer bounds; ``Fraction`` appears only at the
-view boundary (``cos_enclosures``, ``real_embedding_enclosures`` and the
-cells ``gram`` returns).  ``Enclosure`` arithmetic stays as the exact
-oracle the kernel is tested against.
+is governed by the leaf precision alone.  Total positivity, the
+embedding rows and the norm-search pruning all read these integer
+bounds; no other enclosure form exists in the package.
 """
 
 from __future__ import annotations
@@ -29,14 +26,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 import mpmath
 
-from .linalg import det_int
 from .numtheory import divisors, euler_phi, mobius
-
-_ZERO = Fraction(0)
 
 
 def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -332,110 +326,7 @@ def trace_form(xs, ys, twist: CycloElt | None = None) -> tuple[list[list[int]], 
     return rows, dx * dy * twist.den
 
 
-def _mult_rows(x: CycloElt) -> list[list[int]]:
-    """den(x) times the matrix of multiplication by x on the power basis
-    (row j = x * zeta^j)."""
-    phi = euler_phi(x.m)
-    rows = [list(x.num)]
-    for _ in range(phi - 1):
-        rows.append(list(_reduce([0, *rows[-1]], x.m)))
-    return rows
-
-
-def mult_matrix_abs(x: CycloElt) -> list[list[Fraction]]:
-    """Matrix of multiplication by x on the power basis (row j = x * zeta^j).
-
-    Independent of the trace table above; used to cross-check traces and
-    to compute norms as determinants.
-    """
-    return [[Fraction(c, x.den) for c in row] for row in _mult_rows(x)]
-
-
-def trace_via_mult_matrix(x: CycloElt) -> Fraction:
-    rows = mult_matrix_abs(x)
-    return sum((rows[i][i] for i in range(len(rows))), _ZERO)
-
-
-def norm_abs(x: CycloElt) -> Fraction:
-    """Norm of x from Q(zeta_m) down to Q (determinant of the multiplication map)."""
-    rows = _mult_rows(x)
-    return Fraction(det_int(rows), x.den ** len(rows))
-
-
 # -- certified real enclosures ------------------------------------------
-
-
-@dataclass(frozen=True)
-class Enclosure:
-    """Closed rational interval certified to contain a real value."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("empty enclosure")
-
-    def __add__(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "Enclosure":
-        return Enclosure(-self.hi, -self.lo)
-
-    def __mul__(self, other: "Enclosure") -> "Enclosure":
-        products = (self.lo * other.lo, self.lo * other.hi,
-                    self.hi * other.lo, self.hi * other.hi)
-        return Enclosure(min(products), max(products))
-
-    def scale(self, q) -> "Enclosure":
-        q = Fraction(q)
-        if q >= 0:
-            return Enclosure(self.lo * q, self.hi * q)
-        return Enclosure(self.hi * q, self.lo * q)
-
-    def pow(self, k: int) -> "Enclosure":
-        result = Enclosure(Fraction(1), Fraction(1))
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def contains(self, value) -> bool:
-        return self.lo <= value <= self.hi
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    @property
-    def is_positive(self) -> bool:
-        return self.lo > 0
-
-    @property
-    def is_negative(self) -> bool:
-        return self.hi < 0
-
-    def reciprocal(self) -> "Enclosure":
-        if self.lo <= 0 <= self.hi:
-            raise ValueError("reciprocal of an interval containing zero")
-        return Enclosure(1 / self.hi, 1 / self.lo)
-
-    def sqrt(self, prec: int = 128) -> "Enclosure":
-        """Outward-rounded square root with 2^-prec granularity; needs lo >= 0."""
-        if self.lo < 0:
-            raise ValueError("square root of an interval reaching below zero")
-        s = 1 << prec
-        lo_scaled = (self.lo.numerator * s * s) // self.lo.denominator
-        lo = Fraction(isqrt(lo_scaled), s)
-        hi_scaled = -((-self.hi.numerator * s * s) // self.hi.denominator)
-        hi = Fraction(isqrt(hi_scaled) + 1, s)
-        return Enclosure(lo, hi)
 
 
 def _dyadic(t) -> tuple[int, int]:
@@ -471,14 +362,6 @@ def _cos_table(m: int, prec: int) -> tuple[int, tuple[int, ...], tuple[int, ...]
     return shift, lo, hi
 
 
-def cos_enclosures(m: int, prec: int) -> tuple[Enclosure, ...]:
-    """Certified enclosures of cos(2*pi*t/m) for t = 0..m-1 (a view of the
-    integer leaves)."""
-    shift, lo, hi = _cos_table(m, prec)
-    d = 1 << shift
-    return tuple(Enclosure(Fraction(a, d), Fraction(b, d)) for a, b in zip(lo, hi))
-
-
 def real_embedding_bounds(x: CycloElt, reps, prec: int) -> tuple[list[tuple[int, int]], int]:
     """Certified bounds of sum_j c_j cos(2*pi*j*k/m) for each k in reps, as
     integer (lower, upper) numerators over one positive denominator.
@@ -501,10 +384,3 @@ def real_embedding_bounds(x: CycloElt, reps, prec: int) -> tuple[list[tuple[int,
             sum(c * hi[j * k % m] for j, c in pos) + sum(c * lo[j * k % m] for j, c in neg),
         ))
     return out, x.den << shift
-
-
-def real_embedding_enclosures(x: CycloElt, reps, prec: int) -> list[Enclosure]:
-    """Enclosures of sum_j c_j cos(2*pi*j*k/m) for each k in reps (a view of
-    ``real_embedding_bounds``)."""
-    bounds, den = real_embedding_bounds(x, reps, prec)
-    return [Enclosure(Fraction(lo, den), Fraction(hi, den)) for lo, hi in bounds]

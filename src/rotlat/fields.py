@@ -35,14 +35,7 @@ from itertools import product
 from math import gcd, prod
 from typing import Callable
 
-from .cyclo import (
-    CycloElt,
-    Enclosure,
-    real_embedding_bounds,
-    real_embedding_enclosures,
-    trace_abs,
-    trace_form,
-)
+from .cyclo import CycloElt, real_embedding_bounds, trace_abs, trace_form
 from .linalg import det_int, pivot_inverse, sparse_vec_mat
 from .numtheory import crt, euler_phi, is_prime, v2
 
@@ -334,12 +327,6 @@ def norm_real(x: CycloElt, field: FieldDesc) -> Fraction:
         rows.append(acc)
         scale *= s
     return Fraction(det_int(rows), scale)
-
-
-def conjugates_real(x: CycloElt, field: FieldDesc, precision: int = 128) -> tuple[Enclosure, ...]:
-    """Certified enclosures of the real embeddings of x, one per embedding."""
-    _require_member(x, field)
-    return tuple(real_embedding_enclosures(x, embedding_reps(field), precision))
 
 
 def is_totally_positive(x: CycloElt, field: FieldDesc, max_precision: int = 1 << 13) -> bool:

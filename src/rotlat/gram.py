@@ -13,7 +13,7 @@ from math import gcd, isqrt, lcm
 
 import mpmath
 
-from .cyclo import CycloElt, Enclosure, real_embedding_bounds, trace_form
+from .cyclo import CycloElt, real_embedding_bounds, trace_form
 from .constructions import TwistedModule, module_index
 from .fields import embedding_reps, norm_real
 from .linalg import leading_principal_minors
@@ -115,14 +115,20 @@ _WORK_CAP = 1 << 14
 
 
 def embedding_enclosure_rows(module: TwistedModule, precision: int = 128):
-    """Entry enclosures for the rows sqrt(alpha_k) * sigma_k(gamma_i) / sqrt(c).
+    """Entry enclosures for the rows sqrt(alpha_k) * sigma_k(gamma_i) / sqrt(c),
+    each row as integer (lower, upper) numerator pairs and the row's one
+    positive denominator.
 
     Escalates the working precision until every entry's width is below
     2^-(precision+4) relative, so collapsing to midpoints at the requested
-    precision keeps row-norm errors far inside 2^-(precision/2).
+    precision keeps row-norm errors far inside 2^-(precision/2).  A
+    precision whose first working precision is above the cap is rejected
+    before any enclosure is formed.
     """
-    reps = embedding_reps(module.field)
     work = precision + 16
+    if work > _WORK_CAP:
+        raise ValueError(f"precision {precision} is above the maximum of {_WORK_CAP - 16} bits")
+    reps = embedding_reps(module.field)
     while True:
         rows = _rows_at(module, reps, work, precision)
         if rows is not None:
@@ -135,15 +141,14 @@ def embedding_enclosure_rows(module: TwistedModule, precision: int = 128):
 def _rows_at(module: TwistedModule, reps, work: int, precision: int):
     """The entry enclosures at one working precision, or None when alpha's
     signs are unresolved or as soon as an entry is wider than the target;
-    integers throughout, up to the cells returned.
+    integers throughout.
 
     sqrt(alpha_k) lies in [a, b] / 2^work and sqrt(c) in [r, r + 1] / 2^work
-    (floor and ceiling square roots, rounded outward as ``Enclosure.sqrt``
-    does).  sigma_k(gamma_i) lies in [lo, hi] / D.  As a >= 0, the product
-    with the root takes each endpoint's factor by that endpoint's sign, and
-    so does the product with 1/sqrt(c) in [1/(r + 1), 1/r] * 2^work, where
-    the 2^work cancels: each entry lies over the one denominator
-    D * r * (r + 1).
+    (floor and ceiling square roots, rounded outward).  sigma_k(gamma_i)
+    lies in [lo, hi] / D.  As a >= 0, the product with the root takes each
+    endpoint's factor by that endpoint's sign, and so does the product with
+    1/sqrt(c) in [1/(r + 1), 1/r] * 2^work, where the 2^work cancels: each
+    entry of row i lies over the one denominator D * r * (r + 1).
     """
     alpha, alpha_den = real_embedding_bounds(module.alpha, reps, work)
     if not all(lo > 0 for lo, _ in alpha):
@@ -166,20 +171,28 @@ def _rows_at(module: TwistedModule, reps, work: int, precision: int):
             hi *= r1 if hi >= 0 else r
             if (hi - lo) * two_tol > max(2 * den, abs(lo + hi)):
                 return None
-            row.append(Enclosure(Fraction(lo, den), Fraction(hi, den)))
-        rows.append(row)
+            row.append((lo, hi))
+        rows.append((row, den))
     return rows
 
 
 def embedding_matrix(module: TwistedModule, precision: int = 128):
     """Generator matrix of the scaled lattice, collapsed to floats at
-    the requested precision (bits)."""
+    the requested precision (bits): each entry is its enclosure's midpoint
+    (lo + hi) / (2 D), divided once in mpmath.  The midpoint is put in
+    lowest terms first, because mpf rounds the numerator before the
+    division and the written bytes depend on that rounding."""
     rows = embedding_enclosure_rows(module, precision)
+    out = []
     with mpmath.workprec(precision):
-        return tuple(
-            tuple(mpmath.mpf(cell.mid.numerator) / cell.mid.denominator for cell in row)
-            for row in rows
-        )
+        for row, den in rows:
+            cells = []
+            for lo, hi in row:
+                num, d = lo + hi, 2 * den
+                g = gcd(num, d)
+                cells.append(mpmath.mpf(num // g) / (d // g))
+            out.append(tuple(cells))
+    return tuple(out)
 
 
 def embedding_csv(module: TwistedModule, precision: int = 128) -> str:

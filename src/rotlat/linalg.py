@@ -1,12 +1,11 @@
 """Exact linear algebra over integers: fraction-free elimination on lists
 of lists, for matrices up to n = 128 (the trace-form Grams of the largest
 Table-1 rows).  A rational matrix arrives as integer numerators over one
-denominator its owner keeps; ``inverse_rational`` is the test oracle.
+denominator its owner keeps.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -77,25 +76,6 @@ def leading_principal_minors(rows: list[list[int]]) -> list[int]:
                 rowi[j] = (rowi[j] * pk - aik * rowk[j]) // prev
         prev = pk
     return minors
-
-
-def inverse_rational(rows) -> list[list[Fraction]]:
-    """Inverse of a square rational matrix via Gauss-Jordan; raises if singular."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
 
 
 def pivot_inverse(rows: list[list[int]]):

@@ -1,16 +1,19 @@
-"""Shared test data: the certification battery, published table cells,
-tolerance helpers, the ``Enclosure``-arithmetic oracles for the integer
-enclosure kernel, and the unpruned minimum-norm oracle."""
+"""Shared test data and oracles: the certification battery, published
+table cells, tolerance helpers, ``Enclosure`` arithmetic for checking the
+integer enclosure kernel, multiplication matrices for traces and norms, a
+dense rational inverse, and the unpruned minimum-norm oracle."""
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from rotlat import build, embedding_reps
-from rotlat.cyclo import Enclosure, cos_enclosures
+import rotlat.cyclo
+from rotlat import build, embedding_reps, real_embedding_bounds
 from rotlat.distance import NORM_SEARCH_BUDGET, NormSearchResult, _mult_matrices
 from rotlat.linalg import det_int
+from rotlat.numtheory import euler_phi
 
 # Constructions certified by the acceptance suite.
 BATTERY = (
@@ -76,6 +79,86 @@ def agrees_significant(ours: float, printed: str, sig_cap: int = 5) -> bool:
     return abs(ours - float(printed)) < 10.0 ** (mag - sig + 1)
 
 
+# -- exact rational intervals -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Enclosure:
+    """Closed rational interval certified to contain a real value."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError("empty enclosure")
+
+    def __add__(self, other):
+        return Enclosure(self.lo + other.lo, self.hi + other.hi)
+
+    def __mul__(self, other):
+        products = (self.lo * other.lo, self.lo * other.hi,
+                    self.hi * other.lo, self.hi * other.hi)
+        return Enclosure(min(products), max(products))
+
+    def scale(self, q):
+        return Enclosure(*sorted((self.lo * q, self.hi * q)))
+
+    def pow(self, k):
+        result = Enclosure(Fraction(1), Fraction(1))
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def contains(self, value):
+        return self.lo <= value <= self.hi
+
+    @property
+    def width(self):
+        return self.hi - self.lo
+
+    @property
+    def mid(self):
+        return (self.lo + self.hi) / 2
+
+    @property
+    def is_positive(self):
+        return self.lo > 0
+
+    def reciprocal(self):
+        if self.lo <= 0 <= self.hi:
+            raise ValueError("reciprocal of an interval containing zero")
+        return Enclosure(1 / self.hi, 1 / self.lo)
+
+    def sqrt(self, prec=128):
+        """Outward-rounded square root with 2^-prec granularity; needs lo >= 0."""
+        if self.lo < 0:
+            raise ValueError("square root of an interval reaching below zero")
+        s = 1 << prec
+        lo = Fraction(math.isqrt(self.lo.numerator * s * s // self.lo.denominator), s)
+        hi = Fraction(math.isqrt(-(-self.hi.numerator * s * s // self.hi.denominator)) + 1, s)
+        return Enclosure(lo, hi)
+
+
+def cos_enclosures(m, prec):
+    """The package's cosine leaves cos(2*pi*t/m), t = 0..m-1, as enclosures
+    (read through ``rotlat.cyclo._cos_table``, so ``widen_leaves`` applies)."""
+    shift, lo, hi = rotlat.cyclo._cos_table(m, prec)
+    d = 1 << shift
+    return tuple(Enclosure(Fraction(a, d), Fraction(b, d)) for a, b in zip(lo, hi))
+
+
+def embedding_enclosures(x, reps, prec):
+    """``real_embedding_bounds`` of x as enclosures, one per k in reps."""
+    bounds, den = real_embedding_bounds(x, reps, prec)
+    return [Enclosure(Fraction(lo, den), Fraction(hi, den)) for lo, hi in bounds]
+
+
+def conjugates(x, field, prec):
+    """The real embeddings of a field element x, one enclosure per embedding."""
+    return embedding_enclosures(x, embedding_reps(field), prec)
+
+
 # -- Enclosure-arithmetic oracles ---------------------------------------------
 
 
@@ -128,8 +211,6 @@ def enclosure_rows_oracle(module, precision):
 def widen_leaves(monkeypatch, at, bits):
     """Widen the cosine leaves by 2^-bits on each side at the working
     precisions ``at`` (all of them when None); returns the precisions asked for."""
-    import rotlat.cyclo
-
     real = rotlat.cyclo._cos_table
     asked = []
 
@@ -143,6 +224,54 @@ def widen_leaves(monkeypatch, at, bits):
 
     monkeypatch.setattr(rotlat.cyclo, "_cos_table", widened)
     return asked
+
+
+# -- multiplication matrices and a dense inverse ------------------------------
+
+
+def _mult_rows(x):
+    """den(x) times the matrix of multiplication by x on the power basis
+    (row j = x * zeta^j), each row the previous one shifted and reduced."""
+    rows = [list(x.num)]
+    for _ in range(euler_phi(x.m) - 1):
+        rows.append(list(rotlat.cyclo._reduce([0, *rows[-1]], x.m)))
+    return rows
+
+
+def mult_matrix_abs(x):
+    """Matrix of multiplication by x on the power basis (row j = x * zeta^j):
+    a route to traces and norms independent of the Ramanujan-sum table."""
+    return [[Fraction(c, x.den) for c in row] for row in _mult_rows(x)]
+
+
+def trace_via_mult_matrix(x):
+    rows = mult_matrix_abs(x)
+    return sum((rows[i][i] for i in range(len(rows))), Fraction(0))
+
+
+def norm_abs(x):
+    """Norm of x from Q(zeta_m) down to Q (determinant of the multiplication map)."""
+    rows = _mult_rows(x)
+    return Fraction(det_int(rows), x.den ** len(rows))
+
+
+def inverse_rational(rows):
+    """Inverse of a square rational matrix via Gauss-Jordan; raises if singular."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        pv = a[col][col]
+        a[col] = [x / pv for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return [row[n:] for row in a]
 
 
 # -- the minimum-norm oracle ---------------------------------------------------

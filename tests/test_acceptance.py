@@ -11,7 +11,6 @@ import pytest
 
 from rotlat import (
     CycloElt,
-    conjugates_real,
     det_exact,
     det_via_formula,
     dn_feasibility,
@@ -28,13 +27,13 @@ from rotlat import (
     table1_csv,
     trace_abs,
     trace_real,
-    trace_via_mult_matrix,
     verify_ambient_zn,
     verify_rotated_dn,
 )
 from rotlat.linalg import mat_mul, transpose
 from rotlat.numtheory import euler_phi
-from helpers import BATTERY, PUBLISHED_CELLS, agrees_significant, get_module
+from helpers import (BATTERY, PUBLISHED_CELLS, agrees_significant, conjugates, get_module,
+                     trace_via_mult_matrix)
 
 
 def _line(num, name, ok):
@@ -269,7 +268,7 @@ def test_criterion_8_arithmetic_properties():
             assert norm_real(x * y, field) == norm_real(x, field) * norm_real(y, field)
         for _ in range(200):
             x = _random_member(rng, field)
-            enclosures = conjugates_real(x, field, 96)
+            enclosures = conjugates(x, field, 96)
             total = enclosures[0]
             for e in enclosures[1:]:
                 total = total + e

@@ -150,6 +150,19 @@ def test_missing_module_key_is_named(tmp_path, capsys, where, key, command):
     assert captured.err.splitlines() == [f"error: module file is missing key {key!r}"]
 
 
+@pytest.mark.parametrize("element", ["gamma", "alpha"])
+def test_foreign_conductor_is_rejected_before_decoding(tmp_path, capsys, element):
+    # 999999999989 is prime: decoding the element would factor it by trial division
+    obj = module_to_json(get_module("p32", p=7))
+    (obj["gamma"][0] if element == "gamma" else obj["alpha"])["m"] = 999999999989
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: conductor mismatch between field and elements"]
+
+
 def test_warning_is_one_line(tmp_path, capsys):
     out = tmp_path / "module.json"
     with warnings.catch_warnings():
@@ -265,20 +278,23 @@ def test_embed_precision_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("ROTLAT_PRECISION")
     assert main(["embed", str(out), "--precision", "96"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("# precision_bits=96")
-    # the flag and the variable share one check: an integer >= 8, else exit 2
-    for argv, env, source in (
-        (["--precision", "0"], None, "--precision"),
-        (["--precision", "-5"], None, "--precision"),
-        ([], "4", "ROTLAT_PRECISION"),
-        ([], "abc", "ROTLAT_PRECISION"),
+    # the flag and the variable share one check: an integer >= 8, else exit
+    # 2; a precision whose working precision is above the cap is exit 2 too
+    cap = "precision 16369 is above the maximum of 16368 bits"
+    for argv, env, message in (
+        (["--precision", "0"], None, "--precision must be an integer >= 8, got '0'"),
+        (["--precision", "-5"], None, "--precision must be an integer >= 8, got '-5'"),
+        (["--precision", "16369"], None, cap),
+        ([], "4", "ROTLAT_PRECISION must be an integer >= 8, got '4'"),
+        ([], "abc", "ROTLAT_PRECISION must be an integer >= 8, got 'abc'"),
+        ([], "16369", cap),
     ):
         if env is not None:
             monkeypatch.setenv("ROTLAT_PRECISION", env)
         assert main(["embed", str(out), *argv]) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: {source} must be an integer >= 8, got "
-                                             f"{(argv[1:] or [env])[0]!r}"]
+        assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_byte_identical_reruns(tmp_path):

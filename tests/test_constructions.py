@@ -22,8 +22,7 @@ from rotlat import (
 )
 from rotlat.constructions import coordinate_matrix
 from rotlat.distance import lattice_dimension
-from rotlat.linalg import inverse_rational
-from helpers import get_module, BATTERY
+from helpers import get_module, inverse_rational, BATTERY
 
 
 def test_p34_3_5_basis_exactly():

@@ -9,19 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from rotlat.cyclo import (
     CycloElt,
-    Enclosure,
-    cos_enclosures,
     cyclotomic_polynomial,
-    mult_matrix_abs,
-    norm_abs,
     real_embedding_bounds,
-    real_embedding_enclosures,
     trace_abs,
     trace_form,
-    trace_via_mult_matrix,
 )
 from rotlat.numtheory import euler_phi
-from helpers import embedding_enclosures_oracle
+from helpers import (Enclosure, cos_enclosures, embedding_enclosures, embedding_enclosures_oracle,
+                     mult_matrix_abs, norm_abs, trace_via_mult_matrix)
 
 
 def eval_complex(x: CycloElt) -> complex:
@@ -296,8 +291,8 @@ def test_cos_enclosures_contain_and_shrink():
 
 def test_real_embedding_enclosures_width_shrinks():
     x = CycloElt.zeta_pair(16, 1) + CycloElt.zeta_pair(16, 3)
-    w1 = real_embedding_enclosures(x, (1, 3, 5, 7), 48)
-    w2 = real_embedding_enclosures(x, (1, 3, 5, 7), 192)
+    w1 = embedding_enclosures(x, (1, 3, 5, 7), 48)
+    w2 = embedding_enclosures(x, (1, 3, 5, 7), 192)
     assert all(b.width < a.width for a, b in zip(w1, w2))
 
 
@@ -325,6 +320,6 @@ def test_integer_kernel_equals_enclosure_arithmetic(m, prec, data):
         min_size=euler_phi(m), max_size=euler_phi(m)))
     x = CycloElt.from_coeffs(m, coeffs)
     reps = range(m)
-    assert real_embedding_enclosures(x, reps, prec) == embedding_enclosures_oracle(x, reps, prec)
+    assert embedding_enclosures(x, reps, prec) == embedding_enclosures_oracle(x, reps, prec)
     bounds, den = real_embedding_bounds(x, reps, prec)
     assert den > 0 and all(lo <= hi for lo, hi in bounds)

@@ -9,7 +9,6 @@ import rotlat.fields
 
 from rotlat import (
     CycloElt,
-    conjugates_real,
     coords_on_basis,
     discriminant_2adic_valuation,
     embedding_reps,
@@ -25,7 +24,8 @@ from rotlat import (
     trace_real,
 )
 from rotlat.fields import factor_degrees
-from rotlat.linalg import det_int, inverse_rational
+from rotlat.linalg import det_int
+from helpers import conjugates, inverse_rational, norm_abs
 
 
 @pytest.mark.parametrize(
@@ -270,7 +270,7 @@ def test_field_hash_agrees_with_equality():
 
 def test_conjugates_closed_forms():
     K8 = make_field("pow2", r=3)
-    enc = conjugates_real(2 - K8.basis[1], K8, 96)
+    enc = conjugates(2 - K8.basis[1], K8, 96)
     vals = sorted(e.mid for e in enc)
     import math
 
@@ -280,7 +280,7 @@ def test_conjugates_closed_forms():
     assert all(e.is_positive for e in enc)
 
     K5 = make_field("odd-prime", p=5)
-    enc5 = conjugates_real(K5.basis[0], K5, 96)
+    enc5 = conjugates(K5.basis[0], K5, 96)
     golden = sorted([(-1 + math.sqrt(5)) / 2, (-1 - math.sqrt(5)) / 2])
     for e, t in zip(sorted(enc5, key=lambda e: e.mid), golden):
         assert abs(float(e.mid) - t) < 1e-12
@@ -288,7 +288,7 @@ def test_conjugates_closed_forms():
 
 def test_conjugates_of_one():
     K = make_field("odd-prime", p=7)
-    for e in conjugates_real(CycloElt.one(7), K, 64):
+    for e in conjugates(CycloElt.one(7), K, 64):
         assert e.contains(1)
 
 
@@ -328,7 +328,7 @@ def test_total_positivity_escalates_past_64_bits():
 def test_conjugate_sum_contains_trace(a, b, c):
     K = make_field("odd-prime", p=7)
     x = a * K.basis[0] + b * K.basis[1] + c * K.basis[2]
-    enc = conjugates_real(x, K, 80)
+    enc = conjugates(x, K, 80)
     total = enc[0]
     for e in enc[1:]:
         total = total + e
@@ -341,11 +341,9 @@ def test_conjugate_sum_contains_trace(a, b, c):
 def test_squared_enclosure_product_contains_cyclotomic_norm(a, b, c):
     # for degree-2 extensions Q(zeta_m) | K the conjugate pairs square up to
     # the full cyclotomic norm
-    from rotlat import norm_abs
-
     K = make_field("odd-prime", p=7)
     x = a * K.basis[0] + b * K.basis[1] + c * K.basis[2]
-    enc = conjugates_real(x, K, 96)
+    enc = conjugates(x, K, 96)
     prod = enc[0].pow(2)
     for e in enc[1:]:
         prod = prod * e.pow(2)
@@ -357,7 +355,7 @@ def test_squared_enclosure_product_contains_cyclotomic_norm(a, b, c):
 def test_enclosure_product_contains_field_norm_compositum(a, b):
     K = make_field("comp-odd-odd", p1=5, p2=7)
     x = a * K.basis[0] + b * K.basis[4] + K.basis[2]
-    enc = conjugates_real(x, K, 96)
+    enc = conjugates(x, K, 96)
     prod = enc[0]
     for e in enc[1:]:
         prod = prod * e

@@ -22,13 +22,8 @@ from rotlat import (
     subfield_degrees,
 )
 from rotlat.gram import embedding_enclosure_rows
-from helpers import (
-    BATTERY,
-    enclosure_rows_oracle,
-    enclosure_rows_oracle_at,
-    get_module,
-    widen_leaves,
-)
+from helpers import (BATTERY, Enclosure, enclosure_rows_oracle, enclosure_rows_oracle_at,
+                     get_module, widen_leaves)
 
 
 def test_gram_integral_basis_pow2_alpha_one():
@@ -196,10 +191,18 @@ def test_gram_json_decimal_strings():
     assert all(isinstance(s, str) for row in obj["entries"] for s in row)
 
 
+def _cells(rows):
+    """Integer (lo, hi) pairs over each row's one denominator, as enclosures."""
+    return [[Enclosure(Fraction(lo, den), Fraction(hi, den)) for lo, hi in row]
+            for row, den in rows]
+
+
 @pytest.mark.parametrize("code,params", BATTERY)
 def test_embedding_rows_equal_enclosure_arithmetic(code, params):
     module = get_module(code, **params)
-    assert embedding_enclosure_rows(module, 128) == enclosure_rows_oracle(module, 128)
+    rows = embedding_enclosure_rows(module, 128)
+    assert all(den > 0 for _, den in rows)
+    assert _cells(rows) == enclosure_rows_oracle(module, 128)
 
 
 def test_embedding_rows_escalate_past_wide_leaves(monkeypatch):
@@ -215,12 +218,16 @@ def test_embedding_rows_escalate_past_wide_leaves(monkeypatch):
     alpha, _ = real_embedding_bounds(module.alpha, embedding_reps(module.field), first)
     assert all(lo > 0 for lo, _ in alpha)
     assert enclosure_rows_oracle_at(module, first, precision) is None
-    assert rows == enclosure_rows_oracle_at(module, 2 * first, precision)
+    assert _cells(rows) == enclosure_rows_oracle_at(module, 2 * first, precision)
 
 
 def test_embedding_rows_precision_cap_still_raises(monkeypatch):
     module = get_module("p32", p=7)
     asked = widen_leaves(monkeypatch, None, 40)
+    # a first working precision (precision + 16) above the cap fails before any leaf
+    with pytest.raises(ValueError, match="precision 16369 is above the maximum of 16368 bits"):
+        embedding_enclosure_rows(module, 16369)
+    assert asked == []
     with pytest.raises(RuntimeError, match="requested precision unreachable"):
         embedding_enclosure_rows(module, 64)
     assert max(asked) >= 1 << 14

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from rotlat.linalg import (
     det_int,
     identity_matrix,
-    inverse_rational,
     leading_principal_minors,
     mat_mul,
     pivot_inverse,
@@ -16,6 +15,7 @@ from rotlat.linalg import (
     sparse_vec_mat,
     transpose,
 )
+from helpers import inverse_rational
 
 
 def _cofactor_det(rows):
