@@ -373,7 +373,13 @@ def field_from_json(obj) -> FieldDesc:
         raise ValueError("field params must be a JSON object")
     if any(type(obj[key]) is not int for key in ("m", "n")) or not isinstance(obj["disc"], str):
         raise ValueError("field needs integer 'm' and 'n' and a string 'disc'")
-    field = make_field(str(obj["family"]), **obj["params"])
-    if (obj["m"], obj["n"], obj["disc"]) != (field.m, field.n, str(field.disc)):
-        raise ValueError("stored field data does not match its parameters")
-    return field
+    family = str(obj["family"])
+    values = check_params(family, obj["params"])
+    factors = [(kind, values[name]) for name, kind in FAMILIES[family]]
+    # m and n in closed form first: the discriminant can be far too long to build
+    if (obj["m"], obj["n"]) == (prod(kind.conductor(v) for kind, v in factors),
+                                prod(kind.degree(v) for kind, v in factors)):
+        field = _build_field(family, tuple(values.items()))
+        if obj["disc"] == str(field.disc):
+            return field
+    raise ValueError("stored field data does not match its parameters")

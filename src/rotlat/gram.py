@@ -16,7 +16,7 @@ import mpmath
 from .cyclo import CycloElt, real_embedding_bounds, trace_form
 from .constructions import TwistedModule, module_index
 from .fields import embedding_reps, norm_real
-from .linalg import leading_principal_minors
+from .linalg import gram_schmidt
 
 _ONE = Fraction(1)
 
@@ -26,7 +26,7 @@ class GramMatrix:
     """Symmetric positive-definite rational matrix: integer numerators
     ``num`` over one denominator ``den`` > 0, in lowest terms, so == and
     hash are value equality.  ``minors`` are the leading principal minors
-    of ``num``, from the positive-definiteness pass."""
+    of ``num``, from ``linalg.gram_schmidt`` (the positive-definiteness test)."""
 
     num: tuple[tuple[int, ...], ...]
     den: int = 1
@@ -45,10 +45,7 @@ class GramMatrix:
         if g != 1:
             object.__setattr__(self, "num", tuple(tuple(e // g for e in row) for row in self.num))
             object.__setattr__(self, "den", self.den // g)
-        minors = tuple(leading_principal_minors(self.num))
-        if any(d <= 0 for d in minors):
-            raise ValueError("Gram matrix must be positive definite")
-        object.__setattr__(self, "minors", minors)
+        object.__setattr__(self, "minors", tuple(gram_schmidt(self.num)[0][1:]))
 
     @classmethod
     def from_rows(cls, rows, scale_applied=_ONE) -> "GramMatrix":

@@ -1,6 +1,5 @@
 """Exact linear algebra over integers: fraction-free elimination on lists
-of lists, for matrices up to n = 128 (the trace-form Grams of the largest
-Table-1 rows).  A rational matrix arrives as integer numerators over one
+of lists.  A rational matrix arrives as integer numerators over one
 denominator its owner keeps.
 """
 
@@ -51,31 +50,27 @@ def det_int(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def leading_principal_minors(rows: list[list[int]]) -> list[int]:
-    """Determinants of the leading k x k blocks of an integer matrix, k = 1..n.
-
-    One Bareiss pass without pivoting: its k-th pivot is the k-th leading
-    minor.  A zero pivot stops the pass (the next step would divide by
-    it), and the remaining minors are then computed one determinant each.
-    """
+def gram_schmidt(rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Integral Gram-Schmidt data (d, lam) of a symmetric integer matrix
+    (Cohen, GTM 138, 2.6.7): d[i] is the leading i x i minor (d[0] = 1) and
+    lam[i][j] = d[j + 1] * mu_ij for j < i, zero for j >= i.  Raises
+    ValueError at the first leading minor <= 0, so it is also the
+    positive-definiteness test; every division is exact."""
     n = len(rows)
-    a = [list(r) for r in rows]
-    minors: list[int] = []
-    prev = 1
-    for k in range(n):
-        pk = a[k][k]
-        minors.append(pk)
-        if pk == 0:
-            minors.extend(det_int([row[:j] for row in rows[:j]]) for j in range(k + 2, n + 1))
-            return minors
-        rowk = a[k]
-        for i in range(k + 1, n):
-            rowi = a[i]
-            aik = rowi[k]
-            for j in range(k + 1, n):
-                rowi[j] = (rowi[j] * pk - aik * rowk[j]) // prev
-        prev = pk
-    return minors
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        lam_i, g_i = lam[i], rows[i]
+        for j in range(i + 1):
+            u = g_i[j]
+            for dl1, dl, a, b in zip(d[1:j + 1], d, lam_i, lam[j]):  # l = 0..j-1
+                u = (dl1 * u - a * b) // dl
+            if j < i:
+                lam_i[j] = u
+        if u <= 0:  # u is now d[i + 1]
+            raise ValueError("Gram matrix must be positive definite")
+        d[i + 1] = u
+    return d, lam
 
 
 def pivot_inverse(rows: list[list[int]]):

@@ -25,70 +25,48 @@ from .cyclo import CycloElt
 from .constructions import TwistedModule, module_index
 from .fields import FieldDesc
 from .gram import GramMatrix, gram, twisted_gram
-from .linalg import identity_matrix, mat_mul, transpose
+from .linalg import gram_schmidt, identity_matrix, mat_mul, transpose
 
 DEFAULT_DELTA = Fraction(99, 100)
 
 
-def _gso(g, start, d, lam):
-    """Integer Gram-Schmidt data of the integer Gram matrix g, rows
-    ``start``.. rebuilt in place: d[i] is the leading i x i minor
-    (d[0] = 1) and lam[i][j] = d[j + 1] * mu_ij for j < i."""
-    for i in range(start, len(g)):
-        lam_i, g_i = lam[i], g[i]
-        for j in range(i + 1):
-            lam_j = lam[j]
-            u = g_i[j]
-            for l in range(j):
-                u = (d[l + 1] * u - lam_i[l] * lam_j[l]) // d[l]
-            if j < i:
-                lam_i[j] = u
-            else:
-                d[i + 1] = u
-
-
-def _add_row_multiple(g, t, k, j, coef):
-    """Basis change b_k += coef * b_j, applied to Gram rows/cols and transform."""
-    n = len(g)
-    t[k] = [a + coef * b for a, b in zip(t[k], t[j])]
-    new_row = [g[k][col] + coef * g[j][col] for col in range(n)]
-    new_row[k] = g[k][k] + 2 * coef * g[k][j] + coef * coef * g[j][j]
-    g[k] = new_row
-    for i in range(n):
-        g[i][k] = new_row[i]
-
-
-def _swap_rows(g, t, k):
+def _swap(t, d, lam, k):
+    """Exchange b_(k-1) and b_k: the rows of T, and (d, lam) in closed
+    form (Cohen, GTM 138, 2.6.7, SWAPI)."""
     t[k - 1], t[k] = t[k], t[k - 1]
-    g[k - 1], g[k] = g[k], g[k - 1]
-    for row in g:
-        row[k - 1], row[k] = row[k], row[k - 1]
+    lam_k, lam_k1 = lam[k], lam[k - 1]
+    lam_k[:k - 1], lam_k1[:k - 1] = lam_k1[:k - 1], lam_k[:k - 1]
+    x, dk, dk1 = lam_k[k - 1], d[k], d[k + 1]
+    b = (d[k - 1] * dk1 + x * x) // dk
+    for lam_i in lam[k + 1:]:
+        s = lam_i[k]
+        lam_i[k] = (dk1 * lam_i[k - 1] - x * s) // dk
+        lam_i[k - 1] = (b * s + x * lam_i[k]) // dk1
+    d[k] = b
 
 
 def lll_reduce(g: GramMatrix, delta: Fraction = DEFAULT_DELTA):
     """Exact LLL reduction of a positive-definite rational Gram matrix.
 
-    Returns (reduced GramMatrix, unimodular transform T) with
-    T * G * T^t equal to the reduced matrix, checked exactly before
-    returning.
+    Integral LLL on the numerators, keeping only the transform T and the
+    integral Gram-Schmidt data (d, lam) of T * G * T^t; a swap updates
+    (d, lam) in closed form.  Returns (reduced GramMatrix, unimodular T)
+    with the reduced matrix T * G * T^t, whose (d, lam) must equal the
+    loop's: a positive-definite matrix is determined by its (d, lam).
     """
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
         raise ValueError("delta must lie strictly between 1/4 and 1")
     dn, dd = delta.numerator, delta.denominator
-    work = [list(row) for row in g.num]
-    n = len(work)
-    t = identity_matrix(n)
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    _gso(work, 0, d, lam)
+    t = identity_matrix(g.n)
+    d, lam = gram_schmidt(g.num)
     k = 1
-    while k < n:
+    while k < g.n:
         lam_k = lam[k]
         for j in range(k - 1, -1, -1):
             q = (2 * lam_k[j] + d[j + 1]) // (2 * d[j + 1])  # nearest integer to mu_kj
             if q:
-                _add_row_multiple(work, t, k, j, -q)
+                t[k] = [a - q * b for a, b in zip(t[k], t[j])]
                 lam_j = lam[j]
                 for l in range(j):
                     lam_k[l] -= q * lam_j[l]
@@ -97,13 +75,16 @@ def lll_reduce(g: GramMatrix, delta: Fraction = DEFAULT_DELTA):
         if dd * d[k + 1] * d[k - 1] >= dn * d[k] ** 2 - dd * lam_k[k - 1] ** 2:
             k += 1
         else:
-            _swap_rows(work, t, k)
-            _gso(work, k - 1, d, lam)
+            _swap(t, d, lam, k)
             k = max(k - 1, 1)
-    if mat_mul(mat_mul(t, g.num), transpose(t)) != work:
+    reduced = mat_mul(mat_mul(t, g.num), transpose(t))
+    try:
+        certified = gram_schmidt(reduced) == (d, lam)
+    except ValueError:  # a product that is not positive definite
+        certified = False
+    if not certified:
         raise RuntimeError("LLL transform failed its own certificate check")
-    reduced = GramMatrix(tuple(map(tuple, work)), g.den, g.scale_applied)
-    return reduced, tuple(map(tuple, t))
+    return GramMatrix(tuple(map(tuple, reduced)), g.den, g.scale_applied), tuple(map(tuple, t))
 
 
 def ambient_gram(field: FieldDesc, alpha: CycloElt, c: int) -> GramMatrix:

@@ -163,6 +163,19 @@ def test_foreign_conductor_is_rejected_before_decoding(tmp_path, capsys, element
     assert captured.err.splitlines() == ["error: conductor mismatch between field and elements"]
 
 
+def test_field_params_are_checked_before_the_discriminant(tmp_path, capsys):
+    # a p = 1000003 field has a discriminant of about 3 million digits; the
+    # stored m and n of the p = 7 file already contradict the params
+    obj = module_to_json(get_module("p32", p=7))
+    obj["field"]["params"] = {"p": 1000003}
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: stored field data does not match its parameters"]
+
+
 def test_warning_is_one_line(tmp_path, capsys):
     out = tmp_path / "module.json"
     with warnings.catch_warnings():

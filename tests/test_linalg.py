@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from rotlat.linalg import (
     det_int,
+    gram_schmidt,
     identity_matrix,
-    leading_principal_minors,
     mat_mul,
     pivot_inverse,
     smith_normal_form,
@@ -112,31 +112,43 @@ def _rank(rows):
                        for cols in combinations(range(width), k))), default=0)
 
 
-def test_leading_minors():
-    assert leading_principal_minors([[2, 1], [1, 2]]) == [2, 3]
+def test_gram_schmidt_of_a_small_form():
+    assert gram_schmidt([[2, 1], [1, 2]]) == ([1, 2, 3], [[0, 0], [1, 0]])
 
 
-def test_leading_minors_after_a_zero_minor():
-    assert leading_principal_minors([[0, 1], [1, 0]]) == [0, -1]
-    rows = [[1, 1, 0], [1, 1, 1], [0, 1, 5]]
-    assert leading_principal_minors(rows) == [1, 0, -1]
+def test_gram_schmidt_stops_at_a_nonpositive_minor():
+    for rows in ([[0, 1], [1, 0]], [[1, 2], [2, 1]], [[1, 1, 0], [1, 1, 1], [0, 1, 5]]):
+        with pytest.raises(ValueError, match="positive definite"):
+            gram_schmidt(rows)
 
 
 # small entries make zero and negative leading minors common
-small_int_matrix = st.integers(min_value=1, max_value=5).flatmap(
+small_sym_matrix = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n),
         min_size=n,
         max_size=n,
-    )
+    ).map(lambda rows: [[rows[max(i, j)][min(i, j)] + 2 * (i == j) for j in range(n)]
+                        for i in range(n)])
 )
 
 
-@given(small_int_matrix)
-@settings(max_examples=100)
-def test_leading_minors_equal_per_block_determinants(rows):
-    expected = [_cofactor_det([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1)]
-    assert leading_principal_minors(rows) == expected
+@given(small_sym_matrix)
+@settings(max_examples=150)
+def test_gram_schmidt_minors_equal_positive_block_determinants(rows):
+    n = len(rows)
+    minors = [_cofactor_det([row[:k] for row in rows[:k]]) for k in range(1, n + 1)]
+    if any(m <= 0 for m in minors):
+        with pytest.raises(ValueError):
+            gram_schmidt(rows)
+        return
+    d, lam = gram_schmidt(rows)
+    assert d == [1] + minors
+    # lam[i][j] is the determinant of rows 0..j-1, i against columns 0..j
+    for i in range(n):
+        assert lam[i][i:] == [0] * (n - i)
+        for j in range(i):
+            assert lam[i][j] == _cofactor_det([rows[r][:j + 1] for r in [*range(j), i]])
 
 
 @given(sq_int_matrix)

@@ -16,8 +16,8 @@ from rotlat import (
     verify_ambient_zn,
     verify_rotated_dn,
 )
-from rotlat.linalg import det_int, mat_mul, transpose
-from rotlat.verify import report_json
+from rotlat.linalg import det_int, gram_schmidt, identity_matrix, mat_mul, transpose
+from rotlat.verify import _swap, report_json
 from helpers import BATTERY, get_module
 
 
@@ -71,16 +71,11 @@ def test_lll_rejects_bad_delta():
 def test_lll_certificate_rejects_a_corrupted_transform(monkeypatch):
     import rotlat.verify as verify_mod
 
-    def gram_only(g, t, k, j, coef):
-        # the Gram update of _add_row_multiple, without the transform update
-        n = len(g)
-        new_row = [g[k][col] + coef * g[j][col] for col in range(n)]
-        new_row[k] = g[k][k] + 2 * coef * g[k][j] + coef * coef * g[j][j]
-        g[k] = new_row
-        for i in range(n):
-            g[i][k] = new_row[i]
+    def lam_only(t, d, lam, k):
+        # the (d, lam) update of _swap, without exchanging the rows of T
+        _swap(list(t), d, lam, k)
 
-    monkeypatch.setattr(verify_mod, "_add_row_multiple", gram_only)
+    monkeypatch.setattr(verify_mod, "_swap", lam_only)
     with pytest.raises(RuntimeError, match="certificate check"):
         lll_reduce(GramMatrix.from_rows([[5, 3], [3, 2]]))
     with pytest.raises(RuntimeError, match="certificate check"):
@@ -119,6 +114,21 @@ def test_lll_certificate_and_conditions(rows):
             assert abs(mu[i][j]) <= Fraction(1, 2)
     for k in range(1, n):
         assert norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]
+
+
+@given(rand_basis)
+@settings(max_examples=60, deadline=None)
+def test_swap_matches_the_kernel_on_the_swapped_gram(rows):
+    g = mat_mul(rows, transpose(rows))
+    n = len(g)
+    for k in range(1, n):
+        d, lam = gram_schmidt(g)
+        t = identity_matrix(n)
+        _swap(t, d, lam, k)
+        order = list(range(n))
+        order[k - 1], order[k] = k, k - 1
+        assert (d, lam) == gram_schmidt([[g[i][j] for j in order] for i in order])
+        assert t == [identity_matrix(n)[i] for i in order]
 
 
 @given(rand_basis, st.integers(min_value=2, max_value=7), st.booleans())
