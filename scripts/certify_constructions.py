@@ -49,9 +49,8 @@ def main():
     for code, params in BATTERY:
         started = time.monotonic()
         module = build(code, **params)
-        module_gram = gram(module)
-        report = verify_rotated_dn(module, module_gram)
-        det_g = det_exact(module_gram)
+        report = verify_rotated_dn(module)
+        det_g = det_exact(gram(module))
         det_f = det_via_formula(module)
         ideal = is_ideal(module)
         elapsed = time.monotonic() - started

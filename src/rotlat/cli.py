@@ -122,10 +122,9 @@ def _load_module(path: str):
 
 def _cmd_verify(args) -> int:
     module = _load_module(args.module)
-    module_gram = gram(module)
-    report = verify_rotated_dn(module, module_gram)
+    report = verify_rotated_dn(module)
     payload = report.to_json()
-    det_gram = det_exact(module_gram)
+    det_gram = det_exact(gram(module))
     det_formula = det_via_formula(module)
     payload["det_cross_check"] = {
         "gram": str(det_gram),

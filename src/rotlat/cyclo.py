@@ -290,20 +290,21 @@ def trace_abs(x: CycloElt) -> Fraction:
     return Fraction(sum(c * t for c, t in zip(x.num, table)), x.den)
 
 
-def trace_form(xs, ys, twist: CycloElt | None = None) -> tuple[list[list[int]], int]:
-    """Tr(twist * x_i * y_j) for all i, j (twist defaults to 1), as integer
+def trace_form(xs, twist: CycloElt | None = None) -> tuple[list[list[int]], int]:
+    """Tr(twist * x_i * x_j) for all i, j (twist defaults to 1), as integer
     numerators over one positive denominator (not reduced).
 
     Tr(zeta^t) = c_m(t) holds for every integer t, so with
     u[t] = Tr(twist * zeta^t) = sum_a twist_a c_m((a + t) mod m) and
     v_x[l] = sum_k x_k u[(k + l) mod m], each numerator is the dot product
-    of y's numerators with v_x, scaled to the common denominator; no
-    product is formed or reduced modulo Phi_m.
+    of x_j's numerators with v_(x_i), scaled to the common denominator; no
+    product is formed or reduced modulo Phi_m.  The form is symmetric, so
+    each entry below the diagonal is copied from above.
     """
     m = xs[0].m
     if twist is None:
         twist = CycloElt.one(m)
-    if any(e.m != m for e in (*xs, *ys, twist)):
+    if any(e.m != m for e in (*xs, twist)):
         raise ValueError("trace_form needs one conductor")
     phi = euler_phi(m)
     table = _trace_table(m)
@@ -313,17 +314,16 @@ def trace_form(xs, ys, twist: CycloElt | None = None) -> tuple[list[list[int]], 
             u = [s + c * b for s, b in zip(u, table[a:] + table[:a])]
     wrapped = u + u[:phi]
     dx = lcm(*(x.den for x in xs))
-    dy = lcm(*(y.den for y in ys))
-    sparse_ys = [([(l, c) for l, c in enumerate(y.num) if c], dy // y.den) for y in ys]
-    rows = []
-    for x in xs:
+    sparse = [([(l, c) for l, c in enumerate(x.num) if c], dx // x.den) for x in xs]
+    rows = [[0] * len(xs) for _ in xs]
+    for i, (nz_i, fx) in enumerate(sparse):
         v = [0] * phi
-        for k, c in enumerate(x.num):
-            if c:
-                v = [a + c * b for a, b in zip(v, wrapped[k:k + phi])]
-        fx = dx // x.den
-        rows.append([fx * fy * sum(c * v[l] for l, c in nz) for nz, fy in sparse_ys])
-    return rows, dx * dy * twist.den
+        for k, c in nz_i:
+            v = [a + c * b for a, b in zip(v, wrapped[k:k + phi])]
+        for j in range(i, len(xs)):
+            nz, fy = sparse[j]
+            rows[i][j] = rows[j][i] = fx * fy * sum(c * v[l] for l, c in nz)
+    return rows, dx * dx * twist.den
 
 
 # -- certified real enclosures ------------------------------------------

@@ -29,6 +29,7 @@ check that the result reproduces x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -128,7 +129,7 @@ class FieldDesc:
                 coeffs[sum(k * s for k, s in zip(ks, steps)) % self.m] += 1
             basis.append(CycloElt.from_coeffs(self.m, coeffs))
         if self.n <= 20:
-            rows, den = trace_form(basis, basis)
+            rows, den = trace_form(basis)
             got = Fraction(det_int(rows), (den * self.codegree) ** self.n)
             if got != self.disc:
                 raise RuntimeError(
@@ -329,7 +330,10 @@ def norm_real(x: CycloElt, field: FieldDesc) -> Fraction:
     return Fraction(det_int(rows), scale)
 
 
-def is_totally_positive(x: CycloElt, field: FieldDesc, max_precision: int = 1 << 13) -> bool:
+_SIGN_PRECISION_CAP = 1 << 13
+
+
+def is_totally_positive(x: CycloElt, field: FieldDesc) -> bool:
     """Certified total-positivity check; precision escalates until signs resolve."""
     if not x:
         return False
@@ -343,7 +347,7 @@ def is_totally_positive(x: CycloElt, field: FieldDesc, max_precision: int = 1 <<
             return True
         if any(hi < 0 for _, hi in bounds):
             return False
-        if prec >= max_precision:
+        if prec >= _SIGN_PRECISION_CAP:
             raise RuntimeError("sign certification did not converge at the precision cap")
         prec *= 2
 
@@ -362,7 +366,7 @@ def field_to_json(field: FieldDesc) -> dict:
         "params": dict(field.params),
         "m": field.m,
         "n": field.n,
-        "disc": str(field.disc),
+        "disc": str(Decimal(field.disc)),  # exact, with no digit limit
     }
 
 
@@ -380,6 +384,6 @@ def field_from_json(obj) -> FieldDesc:
     if (obj["m"], obj["n"]) == (prod(kind.conductor(v) for kind, v in factors),
                                 prod(kind.degree(v) for kind, v in factors)):
         field = _build_field(family, tuple(values.items()))
-        if obj["disc"] == str(field.disc):
+        if obj["disc"] == str(Decimal(field.disc)):
             return field
     raise ValueError("stored field data does not match its parameters")

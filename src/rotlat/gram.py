@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 import mpmath
@@ -25,13 +26,15 @@ _ONE = Fraction(1)
 class GramMatrix:
     """Symmetric positive-definite rational matrix: integer numerators
     ``num`` over one denominator ``den`` > 0, in lowest terms, so == and
-    hash are value equality.  ``minors`` are the leading principal minors
-    of ``num``, from ``linalg.gram_schmidt`` (the positive-definiteness test)."""
+    hash are value equality.  ``minors`` (the leading principal minors)
+    and ``lam`` are the integral Gram-Schmidt data of ``num``, from one
+    ``linalg.gram_schmidt`` pass (the positive-definiteness test)."""
 
     num: tuple[tuple[int, ...], ...]
     den: int = 1
     scale_applied: Fraction = _ONE
     minors: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
+    lam: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.num)
@@ -45,7 +48,9 @@ class GramMatrix:
         if g != 1:
             object.__setattr__(self, "num", tuple(tuple(e // g for e in row) for row in self.num))
             object.__setattr__(self, "den", self.den // g)
-        object.__setattr__(self, "minors", tuple(gram_schmidt(self.num)[0][1:]))
+        d, lam = gram_schmidt(self.num)
+        object.__setattr__(self, "minors", tuple(d[1:]))
+        object.__setattr__(self, "lam", tuple(map(tuple, lam)))
 
     @classmethod
     def from_rows(cls, rows, scale_applied=_ONE) -> "GramMatrix":
@@ -78,10 +83,11 @@ class GramMatrix:
 
 def twisted_gram(xs, alpha: CycloElt, divisor: int) -> GramMatrix:
     """Gram matrix of the trace form Tr(alpha * x_i * x_j) / divisor."""
-    rows, den = trace_form(xs, xs, alpha)
+    rows, den = trace_form(xs, alpha)
     return GramMatrix(tuple(map(tuple, rows)), den * divisor)
 
 
+@lru_cache(maxsize=None)
 def gram(module: TwistedModule) -> GramMatrix:
     """Unscaled Gram matrix: trace of alpha * gamma_i * gamma_j over the field."""
     return twisted_gram(module.gamma, module.alpha, module.field.codegree)

@@ -7,8 +7,8 @@ diagonal make the module's scaled lattice an even sublattice of that
 copy; (iii) determinant 4 together with submodule index 2 pin it down to
 the largest even sublattice of Z^n, the checkerboard lattice D_n.
 
-LLL is integral LLL (Cohen, GTM 138, 2.6.7) on the Gram numerators; its
-decisions do not change when the Gram matrix is scaled.
+LLL is integral LLL (Cohen, GTM 138, 2.6.7) with delta = 99/100 on the
+Gram numerators; its decisions do not change when the Gram matrix is scaled.
 
 LLL success is a sufficient certificate; failure to reach the identity
 is reported as "not certified" rather than a refutation, because LLL is
@@ -19,15 +19,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclo import CycloElt
 from .constructions import TwistedModule, module_index
 from .fields import FieldDesc
 from .gram import GramMatrix, gram, twisted_gram
-from .linalg import gram_schmidt, identity_matrix, mat_mul, transpose
-
-DEFAULT_DELTA = Fraction(99, 100)
+from .linalg import identity_matrix, mat_mul, transpose
 
 
 def _swap(t, d, lam, k):
@@ -45,21 +42,17 @@ def _swap(t, d, lam, k):
     d[k] = b
 
 
-def lll_reduce(g: GramMatrix, delta: Fraction = DEFAULT_DELTA):
-    """Exact LLL reduction of a positive-definite rational Gram matrix.
+def lll_reduce(g: GramMatrix):
+    """Exact LLL reduction, delta = 99/100, of a positive-definite Gram matrix.
 
-    Integral LLL on the numerators, keeping only the transform T and the
-    integral Gram-Schmidt data (d, lam) of T * G * T^t; a swap updates
-    (d, lam) in closed form.  Returns (reduced GramMatrix, unimodular T)
-    with the reduced matrix T * G * T^t, whose (d, lam) must equal the
-    loop's: a positive-definite matrix is determined by its (d, lam).
+    Integral LLL on the numerators, from g's own integral Gram-Schmidt
+    data (d, lam), keeping only the transform T and the (d, lam) of
+    T * G * T^t; a swap updates (d, lam) in closed form.  Returns (reduced
+    GramMatrix, unimodular T); building the reduced matrix T * G * T^t is
+    the certificate, as its (d, lam) must equal the loop's.
     """
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
-        raise ValueError("delta must lie strictly between 1/4 and 1")
-    dn, dd = delta.numerator, delta.denominator
     t = identity_matrix(g.n)
-    d, lam = gram_schmidt(g.num)
+    d, lam = [1, *g.minors], [list(row) for row in g.lam]
     k = 1
     while k < g.n:
         lam_k = lam[k]
@@ -71,20 +64,20 @@ def lll_reduce(g: GramMatrix, delta: Fraction = DEFAULT_DELTA):
                 for l in range(j):
                     lam_k[l] -= q * lam_j[l]
                 lam_k[j] -= q * d[j + 1]
-        # Lovasz: B_k >= (delta - mu_k,k-1^2) B_(k-1), times d_k d_(k-1) dd
-        if dd * d[k + 1] * d[k - 1] >= dn * d[k] ** 2 - dd * lam_k[k - 1] ** 2:
+        # Lovasz: B_k >= (99/100 - mu_k,k-1^2) B_(k-1), times 100 d_k d_(k-1)
+        if 100 * d[k + 1] * d[k - 1] >= 99 * d[k] ** 2 - 100 * lam_k[k - 1] ** 2:
             k += 1
         else:
             _swap(t, d, lam, k)
             k = max(k - 1, 1)
-    reduced = mat_mul(mat_mul(t, g.num), transpose(t))
+    product = tuple(map(tuple, mat_mul(mat_mul(t, g.num), transpose(t))))
     try:
-        certified = gram_schmidt(reduced) == (d, lam)
+        reduced = GramMatrix(product, g.den, g.scale_applied)
     except ValueError:  # a product that is not positive definite
-        certified = False
-    if not certified:
+        reduced = None
+    if reduced is None or (reduced.minors, reduced.lam) != (tuple(d[1:]), tuple(map(tuple, lam))):
         raise RuntimeError("LLL transform failed its own certificate check")
-    return GramMatrix(tuple(map(tuple, reduced)), g.den, g.scale_applied), tuple(map(tuple, t))
+    return reduced, tuple(map(tuple, t))
 
 
 def ambient_gram(field: FieldDesc, alpha: CycloElt, c: int) -> GramMatrix:
@@ -123,16 +116,10 @@ class VerificationReport:
         }
 
 
-def verify_rotated_dn(module: TwistedModule,
-                      module_gram: GramMatrix | None = None) -> VerificationReport:
-    """Run the full certification chain for one twisted module.
-
-    ``module_gram``, when given, must be ``gram(module)``; a caller that
-    needs that matrix as well passes it in so it is built once.
-    """
+def verify_rotated_dn(module: TwistedModule) -> VerificationReport:
+    """Run the full certification chain for one twisted module."""
     ambient, transform = verify_ambient_zn(module.field, module.alpha, module.c)
-    if module_gram is None:
-        module_gram = gram(module)
+    module_gram = gram(module)
     # G / c has entries num / (den c) and determinant minors[-1] / (den c)^n
     d = module_gram.den * module.c
     integral = all(e % d == 0 for row in module_gram.num for e in row)

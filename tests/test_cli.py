@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 from fractions import Fraction
 
@@ -6,9 +7,10 @@ import pytest
 
 from rotlat.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNVERIFIED, main
 from rotlat.constructions import module_to_json
-from rotlat.linalg import det_int
+from rotlat.cyclo import trace_form
+from rotlat.linalg import det_int, gram_schmidt
 from rotlat import TwistedModule
-from helpers import get_module
+from helpers import BATTERY, get_module
 
 
 def test_construct_writes_module(tmp_path, capsys):
@@ -193,18 +195,17 @@ def test_warning_is_one_line(tmp_path, capsys):
 
 
 def test_verify_builds_the_module_gram_once(tmp_path, capsys, monkeypatch):
-    import rotlat.cli
-    import rotlat.verify
-    from rotlat.gram import gram
+    # rotlat.gram is the function gram; its module is reached through sys.modules
+    gram_mod = sys.modules["rotlat.gram"]
+    module = get_module("p32", p=7)
+    forms = []
 
-    calls = []
+    def counted(xs, twist=None):
+        forms.append(tuple(xs))
+        return trace_form(xs, twist)
 
-    def counted(module):
-        calls.append(module)
-        return gram(module)
-
-    monkeypatch.setattr(rotlat.cli, "gram", counted)
-    monkeypatch.setattr(rotlat.verify, "gram", counted)
+    gram_mod.gram.cache_clear()
+    monkeypatch.setattr(gram_mod, "trace_form", counted)
     # and the module index (a determinant of the coordinate matrix) once
     import rotlat.constructions
 
@@ -217,11 +218,33 @@ def test_verify_builds_the_module_gram_once(tmp_path, capsys, monkeypatch):
     rotlat.constructions.module_index.cache_clear()
     monkeypatch.setattr(rotlat.constructions, "det_int", counted_det)
     path = tmp_path / "module.json"
-    path.write_text(json.dumps(module_to_json(get_module("p32", p=7))))
+    path.write_text(json.dumps(module_to_json(module)))
     assert main(["verify", str(path)]) == EXIT_OK
-    assert len(calls) == 1
+    assert forms.count(module.gamma) == 1
     assert len(dets) == 1
     assert json.loads(capsys.readouterr().out)["det_cross_check"]["equal"] is True
+
+
+@pytest.mark.parametrize("code, params", BATTERY[:4])
+def test_verify_runs_the_gram_schmidt_kernel_three_times(tmp_path, capsys, monkeypatch,
+                                                         code, params):
+    # one pass per GramMatrix built: the ambient Gram, the reduced T G T^t
+    # (the LLL certificate) and the module Gram
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return gram_schmidt(rows)
+
+    sys.modules["rotlat.gram"].gram.cache_clear()
+    # rotlat.verify no longer imports the kernel; a call from it would count too
+    for name in ("rotlat.gram", "rotlat.verify"):
+        monkeypatch.setattr(sys.modules[name], "gram_schmidt", counted, raising=False)
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module_to_json(get_module(code, **params))))
+    assert main(["verify", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == 3
 
 
 def test_verify_missing_file_exits_two(tmp_path, capsys):

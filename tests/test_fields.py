@@ -1,4 +1,5 @@
 import dataclasses
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -370,6 +371,15 @@ def test_json_round_trip():
     obj["disc"] = "123"
     with pytest.raises(ValueError):
         field_from_json(obj)
+
+
+def test_json_round_trip_of_a_discriminant_above_the_int_str_limit():
+    # disc = 3001^1499 has 5213 digits, past Python's 4300-digit str(int) limit
+    K = make_field("odd-prime", p=3001)
+    obj = field_to_json(K)
+    assert len(obj["disc"]) == 5213
+    assert int(Decimal(obj["disc"])) == K.disc == 3001 ** 1499
+    assert field_from_json(obj) is K
 
 
 @pytest.mark.parametrize("key, value", [("m", "35"), ("n", 12.0), ("n", True), ("disc", 1)])

@@ -60,14 +60,6 @@ def test_lll_unimodular_frame_reaches_identity():
     assert red.entries == _frac_rows([[1, 0], [0, 1]])
 
 
-def test_lll_rejects_bad_delta():
-    G = GramMatrix.from_rows([[1, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        lll_reduce(G, Fraction(1, 8))
-    with pytest.raises(ValueError):
-        lll_reduce(G, Fraction(1))
-
-
 def test_lll_certificate_rejects_a_corrupted_transform(monkeypatch):
     import rotlat.verify as verify_mod
 
@@ -99,8 +91,7 @@ rand_basis = st.integers(min_value=2, max_value=5).flatmap(
 def test_lll_certificate_and_conditions(rows):
     gram_rows = mat_mul(rows, transpose(rows))
     G = GramMatrix.from_rows(gram_rows)
-    delta = Fraction(99, 100)
-    red, T = lll_reduce(G, delta)
+    red, T = lll_reduce(G)
     # exact certificate
     t_rows = [list(r) for r in T]
     product = mat_mul(mat_mul(t_rows, [list(r) for r in G.entries]), transpose(t_rows))
@@ -113,7 +104,21 @@ def test_lll_certificate_and_conditions(rows):
         for j in range(i):
             assert abs(mu[i][j]) <= Fraction(1, 2)
     for k in range(1, n):
-        assert norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]
+        assert norms[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * norms[k - 1]
+
+
+@given(rand_basis)
+@settings(max_examples=30, deadline=None)
+def test_lll_leaves_its_input_untouched(rows):
+    # the loop starts from copies of the input's (d, lam): a second run on
+    # the same GramMatrix sees the same data and gives the same result
+    G = GramMatrix.from_rows(mat_mul(rows, transpose(rows)))
+    minors, lam = G.minors, G.lam
+    first = lll_reduce(G)
+    assert lll_reduce(G) == first
+    assert (G.minors, G.lam) == (minors, lam)
+    d, gs_lam = gram_schmidt([list(r) for r in G.num])
+    assert (minors, lam) == (tuple(d[1:]), tuple(map(tuple, gs_lam)))
 
 
 @given(rand_basis)
