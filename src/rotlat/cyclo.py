@@ -263,7 +263,9 @@ class CycloElt:
         ):
             raise ValueError("element needs an integer 'm' and integer or 'a/b' string coeffs")
         try:
-            num, den = _clear(Fraction(s) for s in obj["coeffs"])
+            # integer strings, the form to_json writes, stay on _clear's integer path
+            num, den = _clear(Fraction(s) if type(s) is str and "/" in s else int(s)
+                              for s in obj["coeffs"])
             return cls(m, tuple(num), den)
         except ZeroDivisionError as exc:
             raise ValueError(f"malformed element: {exc}") from None

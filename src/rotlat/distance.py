@@ -21,7 +21,7 @@ from operator import add
 from .constructions import TwistedModule, lookup
 from .cyclo import real_embedding_bounds
 from .fields import embedding_reps, integral_coords
-from .linalg import det_int
+from .linalg import det_int, sparse_vec_mat
 from .numtheory import factorize
 
 _HALF = Fraction(1, 2)
@@ -148,25 +148,21 @@ NORM_SEARCH_BUDGET = 2_000_000
 _BOUND_PREC = 64
 
 
-def _mult_matrices(module: TwistedModule) -> list[list[tuple[int, ...]]]:
-    """Integer matrices of multiplication by each gamma element on the
-    integral basis; the norm of sum a_i gamma_i is det(sum a_i M_i)."""
+def _mult_matrices(module: TwistedModule) -> list[tuple[tuple[int, int], ...]]:
+    """Multiplication by each gamma element on the integral basis, as the
+    nonzero entries (n * row + col, value) of its integer matrix M_i; the
+    norm of sum a_i gamma_i is det(sum a_i M_i)."""
     K = module.field
-    return [[integral_coords(K, g * w) for w in K.basis] for g in module.gamma]
+    return [tuple((K.n * i + j, x) for i, w in enumerate(K.basis)
+                  for j, x in enumerate(integral_coords(K, g * w)) if x)
+            for g in module.gamma]
 
 
-def _abs_norm(mats: list[list[tuple[int, ...]]], a: tuple[int, ...]) -> int:
+def _abs_norm(mats: list[tuple[tuple[int, int], ...]], a: tuple[int, ...]) -> int:
     """|N(sum a_i gamma_i)| = |det(sum a_i M_i)|, exactly."""
-    idx = range(len(mats))
-    acc = [[0] * len(mats) for _ in idx]
-    for coef, mat in zip(a, mats):
-        if coef:
-            for i in idx:
-                row = mat[i]
-                target = acc[i]
-                for j in idx:
-                    target[j] += coef * row[j]
-    return abs(det_int(acc))
+    n = len(a)
+    flat = sparse_vec_mat(a, mats, n * n)
+    return abs(det_int([flat[i:i + n] for i in range(0, n * n, n)]))
 
 
 def _embedding_steps(module: TwistedModule, coeff_bound: int):

@@ -9,18 +9,19 @@ this package are not ideals, and their existence is unaffected.
 
 The divisibility condition is necessary, not sufficient: a verdict of
 "NecessaryConditionHolds" does not assert that a construction exists.
-The verdict reads invariants only: n, d_K, and the splitting of 2 from
-(m, H) by one rule for every family (Washington, Introduction to
-Cyclotomic Fields, ch. 3); no integral basis is built.
+The verdict reads invariants only: n, v2(d_K) from the discriminant's
+prime-exponent table, and the splitting of 2 from (m, H) by one rule for
+every family (Washington, Introduction to Cyclotomic Fields, ch. 3); no
+integral basis and no discriminant is built.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .fields import FieldDesc, discriminant_2adic_valuation, fixing_subgroup
-from .numtheory import crt, order_in_quotient, v2
+from .numtheory import euler_phi, order_in_quotient, v2
 
 VERDICT_IMPOSSIBLE_ODD_DISC = "ImpossibleOddDisc"
 VERDICT_IMPOSSIBLE_RESIDUE = "ImpossibleResidueCondition"
@@ -39,15 +40,7 @@ class FeasibilityReport:
     rule: str
 
     def to_json(self) -> dict:
-        return {
-            "e": self.e,
-            "f": self.f,
-            "g": self.g,
-            "z": self.z,
-            "disc_odd": self.disc_odd,
-            "verdict": self.verdict,
-            "rule": self.rule,
-        }
+        return asdict(self)
 
 
 def splitting_of_two(field: FieldDesc) -> tuple[int, int, int]:
@@ -55,14 +48,16 @@ def splitting_of_two(field: FieldDesc) -> tuple[int, int, int]:
     read from the Galois group (Z/mZ)^*/H, H = ``fixing_subgroup``.
 
     With m = 2^a m', the inertia group of 2 is the image of I, the units
-    that are 1 mod m', so e = |I H| / |H|.  The Frobenius is the unit that
-    is 1 mod 2^a and 2 mod m', and f is its order modulo I H; g = n/(e f).
+    that are 1 mod m', so e = |I| / |I intersect H| = phi(2^a) / |{h in H :
+    h = 1 mod m'}|.  The Frobenius is the unit that is 1 mod 2^a and 2 mod m',
+    and I H is the preimage of H mod m', so f is the order of 2 in
+    (Z/m')^* / (H mod m'), and 1 when m' = 1; g = n/(e f).  Only H is
+    enumerated.
     """
     m, subgroup = field.m, fixing_subgroup(field)
     odd = m >> v2(m)
-    inertia_h = frozenset(u * h % m for u in range(1, m, odd) if u % 2 for h in subgroup)
-    e = len(inertia_h) // len(subgroup)
-    f = order_in_quotient(crt(1, m // odd, 2, odd), m, inertia_h)
+    e = euler_phi(m // odd) // sum((h - 1) % odd == 0 for h in subgroup)
+    f = order_in_quotient(2, odd, frozenset(h % odd for h in subgroup)) if odd > 1 else 1
     return e, f, field.n // (e * f)
 
 

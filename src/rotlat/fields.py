@@ -9,8 +9,9 @@ Families (conductor m, degree n):
   comp-odd-odd   compositum of two odd-prime fields   m = p1 * p2  n = n1*n2
 
 FAMILIES holds one row per family: its parameters and its factor fields.
-A FieldDesc is a plain value: the closed-form invariants m, n and disc.
-The factors' discriminants are coprime, so a compositum's discriminant is
+A FieldDesc is a plain value: the closed-form invariants m and n, with
+disc computed on first read from a prime-exponent table.  The factors'
+discriminants are coprime, so a compositum's discriminant is
 prod d_i^(n/n_i), its integral basis is the product of the factor bases,
 and O_K = Z[generators], one zeta_{m_i} + zeta_{m_i}^-1 per factor
 (Neukirch, Algebraic Number Theory I.2.11).  The basis is built when first
@@ -38,7 +39,7 @@ from typing import Callable
 
 from .cyclo import CycloElt, real_embedding_bounds, trace_abs, trace_form
 from .linalg import det_int, pivot_inverse, sparse_vec_mat
-from .numtheory import crt, euler_phi, is_prime, v2
+from .numtheory import crt, euler_phi, is_prime
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class Factor:
     valid: Callable[[int], bool]
     conductor: Callable[[int], int]
     degree: Callable[[int], int]
-    disc: Callable[[int], int]
+    disc: Callable[[int], tuple[int, int]]  # (prime, exponent): d = prime^exponent
     exponents: Callable[[int], tuple[tuple[int, ...], ...]]
 
 
@@ -62,7 +63,7 @@ POW2 = Factor(
     lambda r: r >= 3,
     lambda r: 2**r,
     lambda r: 2 ** (r - 2),
-    lambda r: 2 ** ((r - 1) * 2 ** (r - 2) - 1),
+    lambda r: (2, (r - 1) * 2 ** (r - 2) - 1),
     lambda r: ((0,),) + tuple((i, -i) for i in range(1, 2 ** (r - 2))),
 )
 
@@ -71,7 +72,7 @@ ODD_PRIME = Factor(
     lambda p: p >= 5 and is_prime(p),
     lambda p: p,
     lambda p: (p - 1) // 2,
-    lambda p: p ** ((p - 3) // 2),
+    lambda p: (p, (p - 3) // 2),
     lambda p: tuple((j, -j) for j in range(1, (p - 1) // 2 + 1)),
 )
 
@@ -88,13 +89,13 @@ FAMILIES: dict[str, tuple[tuple[str, Factor], ...]] = {
 @dataclass(frozen=True)
 class FieldDesc:
     """A totally real field from one of the four supported families, as
-    its invariants; ``basis`` and ``generators`` are built on first read."""
+    its invariants; ``disc``, ``basis`` and ``generators`` are built on
+    first read."""
 
     family: str
     params: tuple[tuple[str, int], ...]
     m: int
     n: int
-    disc: int
 
     def param(self, name: str) -> int:
         return dict(self.params)[name]
@@ -108,6 +109,20 @@ class FieldDesc:
     def conductors(self) -> tuple[int, ...]:
         """The factor fields' conductors m_i, whose product is m."""
         return tuple(kind.conductor(self.param(name)) for name, kind in FAMILIES[self.family])
+
+    @property
+    def _disc_exponents(self) -> dict[int, int]:
+        """The discriminant as prime -> exponent: prod d_i^(n/n_i)."""
+        table = {}
+        for name, kind in FAMILIES[self.family]:
+            v = self.param(name)
+            p, e = kind.disc(v)
+            table[p] = e * (self.n // kind.degree(v))
+        return table
+
+    @cached_property
+    def disc(self) -> int:
+        return prod(p**e for p, e in self._disc_exponents.items())
 
     @cached_property
     def generators(self) -> tuple[CycloElt, ...]:
@@ -185,9 +200,8 @@ def make_field(family: str, **params) -> FieldDesc:
 @lru_cache(maxsize=None)
 def _build_field(family: str, params: tuple[tuple[str, int], ...]) -> FieldDesc:
     factors = [(kind, dict(params)[name]) for name, kind in FAMILIES[family]]
-    n = prod(kind.degree(v) for kind, v in factors)
-    disc = prod(kind.disc(v) ** (n // kind.degree(v)) for kind, v in factors)
-    return FieldDesc(family, params, prod(kind.conductor(v) for kind, v in factors), n, disc)
+    return FieldDesc(family, params, prod(kind.conductor(v) for kind, v in factors),
+                     prod(kind.degree(v) for kind, v in factors))
 
 
 def subfield_degrees(field: FieldDesc) -> tuple[int, int]:
@@ -283,11 +297,7 @@ def integer_coords(field: FieldDesc, x: CycloElt) -> tuple[list[int], int]:
     pivots, den, inv, terms = _basis_solver(field)
     xs, dx = x.num, x.den
     acc = sparse_vec_mat([xs[c] for c in pivots], inv, field.n)
-    recon = [0] * len(xs)
-    for a, w in zip(acc, terms):
-        if a:
-            for k, c in w:
-                recon[k] += a * c
+    recon = sparse_vec_mat(acc, terms, len(xs))
     if any(r != den * v for r, v in zip(recon, xs)):
         raise ValueError("element is outside the rational span of the integral basis")
     return acc, den * dx
@@ -353,8 +363,8 @@ def is_totally_positive(x: CycloElt, field: FieldDesc) -> bool:
 
 
 def discriminant_2adic_valuation(field: FieldDesc) -> int:
-    """v2 of the field discriminant."""
-    return v2(field.disc)
+    """v2 of the field discriminant, from its exponent table."""
+    return field._disc_exponents.get(2, 0)
 
 
 # -- serialization ---------------------------------------------------------
@@ -378,12 +388,8 @@ def field_from_json(obj) -> FieldDesc:
     if any(type(obj[key]) is not int for key in ("m", "n")) or not isinstance(obj["disc"], str):
         raise ValueError("field needs integer 'm' and 'n' and a string 'disc'")
     family = str(obj["family"])
-    values = check_params(family, obj["params"])
-    factors = [(kind, values[name]) for name, kind in FAMILIES[family]]
-    # m and n in closed form first: the discriminant can be far too long to build
-    if (obj["m"], obj["n"]) == (prod(kind.conductor(v) for kind, v in factors),
-                                prod(kind.degree(v) for kind, v in factors)):
-        field = _build_field(family, tuple(values.items()))
-        if obj["disc"] == str(Decimal(field.disc)):
-            return field
+    field = _build_field(family, tuple(check_params(family, obj["params"]).items()))
+    # m and n first: the discriminant can be far too long to build
+    if (obj["m"], obj["n"]) == (field.m, field.n) and obj["disc"] == str(Decimal(field.disc)):
+        return field
     raise ValueError("stored field data does not match its parameters")

@@ -1,6 +1,9 @@
 """Exact linear algebra over integers: fraction-free elimination on lists
 of lists.  A rational matrix arrives as integer numerators over one
-denominator its owner keeps.
+denominator its owner keeps.  ``sparse_vec_mat`` is the package's one
+integer product, a vector times the nonzero entries of a matrix's rows: it
+serves T * G * T^t in the LLL, the coordinate solves and their span check,
+and the norm search's sum of multiplication matrices.
 """
 
 from __future__ import annotations
@@ -10,15 +13,6 @@ from math import gcd, lcm
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def transpose(a):
-    return [list(row) for row in zip(*a)]
-
-
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def det_int(rows: list[list[int]]) -> int:

@@ -24,7 +24,7 @@ from .cyclo import CycloElt
 from .constructions import TwistedModule, module_index
 from .fields import FieldDesc
 from .gram import GramMatrix, gram, twisted_gram
-from .linalg import identity_matrix, mat_mul, transpose
+from .linalg import identity_matrix, sparse_vec_mat
 
 
 def _swap(t, d, lam, k):
@@ -70,7 +70,12 @@ def lll_reduce(g: GramMatrix):
         else:
             _swap(t, d, lam, k)
             k = max(k - 1, 1)
-    product = tuple(map(tuple, mat_mul(mat_mul(t, g.num), transpose(t))))
+    # T * G * T^t over the nonzero entries: G is symmetric, so the columns
+    # of T * G are the rows of G * T^t
+    g_rows = [[(j, x) for j, x in enumerate(row) if x] for row in g.num]
+    tg = [sparse_vec_mat(row, g_rows, g.n) for row in t]
+    gt_rows = [[(j, x) for j, x in enumerate(col) if x] for col in zip(*tg)]
+    product = tuple(tuple(sparse_vec_mat(row, gt_rows, g.n)) for row in t)
     try:
         reduced = GramMatrix(product, g.den, g.scale_applied)
     except ValueError:  # a product that is not positive definite

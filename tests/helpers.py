@@ -1,7 +1,8 @@
 """Shared test data and oracles: the certification battery, published
 table cells, tolerance helpers, ``Enclosure`` arithmetic for checking the
-integer enclosure kernel, multiplication matrices for traces and norms, a
-dense rational inverse, and the unpruned minimum-norm oracle."""
+integer enclosure kernel, multiplication matrices for traces and norms,
+dense matrix products and a dense rational inverse, and the unpruned
+minimum-norm oracle."""
 
 import itertools
 import math
@@ -11,7 +12,8 @@ from functools import lru_cache
 
 import rotlat.cyclo
 from rotlat import build, embedding_reps, real_embedding_bounds
-from rotlat.distance import NORM_SEARCH_BUDGET, NormSearchResult, _mult_matrices
+from rotlat.distance import NORM_SEARCH_BUDGET, NormSearchResult
+from rotlat.fields import integral_coords
 from rotlat.linalg import det_int
 from rotlat.numtheory import euler_phi
 
@@ -226,7 +228,18 @@ def widen_leaves(monkeypatch, at, bits):
     return asked
 
 
-# -- multiplication matrices and a dense inverse ------------------------------
+# -- multiplication matrices, dense products and a dense inverse --------------
+
+
+def transpose(a):
+    return [list(row) for row in zip(*a)]
+
+
+def mat_mul(a, b):
+    """The dense product of two matrices, entry by entry: the oracle for
+    the package's sparse products."""
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def _mult_rows(x):
@@ -280,8 +293,9 @@ def inverse_rational(rows):
 def min_norm_search_oracle(module, coeff_bound, budget=NORM_SEARCH_BUDGET):
     """``min_norm_search`` without pruning: one exact determinant for every
     vector of the box, scanned in lexicographic order."""
-    n = module.field.n
-    mats = _mult_matrices(module)
+    K = module.field
+    n = K.n
+    mats = [[integral_coords(K, g * w) for w in K.basis] for g in module.gamma]
     idx = range(n)
     best = None
     witness = ()

@@ -30,10 +30,9 @@ from rotlat import (
     verify_ambient_zn,
     verify_rotated_dn,
 )
-from rotlat.linalg import mat_mul, transpose
 from rotlat.numtheory import euler_phi
 from helpers import (BATTERY, PUBLISHED_CELLS, agrees_significant, conjugates, get_module,
-                     trace_via_mult_matrix)
+                     mat_mul, trace_via_mult_matrix, transpose)
 
 
 def _line(num, name, ok):

@@ -10,6 +10,8 @@ from rotlat.feasibility import (
     VERDICT_NECESSARY_HOLDS,
     report_json,
 )
+from rotlat.fields import fixing_subgroup
+from rotlat.numtheory import crt, order_in_quotient, v2
 
 
 @pytest.mark.parametrize(
@@ -134,6 +136,37 @@ def test_feasibility_builds_no_basis():
         K = rotlat.fields._build_field.__wrapped__(family, params)
         dn_feasibility(K)
         assert "basis" not in vars(K)
+        assert "disc" not in vars(K)
+
+
+def test_pow2_r30_answers_from_closed_forms():
+    # n = 2^28: the discriminant would have 29 * 2^28 - 1 bits and (Z/mZ)^*
+    # 2^29 residues; e, f and z come from closed forms and H = {1, -1}
+    rep = dn_feasibility(make_field("pow2", r=30))
+    assert (rep.e, rep.f, rep.g, rep.z) == (268435456, 1, 1, 7784628223)
+    assert rep.verdict == VERDICT_KNOWN_CONSTRUCTION
+
+
+def _splitting_by_enumeration(K):
+    # the rule the closed forms replaced: e = |I H| / |H| and f the order of
+    # the Frobenius modulo I H, with I H built as a set of residues
+    m, subgroup = K.m, fixing_subgroup(K)
+    odd = m >> v2(m)
+    inertia_h = frozenset(u * h % m for u in range(1, m, odd) if u % 2 for h in subgroup)
+    e = len(inertia_h) // len(subgroup)
+    f = order_in_quotient(crt(1, m // odd, 2, odd), m, inertia_h)
+    return e, f, K.n // (e * f)
+
+
+@pytest.mark.parametrize("family,params", [
+    ("pow2", {"r": 3}), ("pow2", {"r": 8}), ("odd-prime", {"p": 5}), ("odd-prime", {"p": 31}),
+    ("odd-prime", {"p": 127}), ("comp-pow2-odd", {"r": 3, "p": 5}),
+    ("comp-pow2-odd", {"r": 5, "p": 17}), ("comp-pow2-odd", {"r": 4, "p": 73}),
+    ("comp-odd-odd", {"p1": 7, "p2": 17}), ("comp-odd-odd", {"p1": 31, "p2": 43}),
+])
+def test_splitting_closed_forms_match_the_enumeration(family, params):
+    K = make_field(family, **params)
+    assert splitting_of_two(K) == _splitting_by_enumeration(K)
 
 
 def test_report_json_shape():

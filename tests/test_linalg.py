@@ -9,13 +9,11 @@ from rotlat.linalg import (
     det_int,
     gram_schmidt,
     identity_matrix,
-    mat_mul,
     pivot_inverse,
     smith_normal_form,
     sparse_vec_mat,
-    transpose,
 )
-from helpers import inverse_rational
+from helpers import inverse_rational, mat_mul, transpose
 
 
 def _cofactor_det(rows):

@@ -16,9 +16,9 @@ from rotlat import (
     verify_ambient_zn,
     verify_rotated_dn,
 )
-from rotlat.linalg import det_int, gram_schmidt, identity_matrix, mat_mul, transpose
+from rotlat.linalg import det_int, gram_schmidt, identity_matrix
 from rotlat.verify import _swap, report_json
-from helpers import BATTERY, get_module
+from helpers import BATTERY, get_module, mat_mul, transpose
 
 
 def _frac_rows(rows):
