@@ -23,7 +23,6 @@ from .constructions import (
     build,
     coords_in_module,
     element_from_coords,
-    elementary_divisors,
     in_module,
     is_ideal,
     module_from_json,
@@ -74,9 +73,8 @@ __all__ = [
     "field_to_json", "is_element", "is_totally_positive", "make_field",
     "norm_real", "subfield_degrees", "trace_real",
     "IdealCheck", "IdealityWitness", "TwistedModule", "build",
-    "coords_in_module", "element_from_coords", "elementary_divisors",
-    "in_module", "is_ideal", "module_from_json", "module_index",
-    "module_to_json",
+    "coords_in_module", "element_from_coords", "in_module", "is_ideal",
+    "module_from_json", "module_index", "module_to_json",
     "GramMatrix", "det_exact", "det_via_formula", "embedding_csv",
     "embedding_matrix", "gram", "gram_json", "gram_scaled",
     "VerificationReport", "lll_reduce", "verify_ambient_zn", "verify_rotated_dn",

@@ -113,7 +113,10 @@ def _cmd_construct(args) -> int:
 
 def _load_module(path: str):
     with open(path) as handle:
-        obj = json.load(handle)
+        try:
+            obj = json.load(handle)
+        except ValueError as exc:  # bad JSON, or an integer past the int-str digit limit
+            raise ValueError(f"parse error in module file: {exc}") from None
     try:
         return module_from_json(obj)
     except KeyError as exc:
@@ -180,9 +183,6 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             return _COMMANDS[args.command](args)
-    except json.JSONDecodeError as exc:
-        print(f"error: parse error in module file: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

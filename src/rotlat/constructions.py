@@ -29,7 +29,7 @@ from .fields import (
     make_field,
     subfield_degrees,
 )
-from .linalg import det_int, pivot_inverse, smith_normal_form, sparse_vec_mat
+from .linalg import pivot_inverse, sparse_vec_mat
 from .numtheory import is_prime
 
 
@@ -184,32 +184,29 @@ def coordinate_matrix(module: TwistedModule) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def module_index(module: TwistedModule) -> int:
-    """Index of the module in the full ring of integers, |det| of the coordinate matrix."""
-    d = det_int([list(r) for r in coordinate_matrix(module)])
-    if d == 0:
-        raise ValueError("gamma is not full rank")
-    return abs(d)
-
-
-def elementary_divisors(module: TwistedModule) -> tuple[int, ...]:
-    """Invariant factors of the quotient of the ring of integers by the module."""
-    return tuple(smith_normal_form([list(r) for r in coordinate_matrix(module)]))
-
-
-@lru_cache(maxsize=None)
 def _gamma_solver(module: TwistedModule):
-    """D and the sparse rows of D * inverse of the (square) coordinate
-    matrix, whose pivot columns are all of its columns."""
-    _, den, inv = pivot_inverse(coordinate_matrix(module))
-    return den, inv
+    """The module's one elimination of its (square) coordinate matrix: D,
+    the sparse rows of D * inverse, and the determinant.  Raises
+    ValueError unless gamma is full rank."""
+    rows = coordinate_matrix(module)  # its own ValueErrors pass through
+    try:
+        _, den, inv, det = pivot_inverse(rows)
+    except ValueError:
+        raise ValueError("gamma is not full rank") from None
+    return den, inv, det
+
+
+def module_index(module: TwistedModule) -> int:
+    """Index of the module in the full ring of integers: |det| of the
+    coordinate matrix, from the module's cached solve."""
+    return abs(_gamma_solver(module)[2])
 
 
 def _module_coords(module: TwistedModule, x: CycloElt) -> tuple[list[int], int]:
     """Coordinates of x over gamma as integers b_i and one denominator s:
     x = sum_i (b_i / s) gamma_i."""
     acc, scale = integer_coords(module.field, x)
-    den, inv = _gamma_solver(module)
+    den, inv, _ = _gamma_solver(module)
     return sparse_vec_mat(acc, inv, module.field.n), den * scale
 
 

@@ -276,11 +276,11 @@ def _basis_solver(field: FieldDesc):
         raise RuntimeError("integral basis has non-integer coefficients")
     rows = [w.num for w in field.basis]
     try:
-        solve = pivot_inverse(rows)
+        pivots, den, inv, _ = pivot_inverse(rows)
     except ValueError:
         raise RuntimeError("integral basis is not full rank") from None
     terms = tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
-    return (*solve, terms)
+    return pivots, den, inv, terms
 
 
 def integer_coords(field: FieldDesc, x: CycloElt) -> tuple[list[int], int]:

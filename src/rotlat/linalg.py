@@ -1,6 +1,9 @@
 """Exact linear algebra over integers: fraction-free elimination on lists
 of lists.  A rational matrix arrives as integer numerators over one
-denominator its owner keeps.  ``sparse_vec_mat`` is the package's one
+denominator its owner keeps.  ``pivot_inverse`` is the one elimination of
+a matrix that is solved against (a field's basis, a module's coordinate
+matrix) and also gives that block's determinant; ``det_int`` serves the
+matrices that are never inverted.  ``sparse_vec_mat`` is the package's one
 integer product, a vector times the nonzero entries of a matrix's rows: it
 serves T * G * T^t in the LLL, the coordinate solves and their span check,
 and the norm search's sum of multiplication matrices.
@@ -8,7 +11,7 @@ and the norm search's sum of multiplication matrices.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -72,7 +75,8 @@ def pivot_inverse(rows: list[list[int]]):
     first n linearly independent columns), and the inverse of the n x n
     block of A on those columns as a common denominator D > 0 plus the
     nonzero entries (column, value) of the integer matrix D * inverse,
-    row by row.  Raises ValueError if the rank is below n.
+    row by row, and the determinant of that block.  Raises ValueError if
+    the rank is below n.
 
     One fraction-free Gauss-Jordan pass over [A | I] (Cohen, A Course in
     Computational Algebraic Number Theory, 2.2), each row kept primitive;
@@ -83,6 +87,7 @@ def pivot_inverse(rows: list[list[int]]):
     width = len(rows[0]) if n else 0
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     pivots: list[int] = []
+    up = down = 1  # the block's determinant now is its determinant in A times up / down
     for col in range(width):
         k = len(pivots)
         if k == n:
@@ -90,7 +95,9 @@ def pivot_inverse(rows: list[list[int]]):
         piv = next((i for i in range(k, n) if a[i][col]), None)
         if piv is None:
             continue
-        a[k], a[piv] = a[piv], a[k]
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            up = -up
         rowk = a[k]
         pk = rowk[col]
         for i in range(n):
@@ -99,6 +106,7 @@ def pivot_inverse(rows: list[list[int]]):
                 row = [pk * x - f * y for x, y in zip(a[i], rowk)]
                 g = gcd(*row)
                 a[i] = [x // g for x in row] if g > 1 else row
+                up, down = up * pk, down * g
         pivots.append(col)
     if len(pivots) < n:
         raise ValueError("matrix does not have full row rank")
@@ -109,9 +117,10 @@ def pivot_inverse(rows: list[list[int]]):
         g = gcd(row[pivots[k]], *row[width:])
         inv.append((row[pivots[k]] // g, [x // g for x in row[width:]]))
     den = lcm(*(abs(q) for q, _ in inv))
+    det = prod(row[c] for row, c in zip(a, pivots)) * down // up
     return tuple(pivots), den, tuple(
         tuple((j, x * (den // q)) for j, x in enumerate(right) if x) for q, right in inv
-    )
+    ), det
 
 
 def sparse_vec_mat(v: list[int], rows, width: int) -> list[int]:
@@ -123,51 +132,3 @@ def sparse_vec_mat(v: list[int], rows, width: int) -> list[int]:
             for j, a in row:
                 acc[j] += x * a
     return acc
-
-
-def smith_normal_form(rows: list[list[int]]) -> list[int]:
-    """Invariant factors (non-negative, each dividing the next) of an integer matrix."""
-    a = [list(r) for r in rows]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    res: list[int] = []
-    t = 0
-    while t < min(nr, nc):
-        # move a nonzero entry of minimal absolute value to the pivot slot
-        piv = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
-        dirty = False
-        for i in range(t + 1, nr):
-            q = a[i][t] // a[t][t]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            if a[i][t]:
-                dirty = True
-        for j in range(t + 1, nc):
-            q = a[t][j] // a[t][t]
-            if q:
-                for row in a:
-                    row[j] -= q * row[t]
-            if a[t][j]:
-                dirty = True
-        if dirty:
-            continue
-        # pivot must divide every remaining entry for the divisibility chain
-        offender = next(((i, j) for i in range(t + 1, nr) for j in range(t + 1, nc)
-                         if a[i][j] % a[t][t]), None)
-        if offender is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[offender[0]])]
-            continue
-        res.append(abs(a[t][t]))
-        t += 1
-    res.extend([0] * (min(nr, nc) - len(res)))
-    return res

@@ -8,7 +8,7 @@ import pytest
 from rotlat.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNVERIFIED, main
 from rotlat.constructions import module_to_json
 from rotlat.cyclo import trace_form
-from rotlat.linalg import det_int, gram_schmidt
+from rotlat.linalg import gram_schmidt, pivot_inverse
 from rotlat import TwistedModule
 from helpers import BATTERY, get_module
 
@@ -73,6 +73,33 @@ def test_verify_corrupted_json_exits_two(tmp_path, capsys):
     code = main(["verify", str(path)])
     assert code == EXIT_INPUT_ERROR
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "embed"])
+def test_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys, command):
+    # json parses a 5000-digit integer with int, past its default 4300-digit limit
+    good = json.dumps(module_to_json(get_module("p32", p=7)))
+    text = good.replace('"c": 7', '"c": ' + "9" * 5000)
+    with pytest.raises(ValueError) as raised:
+        json.loads(text)
+    path = tmp_path / "module.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: parse error in module file: {raised.value}"]
+
+
+@pytest.mark.parametrize("command", ["verify", "embed"])
+def test_repeated_gamma_element_is_not_full_rank(tmp_path, capsys, command):
+    obj = module_to_json(get_module("p32", p=7))
+    obj["gamma"][1] = obj["gamma"][0]
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(obj))
+    assert main([command, str(path)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: gamma is not full rank"]
 
 
 def _malform(obj, shape):
@@ -206,22 +233,23 @@ def test_verify_builds_the_module_gram_once(tmp_path, capsys, monkeypatch):
 
     gram_mod.gram.cache_clear()
     monkeypatch.setattr(gram_mod, "trace_form", counted)
-    # and the module index (a determinant of the coordinate matrix) once
+    # and eliminates the coordinate matrix once: the load's rank check, the
+    # index check and the determinant formula all read that one solve
     import rotlat.constructions
 
-    dets = []
+    solves = []
 
-    def counted_det(rows):
-        dets.append(rows)
-        return det_int(rows)
+    def counted_solve(rows):
+        solves.append(rows)
+        return pivot_inverse(rows)
 
-    rotlat.constructions.module_index.cache_clear()
-    monkeypatch.setattr(rotlat.constructions, "det_int", counted_det)
+    rotlat.constructions._gamma_solver.cache_clear()
+    monkeypatch.setattr(rotlat.constructions, "pivot_inverse", counted_solve)
     path = tmp_path / "module.json"
     path.write_text(json.dumps(module_to_json(module)))
     assert main(["verify", str(path)]) == EXIT_OK
     assert forms.count(module.gamma) == 1
-    assert len(dets) == 1
+    assert len(solves) == 1
     assert json.loads(capsys.readouterr().out)["det_cross_check"]["equal"] is True
 
 

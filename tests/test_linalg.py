@@ -10,7 +10,6 @@ from rotlat.linalg import (
     gram_schmidt,
     identity_matrix,
     pivot_inverse,
-    smith_normal_form,
     sparse_vec_mat,
 )
 from helpers import inverse_rational, mat_mul, transpose
@@ -81,7 +80,8 @@ def test_pivot_inverse_matches_dense_inverse(rows):
         with pytest.raises(ValueError):
             pivot_inverse(rows)
         return
-    pivots, den, inv = pivot_inverse(rows)
+    pivots, den, inv, det = pivot_inverse(rows)
+    assert det == det_int([[row[c] for c in pivots] for row in rows])
     # the pivots are the first independent columns: each other column
     # depends on the pivots before it
     assert len(pivots) == n and list(pivots) == sorted(pivots)
@@ -147,21 +147,6 @@ def test_gram_schmidt_minors_equal_positive_block_determinants(rows):
         assert lam[i][i:] == [0] * (n - i)
         for j in range(i):
             assert lam[i][j] == _cofactor_det([rows[r][:j + 1] for r in [*range(j), i]])
-
-
-@given(sq_int_matrix)
-@settings(max_examples=100)
-def test_smith_normal_form_invariants(rows):
-    diag = smith_normal_form(rows)
-    # divisibility chain among the nonzero invariant factors
-    nonzero = [d for d in diag if d]
-    for a, b in zip(nonzero, nonzero[1:]):
-        assert b % a == 0
-    d = det_int(rows)
-    prod = 1
-    for x in diag:
-        prod *= x
-    assert prod == abs(d)
 
 
 def test_transpose_identity():

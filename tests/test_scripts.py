@@ -31,6 +31,8 @@ def test_certify_constructions_certifies_the_battery():
     verdicts = [line for line in done.stdout.splitlines() if line.strip().startswith("verdict")]
     assert len(verdicts) == len(BATTERY) == 11
     assert all("rotated D_n CERTIFIED" in line for line in verdicts)
+    lines = [line.strip() for line in done.stdout.splitlines()]
+    assert [line for line in lines if line.startswith("index =")] == ["index = 2"] * 11
 
 
 def test_certify_constructions_searches_every_box_within_the_budget():
