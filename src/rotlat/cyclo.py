@@ -17,7 +17,10 @@ bounds over x.den * 2^S, choosing the lower or upper leaf by the sign of
 each coefficient, so reported intervals are true enclosures whose width
 is governed by the leaf precision alone.  Total positivity, the
 embedding rows and the norm-search pruning all read these integer
-bounds; no other enclosure form exists in the package.
+bounds; no other enclosure form exists in the package.  The leaf table is
+the only code here that needs mpmath, and it imports it on first use, so
+the ring operations, traces and trace forms (and the closed-form distance
+table and feasibility verdicts built on them) never load it.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-import mpmath
 
 from .numtheory import divisors, euler_phi, mobius
 
@@ -89,6 +90,10 @@ def _reduce(c: list[int], m: int) -> tuple[int, ...]:
             for j, p in terms:
                 c[base + j] -= t * p
     return tuple(c[:deg])
+
+
+_COEFF = re.compile("-?[0-9]+(/[0-9]+)?")
+_COEFFS_MESSAGE = "element needs an integer 'm' and integer or 'a/b' string coeffs"
 
 
 def _clear(values) -> tuple[list[int], int]:
@@ -250,25 +255,30 @@ class CycloElt:
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> dict:
+        if self.den == 1:
+            return {"m": self.m, "coeffs": [str(a) for a in self.num]}
         return {"m": self.m, "coeffs": [str(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, obj) -> "CycloElt":
         if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
             raise ValueError("element must be an object with a 'coeffs' list")
-        m = obj["m"]
-        if type(m) is not int or not all(
-            type(s) is int or type(s) is str and re.fullmatch("-?[0-9]+(/[0-9]+)?", s)
-            for s in obj["coeffs"]
-        ):
-            raise ValueError("element needs an integer 'm' and integer or 'a/b' string coeffs")
+        m, coeffs = obj["m"], obj["coeffs"]
+        # A file repeats a few coefficients (mostly "0") many times, so each
+        # distinct one is checked and parsed once.  Only ints and strings
+        # pass the type test, so the set cannot merge 1 with True or 1.0.
+        if type(m) is not int or not set(map(type, coeffs)) <= {int, str}:
+            raise ValueError(_COEFFS_MESSAGE)
+        distinct = set(coeffs)
+        if not all(type(s) is int or _COEFF.fullmatch(s) for s in distinct):
+            raise ValueError(_COEFFS_MESSAGE)
         try:
             # integer strings, the form to_json writes, stay on _clear's integer path
-            num, den = _clear(Fraction(s) if type(s) is str and "/" in s else int(s)
-                              for s in obj["coeffs"])
-            return cls(m, tuple(num), den)
+            value = {s: Fraction(s) if type(s) is str and "/" in s else int(s) for s in distinct}
         except ZeroDivisionError as exc:
             raise ValueError(f"malformed element: {exc}") from None
+        num, den = _clear([value[s] for s in coeffs])
+        return cls(m, tuple(num), den)
 
 
 # -- traces and norms over Q -------------------------------------------
@@ -347,6 +357,8 @@ def _cos_table(m: int, prec: int) -> tuple[int, tuple[int, ...], tuple[int, ...]
     """Leaves of every enclosure: cos(2*pi*t/m) for t = 0..m-1, enclosed at
     prec bits with directed rounding, as (S, lower numerators, upper
     numerators) over the one denominator 2^S."""
+    import mpmath
+
     ctx = mpmath.iv
     old = ctx.prec
     try:

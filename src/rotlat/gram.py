@@ -12,8 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-import mpmath
-
 from .cyclo import CycloElt, real_embedding_bounds, trace_form
 from .constructions import TwistedModule, module_index
 from .fields import embedding_reps, norm_real
@@ -185,6 +183,8 @@ def embedding_matrix(module: TwistedModule, precision: int = 128):
     (lo + hi) / (2 D), divided once in mpmath.  The midpoint is put in
     lowest terms first, because mpf rounds the numerator before the
     division and the written bytes depend on that rounding."""
+    import mpmath
+
     rows = embedding_enclosure_rows(module, precision)
     out = []
     with mpmath.workprec(precision):
@@ -199,6 +199,8 @@ def embedding_matrix(module: TwistedModule, precision: int = 128):
 
 
 def embedding_csv(module: TwistedModule, precision: int = 128) -> str:
+    import mpmath
+
     rows = embedding_matrix(module, precision)
     dps = max(17, int(precision * 0.30103) + 3)
     lines = [f"# precision_bits={precision}"]

@@ -1,14 +1,18 @@
 """Shared test data and oracles: the certification battery, published
 table cells, tolerance helpers, ``Enclosure`` arithmetic for checking the
 integer enclosure kernel, multiplication matrices for traces and norms,
-dense matrix products and a dense rational inverse, and the unpruned
-minimum-norm oracle."""
+dense matrix products and a dense rational inverse, the unpruned
+minimum-norm oracle, and a fresh interpreter on this checkout."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import rotlat.cyclo
 from rotlat import build, embedding_reps, real_embedding_bounds
@@ -36,6 +40,16 @@ BATTERY = (
 @lru_cache(maxsize=None)
 def get_module(code, **params):
     return build(code, **params)
+
+
+def run_fresh(*args) -> str:
+    """The stdout of a new interpreter run with ``args``, importing rotlat
+    from this checkout's ``src``; it must exit 0."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def battery_modules():

@@ -10,7 +10,7 @@ from rotlat.constructions import module_to_json
 from rotlat.cyclo import trace_form
 from rotlat.linalg import gram_schmidt, pivot_inverse
 from rotlat import TwistedModule
-from helpers import BATTERY, get_module
+from helpers import BATTERY, get_module, run_fresh
 
 
 def test_construct_writes_module(tmp_path, capsys):
@@ -396,13 +396,28 @@ def test_internal_runtime_error_exits_two(tmp_path, capsys, monkeypatch, command
 
 
 def test_python_dash_m_runs_from_a_checkout():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
+    assert run_fresh("-m", "rotlat", "--help").startswith("usage: rotlat ")
 
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-m", "rotlat", "--help"], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("usage: rotlat ")
+
+# Runs ``python -m rotlat <args>`` in this interpreter, then reports whether
+# mpmath was loaded.
+_DASH_M_THEN_MPMATH = """
+import runpy, sys
+try:
+    runpy.run_module("rotlat", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    if exc.code:
+        raise
+print("mpmath" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("args, loaded", [
+    (["-c", "import rotlat, sys; print('mpmath' in sys.modules)"], False),
+    (["-c", _DASH_M_THEN_MPMATH, "table1"], False),
+    (["-c", _DASH_M_THEN_MPMATH, "feasibility", "--family", "pow2", "--r", "11"], False),
+    # the positive control: a build checks total positivity by enclosures
+    (["-c", "import rotlat, sys; rotlat.build('p31', r=5); print('mpmath' in sys.modules)"], True),
+], ids=["import", "table1", "feasibility", "build"])
+def test_closed_form_commands_never_load_mpmath(args, loaded):
+    assert run_fresh(*args).splitlines()[-1] == str(loaded)

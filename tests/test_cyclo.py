@@ -167,10 +167,11 @@ def test_mult_matrix_is_multiplication():
 
 
 def test_serialization_round_trip():
-    x = CycloElt.from_coeffs(12, [Fraction(3, 2), -1, 0, Fraction(7, 5)])
-    obj = x.to_json()
-    assert obj["m"] == 12 and all(isinstance(s, str) for s in obj["coeffs"])
-    assert CycloElt.from_json(obj) == x
+    for x in (CycloElt.from_coeffs(12, [Fraction(3, 2), -1, 0, Fraction(7, 5)]),
+              CycloElt.from_coeffs(12, [-12, 0, 7, 1])):
+        obj = x.to_json()
+        assert obj == {"m": 12, "coeffs": [str(c) for c in x.coeffs]}
+        assert CycloElt.from_json(obj) == x
 
 
 # -- the integer format: numerators over one denominator, in lowest terms --
@@ -248,13 +249,18 @@ def test_from_json_reduces_to_lowest_terms():
     assert (halves.num, halves.den) == ((1, 0, -1, 4), 2)
 
 
-@pytest.mark.parametrize("coeff", ["0.5", " 1 ", "1_0", "1e9999999", "+1", "1/-2", "1/2/3", "",
-                                   "\u0661", True, 1.0, None])
+@pytest.mark.parametrize("coeff", ["0.5", " 1 ", " 5", "5\n", "1_0", "1e9999999", "+1", "1/-2",
+                                   "1/2/3", "1/", "-", "", "\u0661", True, 1.0, None])
 def test_from_json_takes_only_the_coefficient_forms_to_json_writes(coeff):
     with pytest.raises(ValueError, match="integer or 'a/b' string coeffs"):
         CycloElt.from_json({"m": 8, "coeffs": ["0", coeff, "0", "0"]})
     assert CycloElt.from_json({"m": 8, "coeffs": ["-7/3", 5, "007", "-0"]}).coeffs == (
         Fraction(-7, 3), 5, 7, 0)
+
+
+def test_from_json_zero_denominator_is_malformed():
+    with pytest.raises(ValueError, match="^malformed element: "):
+        CycloElt.from_json({"m": 8, "coeffs": ["0", "1/0", "0", "0"]})
 
 
 def test_constructor_is_canonical_and_rejects_bad_denominators():

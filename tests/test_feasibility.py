@@ -12,6 +12,7 @@ from rotlat.feasibility import (
 )
 from rotlat.fields import fixing_subgroup
 from rotlat.numtheory import crt, order_in_quotient, v2
+from helpers import run_fresh
 
 
 @pytest.mark.parametrize(
@@ -137,6 +138,19 @@ def test_feasibility_builds_no_basis():
         dn_feasibility(K)
         assert "basis" not in vars(K)
         assert "disc" not in vars(K)
+
+
+def test_first_verdict_in_a_fresh_process_imports_nothing():
+    # the survey times make_field + dn_feasibility right after `import rotlat`,
+    # so a lazy import or a basis build on that path would show in its verdicts
+    out = run_fresh("-c", """
+import sys, rotlat
+before = set(sys.modules)
+field = rotlat.make_field("pow2", r=11)
+rotlat.dn_feasibility(field)
+print(sorted(set(sys.modules) - before), "basis" in vars(field))
+""")
+    assert out.splitlines() == ["[] False"]
 
 
 def test_pow2_r30_answers_from_closed_forms():
