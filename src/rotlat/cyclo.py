@@ -10,17 +10,19 @@ Ramanujan sum), the integer trace-form kernel built on that closed form,
 and certified real-interval enclosures of embedding values.
 
 Enclosure policy: cosine values at the rational angles 2*pi*t/m are
-enclosed once per (m, precision) with directed rounding and kept as
-integer lower and upper numerators over one power of two 2^S.  One
-kernel, ``real_embedding_bounds``, sums those leaves in integers into
-bounds over x.den * 2^S, choosing the lower or upper leaf by the sign of
-each coefficient, so reported intervals are true enclosures whose width
-is governed by the leaf precision alone.  Total positivity, the
-embedding rows and the norm-search pruning all read these integer
-bounds; no other enclosure form exists in the package.  The leaf table is
-the only code here that needs mpmath, and it imports it on first use, so
-the ring operations, traces and trace forms (and the closed-form distance
-table and feasibility verdicts built on them) never load it.
+enclosed once per (m, precision) as integer lower and upper numerators
+over one power of two 2^S.  One kernel, ``_sum_leaves``, sums such leaves
+in integers into bounds over x.den * 2^S, choosing the lower or upper leaf
+by the sign of each coefficient, so reported intervals are true
+enclosures whose width is governed by the leaf precision alone.  The
+leaves have two sources.  ``_cos_table`` computes them here in exact
+integer arithmetic (a fixed-point pi, one Taylor-series base angle and
+integer rotation steps, each leaf widened by a proven error radius);
+``real_embedding_bounds`` sums them, and total positivity and the
+norm-search pruning read it.  The ``embed`` rows alone sum mpmath's
+directed-rounding leaves, kept in ``gram``, because the written
+embedding bytes are pinned to those leaves' endpoints.  So nothing in
+this module needs mpmath, and construct and verify never load it.
 """
 
 from __future__ import annotations
@@ -341,53 +343,123 @@ def trace_form(xs, twist: CycloElt | None = None) -> tuple[list[list[int]], int]
 # -- certified real enclosures ------------------------------------------
 
 
-def _dyadic(t) -> tuple[int, int]:
-    """A finite raw mpmath endpoint as (signed mantissa, exponent)."""
-    sign, man, exp, _ = t
-    man = int(man)
-    if man == 0:
-        if exp == 0:
-            return 0, 0
-        raise ValueError("nonfinite interval endpoint")
-    return (-man if sign else man), exp
+def _atan_inv(k: int, w: int) -> tuple[int, int]:
+    """2^w * atan(1/k) for an integer k >= 2, and a bound on its error in
+    units of 2^-w.
+
+    Term j is floor(2^w / ((2j+1) k^(2j+1))), exact to below one unit
+    because floor(floor(a) / b) = floor(a / b) for a positive integer b.
+    The series stops at the first power that floors to 0, where the
+    alternating tail is below one unit, so J terms err by less than J + 1.
+    """
+    power = (1 << w) // k
+    total, j = 0, 0
+    while power:
+        term = power // (2 * j + 1)
+        total += -term if j & 1 else term
+        power //= k * k
+        j += 1
+    return total, j + 1
+
+
+def _cos_sin(x: int, w: int) -> tuple[int, int, int]:
+    """2^w cos(u) and 2^w sin(u) for u = x / 2^w in [0, 1.6], and a bound
+    on the error of each in units of 2^-w.
+
+    Taylor term n is floor(term_(n-1) * u / n), below the true 2^w u^n / n!
+    by less than 2 (by less than 1 at n = 2; each step multiplies the
+    error by u / n <= 1/2 from n = 4 on and adds less than 1).  The series
+    stops at the first term that floors to 0; the true terms from there on
+    fall, so each alternating tail is below 2 units, and N terms err by
+    less than 2N + 2.
+    """
+    c, s = 1 << w, 0
+    term, n = c, 0
+    while term:
+        n += 1
+        term = (term * x >> w) // n
+        if n & 1:
+            s += -term if n & 2 else term
+        else:
+            c += -term if n & 2 else term
+    return c, s, 2 * n + 2
 
 
 @lru_cache(maxsize=None)
 def _cos_table(m: int, prec: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Leaves of every enclosure: cos(2*pi*t/m) for t = 0..m-1, enclosed at
-    prec bits with directed rounding, as (S, lower numerators, upper
-    numerators) over the one denominator 2^S."""
-    import mpmath
+    """The integer leaves: cos(2*pi*t/m) for t = 0..m-1 as (S, lower
+    numerators, upper numerators) over 2^S, S = prec; each leaf is at
+    most 2 units of 2^-prec wide and exact at 0 and +-1.
 
-    ctx = mpmath.iv
-    old = ctx.prec
-    try:
-        ctx.prec = prec
-        two_pi = 2 * ctx.pi
-        ends = []
-        for t in range(m):
-            a, b = ctx.cos(two_pi * t / m)._mpi_
-            ends.append((_dyadic(a), _dyadic(b)))
-    finally:
-        ctx.prec = old
-    shift = max(0, *(-e for pair in ends for _, e in pair))
-    lo = tuple(man << (shift + e) for (man, e), _ in ends)
-    hi = tuple(man << (shift + e) for _, (man, e) in ends)
-    return shift, lo, hi
+    All angles are multiples of u = pi/(2m).  pi comes from Machin's
+    formula 16 atan(1/5) - 4 atan(1/239) and cos u, sin u from their
+    Taylor series, at ``extra`` guard bits above W = ``work`` = prec + g,
+    with a counted error checked to stay below half a unit of 2^-W;
+    rounded to W bits, each is within 1 unit of 2^-W.  The
+    integer rotation (x, y) -> floor((x c - y s, x s + y c) / 2^W) from
+    (2^W, 0) then gives 2^W (cos au, sin au) for a = 0..m/2 within 4a
+    units (Euclidean): one step adds under sqrt(2) * 9/8 for the rounded
+    c and s plus sqrt(2) for the floors, while the error stays below
+    2^(W-3) (4a <= 2m < 2^(W-3) for prec >= 1).  cos(2*pi*t/m) = cos(4t u)
+    is +-cos(au) or sin(au) with a <= m/2 (cos(pi - v) = -cos v,
+    cos(pi/2 - v) = sin v, and t, m - t share a leaf), and its leaf is
+    that value widened outward by 4a and rounded outward to 2^-prec.  As
+    8a < 2^g, the width is at most 2 units.
+    """
+    g = m.bit_length() + 3
+    work = prec + g
+    extra = work.bit_length() + 6
+    w = work + extra
+    pi_a, err_a = _atan_inv(5, w)
+    pi_b, err_b = _atan_inv(239, w)
+    u = (16 * pi_a - 4 * pi_b) // (2 * m)
+    c, s, err = _cos_sin(u, w)
+    err += (16 * err_a + 4 * err_b) // (2 * m) + 2  # |cos' u|, |sin' u| <= 1
+    if 2 * err > 1 << extra:
+        raise ArithmeticError("base angle error above its guard bits")
+    half = 1 << (extra - 1)
+    c, s = (c + half) >> extra, (s + half) >> extra
+    x, y = 1 << work, 0
+    xs, ys = [x], [y]
+    for _ in range(m // 2):
+        x, y = (x * c - y * s) >> work, (x * s + y * c) >> work
+        xs.append(x)
+        ys.append(y)
+    lo, hi = [0] * m, [0] * m
+    for t in range(m // 2 + 1):
+        j, sign = 4 * t, 1
+        if j > m:
+            j, sign = 2 * m - j, -1
+        if 2 * j <= m:
+            a, v = j, xs[j]
+        else:
+            a = m - j
+            v = ys[a]
+        v *= sign
+        lo[t] = lo[-t] = (v - 4 * a) >> g
+        hi[t] = hi[-t] = -((-v - 4 * a) >> g)
+    return prec, tuple(lo), tuple(hi)
 
 
 def real_embedding_bounds(x: CycloElt, reps, prec: int) -> tuple[list[tuple[int, int]], int]:
     """Certified bounds of sum_j c_j cos(2*pi*j*k/m) for each k in reps, as
-    integer (lower, upper) numerators over one positive denominator.
+    integer (lower, upper) numerators over one positive denominator: the
+    integer leaves ``_cos_table(x.m, prec)`` summed by ``_sum_leaves``.
 
     For x fixed by complex conjugation this is the embedding
-    zeta_m |-> exp(2*pi*i*k/m) of x, which is then real.  With leaves
-    [L_t, U_t] / 2^S, the lower numerator is
+    zeta_m |-> exp(2*pi*i*k/m) of x, which is then real.
+    """
+    return _sum_leaves(x, reps, _cos_table(x.m, prec))
+
+
+def _sum_leaves(x: CycloElt, reps, leaves) -> tuple[list[tuple[int, int]], int]:
+    """The enclosure kernel.  With leaves (S, L, U), cos(2*pi*t/m) in
+    [L_t, U_t] / 2^S, the lower numerator for k is
     sum_{c_j > 0} c_j L_(jk mod m) + sum_{c_j < 0} c_j U_(jk mod m) and the
     upper one its mirror, over x.den * 2^S: exactly the interval sum of the
     leaves scaled by c_j / x.den, formed in integers.
     """
-    shift, lo, hi = _cos_table(x.m, prec)
+    shift, lo, hi = leaves
     m = x.m
     pos = [(j, c) for j, c in enumerate(x.num) if c > 0]
     neg = [(j, c) for j, c in enumerate(x.num) if c < 0]

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-from .cyclo import CycloElt, real_embedding_bounds, trace_form
+from .cyclo import CycloElt, _sum_leaves, trace_form
 from .constructions import TwistedModule, module_index
 from .fields import embedding_reps, norm_real
 from .linalg import gram_schmidt
@@ -151,7 +151,8 @@ def _rows_at(module: TwistedModule, reps, work: int, precision: int):
     1/sqrt(c) in [1/(r + 1), 1/r] * 2^work, where the 2^work cancels: each
     entry of row i lies over the one denominator D * r * (r + 1).
     """
-    alpha, alpha_den = real_embedding_bounds(module.alpha, reps, work)
+    leaves = _embed_cos_table(module.alpha.m, work)
+    alpha, alpha_den = _sum_leaves(module.alpha, reps, leaves)
     if not all(lo > 0 for lo, _ in alpha):
         return None
     sq = 1 << (2 * work)
@@ -162,7 +163,7 @@ def _rows_at(module: TwistedModule, reps, work: int, precision: int):
     two_tol = 1 << (precision + 5)  # width <= 2^-(precision+4) * max(1, |mid|)
     rows = []
     for g in module.gamma:
-        bounds, den = real_embedding_bounds(g, reps, work)
+        bounds, den = _sum_leaves(g, reps, leaves)
         den *= r * r1
         row = []
         for (a, b), (lo, hi) in zip(roots, bounds):
@@ -175,6 +176,43 @@ def _rows_at(module: TwistedModule, reps, work: int, precision: int):
             row.append((lo, hi))
         rows.append((row, den))
     return rows
+
+
+def _dyadic(t) -> tuple[int, int]:
+    """A finite raw mpmath endpoint as (signed mantissa, exponent)."""
+    sign, man, exp, _ = t
+    man = int(man)
+    if man == 0:
+        if exp == 0:
+            return 0, 0
+        raise ValueError("nonfinite interval endpoint")
+    return (-man if sign else man), exp
+
+
+@lru_cache(maxsize=None)
+def _embed_cos_table(m: int, prec: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The embed's leaves: cos(2*pi*t/m) for t = 0..m-1, enclosed at prec
+    bits with mpmath's directed rounding, as (S, lower numerators, upper
+    numerators) over the one denominator 2^S.  The ``embed`` bytes are
+    pinned to these leaves, so they are kept beside the integer leaves
+    ``cyclo._cos_table`` that everything else reads."""
+    import mpmath
+
+    ctx = mpmath.iv
+    old = ctx.prec
+    try:
+        ctx.prec = prec
+        two_pi = 2 * ctx.pi
+        ends = []
+        for t in range(m):
+            a, b = ctx.cos(two_pi * t / m)._mpi_
+            ends.append((_dyadic(a), _dyadic(b)))
+    finally:
+        ctx.prec = old
+    shift = max(0, *(-e for pair in ends for _, e in pair))
+    lo = tuple(man << (shift + e) for (man, e), _ in ends)
+    hi = tuple(man << (shift + e) for _, (man, e) in ends)
+    return shift, lo, hi
 
 
 def embedding_matrix(module: TwistedModule, precision: int = 128):

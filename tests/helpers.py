@@ -156,10 +156,14 @@ class Enclosure:
         return Enclosure(lo, hi)
 
 
-def cos_enclosures(m, prec):
-    """The package's cosine leaves cos(2*pi*t/m), t = 0..m-1, as enclosures
-    (read through ``rotlat.cyclo._cos_table``, so ``widen_leaves`` applies)."""
-    shift, lo, hi = rotlat.cyclo._cos_table(m, prec)
+def cos_enclosures(m, prec, embed=False):
+    """The package's cosine leaves cos(2*pi*t/m), t = 0..m-1, as enclosures:
+    the integer leaves ``rotlat.cyclo._cos_table`` that positivity and the
+    norm search read, or with ``embed`` the mpmath leaves
+    ``rotlat.gram._embed_cos_table`` that the embed rows read (each looked
+    up at call time, so ``widen_leaves`` applies)."""
+    table = sys.modules["rotlat.gram"]._embed_cos_table if embed else rotlat.cyclo._cos_table
+    shift, lo, hi = table(m, prec)
     d = 1 << shift
     return tuple(Enclosure(Fraction(a, d), Fraction(b, d)) for a, b in zip(lo, hi))
 
@@ -178,10 +182,11 @@ def conjugates(x, field, prec):
 # -- Enclosure-arithmetic oracles ---------------------------------------------
 
 
-def embedding_enclosures_oracle(x, reps, prec):
-    """The real embeddings of x as an interval sum of the cosine leaves, each
-    scaled by its numerator, the sum scaled by 1/den."""
-    table = cos_enclosures(x.m, prec)
+def embedding_enclosures_oracle(x, reps, prec, embed=False):
+    """The real embeddings of x as an interval sum of the cosine leaves
+    (``cos_enclosures(x.m, prec, embed)``), each scaled by its numerator,
+    the sum scaled by 1/den."""
+    table = cos_enclosures(x.m, prec, embed)
     out = []
     for k in reps:
         acc = Enclosure(Fraction(0), Fraction(0))
@@ -198,13 +203,13 @@ def enclosure_rows_oracle_at(module, work, precision):
     unresolved or an entry is wider than 2^-(precision+4) relative."""
     reps = embedding_reps(module.field)
     target = Fraction(1, 1 << (precision + 4))
-    alpha_enc = embedding_enclosures_oracle(module.alpha, reps, work)
+    alpha_enc = embedding_enclosures_oracle(module.alpha, reps, work, embed=True)
     if not all(e.is_positive for e in alpha_enc):
         return None
     roots = [e.sqrt(work) for e in alpha_enc]
     inv_scale = Enclosure(Fraction(module.c), Fraction(module.c)).sqrt(work).reciprocal()
     rows = [[(root * cell) * inv_scale
-             for root, cell in zip(roots, embedding_enclosures_oracle(g, reps, work))]
+             for root, cell in zip(roots, embedding_enclosures_oracle(g, reps, work, embed=True))]
             for g in module.gamma]
     if any(cell.width > target * max(1, abs(cell.mid)) for row in rows for cell in row):
         return None
@@ -225,20 +230,21 @@ def enclosure_rows_oracle(module, precision):
 
 
 def widen_leaves(monkeypatch, at, bits):
-    """Widen the cosine leaves by 2^-bits on each side at the working
-    precisions ``at`` (all of them when None); returns the precisions asked for."""
-    real = rotlat.cyclo._cos_table
+    """Widen the cosine leaves of both tables (``cos_enclosures``) by
+    2^-bits on each side at the working precisions ``at`` (all of them
+    when None); returns the precisions asked for."""
     asked = []
+    gram = sys.modules["rotlat.gram"]
+    for owner, name in ((rotlat.cyclo, "_cos_table"), (gram, "_embed_cos_table")):
+        def widened(m, prec, real=getattr(owner, name)):
+            asked.append(prec)
+            shift, lo, hi = real(m, prec)
+            if at is None or prec in at:
+                pad = 1 << (shift - bits)
+                return shift, tuple(a - pad for a in lo), tuple(b + pad for b in hi)
+            return shift, lo, hi
 
-    def widened(m, prec):
-        asked.append(prec)
-        shift, lo, hi = real(m, prec)
-        if at is None or prec in at:
-            pad = 1 << (shift - bits)
-            return shift, tuple(a - pad for a in lo), tuple(b + pad for b in hi)
-        return shift, lo, hi
-
-    monkeypatch.setattr(rotlat.cyclo, "_cos_table", widened)
+        monkeypatch.setattr(owner, name, widened)
     return asked
 
 

@@ -416,8 +416,16 @@ print("mpmath" in sys.modules)
     (["-c", "import rotlat, sys; print('mpmath' in sys.modules)"], False),
     (["-c", _DASH_M_THEN_MPMATH, "table1"], False),
     (["-c", _DASH_M_THEN_MPMATH, "feasibility", "--family", "pow2", "--r", "11"], False),
-    # the positive control: a build checks total positivity by enclosures
-    (["-c", "import rotlat, sys; rotlat.build('p31', r=5); print('mpmath' in sys.modules)"], True),
-], ids=["import", "table1", "feasibility", "build"])
-def test_closed_form_commands_never_load_mpmath(args, loaded):
+    # construct, verify and a build prove total positivity with integer leaves
+    (["-c", _DASH_M_THEN_MPMATH, "construct", "--construction", "p31", "--r", "5",
+      "--out", "{dir}/out.json"], False),
+    (["-c", _DASH_M_THEN_MPMATH, "verify", "{module}"], False),
+    (["-c", "import rotlat, sys; rotlat.build('p31', r=5); print('mpmath' in sys.modules)"], False),
+    # the positive control: the embed rows read mpmath's leaves
+    (["-c", _DASH_M_THEN_MPMATH, "embed", "{module}", "--out", "{dir}/e.csv"], True),
+], ids=["import", "table1", "feasibility", "construct", "verify", "build", "embed"])
+def test_closed_form_commands_never_load_mpmath(args, loaded, tmp_path):
+    module = tmp_path / "p31_r5.json"
+    module.write_text(json.dumps(module_to_json(get_module("p31", r=5))))
+    args = [a.format(dir=tmp_path, module=module) for a in args]
     assert run_fresh(*args).splitlines()[-1] == str(loaded)

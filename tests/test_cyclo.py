@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from rotlat.cyclo import (
     CycloElt,
+    _cos_table,
     cyclotomic_polynomial,
     real_embedding_bounds,
     trace_abs,
@@ -306,15 +307,39 @@ def test_real_embedding_enclosures_width_shrinks():
 
 
 def test_cos_leaves_are_the_directed_rounding_endpoints():
-    # one power-of-two denominator, the same values as mpmath.iv gives
+    # the embed's leaves: one power-of-two denominator, the same values as
+    # mpmath.iv gives
     old, mpmath.iv.prec = mpmath.iv.prec, 40
     try:
         expected = [mpmath.iv.cos(2 * mpmath.iv.pi * t / 7)._mpi_ for t in range(7)]
     finally:
         mpmath.iv.prec = old
-    for ends, got in zip(expected, cos_enclosures(7, 40)):
+    for ends, got in zip(expected, cos_enclosures(7, 40, embed=True)):
         lo, hi = (Fraction((-1) ** sign * man) * Fraction(2) ** exp for sign, man, exp, _ in ends)
         assert (got.lo, got.hi) == (lo, hi)
+
+
+@pytest.mark.parametrize("m, prec", [
+    *((m, prec) for m in (1, 2, 3, 4, 7, 8, 15, 16, 20, 77, 257, 2048)
+      for prec in (8, 16, 64, 144, 1024)),
+    (16, 8192),  # the total-positivity precision cap
+])
+def test_integer_cos_leaves_enclose_and_mirror(m, prec):
+    # each leaf holds cos(2*pi*t/m) as mpmath gives it at 4*prec + 64 bits
+    # (up to that oracle's own error), is at most 2 units of 2^-prec wide,
+    # is exact at 0 and +-1, and t and m - t share a leaf
+    shift, lo, hi = _cos_table(m, prec)
+    assert shift == prec
+    work = 4 * prec + 64
+    with mpmath.workprec(work):
+        slack = mpmath.ldexp(1, 16 - work)
+        for t in range(m // 2 + 1):
+            true = mpmath.cos(2 * mpmath.pi * t / m)
+            assert mpmath.ldexp(lo[t], -prec) - slack <= true <= mpmath.ldexp(hi[t], -prec) + slack
+    assert all(0 <= b - a <= 2 for a, b in zip(lo, hi))
+    assert all((lo[t], hi[t]) == (lo[m - t], hi[m - t]) for t in range(1, m))
+    exact = [(0, 1)] + [(m // 2, -1)] * (m % 2 == 0) + [(m // 4, 0)] * (m % 4 == 0)
+    assert all((lo[t], hi[t]) == (v << prec, v << prec) for t, v in exact)
 
 
 @settings(max_examples=40, deadline=None)
