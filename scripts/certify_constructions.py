@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Certify the full battery of lattice constructions and print the evidence:
 per-check verdicts, the exact determinant identity, the module's index in
-the ring of integers, and ideal-closure status."""
+the ring of integers, and ideal-closure status.  Exits 1 when a module is
+not certified or its determinant identity fails."""
 
 import argparse
+import sys
 import time
 import warnings
 
@@ -45,6 +47,7 @@ def main():
     args = parser.parse_args()
 
     warnings.simplefilter("ignore", RuntimeWarning)
+    failed = 0
     for code, params in BATTERY:
         started = time.monotonic()
         module = build(code, **params)
@@ -64,7 +67,9 @@ def main():
         if args.norm_bound:
             print(f"   {norm_line(module, args.norm_bound)}")
         print()
+        failed += not (report.verdict and det_g == det_f)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

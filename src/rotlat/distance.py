@@ -6,7 +6,10 @@ value, i.e. the n-th root of the relative minimum product distance).
 A coefficient-box search over the module provides the independent
 check of the minimum-norm assumption behind the closed forms: exact
 determinants, with vectors that certified integer embedding bounds prove
-no smaller than the current minimum passed over.
+no smaller than the current minimum passed over.  The box is scanned one
+sup-norm shell at a time, smallest coefficients first, so a unit of small
+coefficients ends the search early (Fincke & Pohst's enumeration by
+increasing size, applied to the norm form).
 """
 
 from __future__ import annotations
@@ -186,29 +189,38 @@ def _embedding_steps(module: TwistedModule, coeff_bound: int):
 
 
 def _pruning_bounds(steps, coeff_bound: int):
-    """Each nonzero vector a of the box in lexicographic order, with
+    """Each nonzero vector a of the box, one sup-norm shell at a time, with
     prod_j max(lo_j, -hi_j, 0): a lower bound of D^n |N(x)|, where
     [lo_j, hi_j] is the interval sum of ``steps[i][a_i]`` enclosing
-    D sigma_j(x).  Prefix sums are kept per depth, so a vector costs n
-    additions per bound beyond its shared prefix."""
-    span = range(-coeff_bound, coeff_bound + 1)
+    D sigma_j(x).
+
+    Shell k (k = 1, ..., coeff_bound) holds the vectors with max |a_i| = k,
+    in the product order over the alphabet 0, -1, 1, ..., -k, k with the
+    last coordinate changing fastest; a head with no coordinate equal to
+    +-k lies in the inner box and takes only the last coordinates -k and k.
+    Prefix sums are kept per depth and reset at each shell, so a vector
+    costs n additions per bound beyond its shared prefix."""
     n = len(steps)
     zeros = [0] * n
     sums = [(zeros, zeros)] * n  # sums[d]: the bounds of the first d terms
-    prev: tuple[int, ...] = ()
-    for head in itertools.product(span, repeat=n - 1):
-        changed = 0
-        while changed < len(prev) and head[changed] == prev[changed]:
-            changed += 1
-        for d in range(changed, n - 1):
-            lo, nhi = sums[d]
-            step_lo, step_nhi = steps[d][head[d] + coeff_bound]
-            sums[d + 1] = (list(map(add, lo, step_lo)), list(map(add, nhi, step_nhi)))
-        prev = head
-        lo, nhi = sums[n - 1]
-        zero_head = not any(head)
-        for c, (step_lo, step_nhi) in zip(span, steps[n - 1]):
-            if c or not zero_head:
+    edge = [False] * n  # edge[d]: some of the first d terms is +-k
+    for k in range(1, coeff_bound + 1):
+        alphabet = [0] + [s * c for c in range(1, k + 1) for s in (-1, 1)]
+        last = [(c, steps[n - 1][c + coeff_bound]) for c in alphabet]
+        rim = last[-2:]  # c = -k, k
+        prev: tuple[int, ...] = ()
+        for head in itertools.product(alphabet, repeat=n - 1):
+            changed = 0
+            while changed < len(prev) and head[changed] == prev[changed]:
+                changed += 1
+            for d in range(changed, n - 1):
+                lo, nhi = sums[d]
+                step_lo, step_nhi = steps[d][head[d] + coeff_bound]
+                sums[d + 1] = (list(map(add, lo, step_lo)), list(map(add, nhi, step_nhi)))
+                edge[d + 1] = edge[d] or abs(head[d]) == k
+            prev = head
+            lo, nhi = sums[n - 1]
+            for c, (step_lo, step_nhi) in last if edge[n - 1] else rim:
                 lows = map(max, map(add, lo, step_lo), map(add, nhi, step_nhi), zeros)
                 yield head + (c,), math.prod(lows)
 
@@ -219,10 +231,13 @@ def min_norm_search(
     """Exact minimum of |norm| over nonzero integer combinations of gamma
     with coefficients bounded by coeff_bound, plus a witness vector.
 
-    Vectors are scanned in lexicographic order, so the witness is the
-    lexicographically smallest vector attaining the minimum.  The scan
-    stops early once a norm of 1 appears (no nonzero algebraic integer
-    can do better); a budget overrun returns a partial, flagged result.
+    Vectors are scanned by increasing sup-norm, one shell at a time (see
+    ``_pruning_bounds`` for the order within a shell), so the witness is
+    the first vector of that order attaining the minimum.  The scan stops
+    early once a norm of 1 appears (no nonzero algebraic integer can do
+    better), which for a module holding a unit of small coefficients
+    happens in the first shell; a budget overrun returns a partial result,
+    flagged and warned about.
 
     Every reported norm is an exact determinant.  A vector is passed over
     only when its certified integer embedding bounds prove |N(x)| >= the
@@ -234,15 +249,6 @@ def min_norm_search(
         raise ValueError("coeff_bound must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    n = module.field.n
-    box = (2 * coeff_bound + 1) ** n - 1
-    if box > budget:
-        warnings.warn(
-            f"norm search box of {box} vectors exceeds the work budget {budget}; "
-            "the result may be partial",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     mats = _mult_matrices(module)
     steps, scale = _embedding_steps(module, coeff_bound)
     best: int | None = None
@@ -250,6 +256,13 @@ def min_norm_search(
     evaluated = determinants = 0
     for a, lower in _pruning_bounds(steps, coeff_bound):
         if evaluated >= budget:
+            box = (2 * coeff_bound + 1) ** module.field.n - 1
+            warnings.warn(
+                f"norm search of a box of {box} vectors stopped at the work budget "
+                f"{budget}; the result is partial",
+                RuntimeWarning,
+                stacklevel=2,
+            )
             return NormSearchResult(best, witness, False, evaluated, determinants)
         evaluated += 1
         if best is not None and lower >= best * scale:

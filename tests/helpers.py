@@ -310,9 +310,19 @@ def inverse_rational(rows):
 # -- the minimum-norm oracle ---------------------------------------------------
 
 
+def box_in_scan_order(coeff_bound, n):
+    """Every nonzero vector of the coefficient box in the norm search's
+    order: sup-norm first, then the product order over the alphabet
+    0, -1, 1, -2, 2, ... (last coordinate fastest)."""
+    box = itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=n)
+    return sorted((a for a in box if any(a)),
+                  key=lambda a: (max(map(abs, a)), tuple(2 * abs(x) - (x < 0) for x in a)))
+
+
 def min_norm_search_oracle(module, coeff_bound, budget=NORM_SEARCH_BUDGET):
     """``min_norm_search`` without pruning: one exact determinant for every
-    vector of the box, scanned in lexicographic order."""
+    vector of the box, in the order of ``box_in_scan_order``, which sorts
+    the box independently of the search's own walk."""
     K = module.field
     n = K.n
     mats = [[integral_coords(K, g * w) for w in K.basis] for g in module.gamma]
@@ -320,9 +330,7 @@ def min_norm_search_oracle(module, coeff_bound, budget=NORM_SEARCH_BUDGET):
     best = None
     witness = ()
     evaluated = 0
-    for a in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=n):
-        if not any(a):
-            continue
+    for a in box_in_scan_order(coeff_bound, n):
         if evaluated >= budget:
             return NormSearchResult(best, witness, False, evaluated, evaluated)
         evaluated += 1

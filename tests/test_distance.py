@@ -1,4 +1,3 @@
-import itertools
 import warnings
 from fractions import Fraction
 from math import prod
@@ -30,6 +29,7 @@ from helpers import (
     BATTERY,
     PUBLISHED_CELLS,
     agrees_significant,
+    box_in_scan_order,
     get_module,
     min_norm_search_oracle,
     widen_leaves,
@@ -166,17 +166,16 @@ def test_min_norm_search_p31_minimum_two():
         assert res.exhaustive
 
 
-def test_min_norm_search_witness_is_lex_smallest():
-    res = min_norm_search(get_module("p32", p=7), 1)
+def test_min_norm_search_witness_is_first_in_scan_order():
+    m = get_module("p34", r=3, p=5)
+    res = min_norm_search(m, 1)
     # rescan the box: no attaining vector may precede the witness
     from rotlat import element_from_coords
 
-    m = get_module("p32", p=7)
-    for a in itertools.product(range(-1, 2), repeat=3):
-        if a == res.witness:
-            break
-        if any(a):
-            assert abs(norm_real(element_from_coords(m, a), m.field)) > res.min_abs_norm
+    box = box_in_scan_order(1, 4)
+    assert box.index(res.witness) == res.evaluated - 1 > 0
+    for a in box[:res.evaluated - 1]:
+        assert abs(norm_real(element_from_coords(m, a), m.field)) > res.min_abs_norm
 
 
 def test_norm_homogeneity_of_witness():
@@ -190,12 +189,12 @@ def test_norm_homogeneity_of_witness():
 
 
 def test_min_norm_budget_flagging():
-    m = get_module("p32", p=7)
+    m = get_module("p31", r=4)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning):
             min_norm_search(m, 2, budget=5)
-    # the first unit norm appears later than 5 vectors into the box, so a
+    # the minimum is 2, so no unit ends the scan of the 624-vector box: a
     # budget of 5 must return a partial, flagged result
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -203,6 +202,24 @@ def test_min_norm_budget_flagging():
     assert not res.exhaustive
     assert res.evaluated == 5
     assert res.min_abs_norm >= 1
+
+
+def test_min_norm_search_warns_only_when_the_budget_stops_it():
+    # the box 3^15 - 1 is far beyond the budget, but a unit lies in the
+    # first shell, so the scan ends exhaustively with no warning
+    m = get_module("p37", p1=7, p2=11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = min_norm_search(m, 1)
+    assert (res.min_abs_norm, res.exhaustive, res.evaluated) == (1, True, 3)
+
+
+def test_min_norm_search_finds_the_unit_of_p34_in_the_first_shell():
+    # a lexicographic scan of the same box passes 81,387 vectors first
+    res = min_norm_search(get_module("p34", r=4, p=5), 2)
+    assert (res.min_abs_norm, res.exhaustive) == (1, True)
+    assert res.witness == (-1, 0, 0, 0, 0, 0, 0, 0)
+    assert res.evaluated == 2187 == 3**7
 
 
 def test_min_norm_rejects_bad_bound():
@@ -258,16 +275,15 @@ def test_min_norm_budget_overrun_matches_the_oracle(code, params, budget):
 
 
 def test_pruning_bounds_are_certified():
-    # the walk yields every nonzero box vector in lexicographic order, each
-    # with a lower bound of D^n |N(x)| that the exact norm respects
+    # the walk yields every nonzero box vector in shell order, each with a
+    # lower bound of D^n |N(x)| that the exact norm respects
     module = get_module("p34", r=3, p=5)
     steps, scale = _embedding_steps(module, 2)
     walked = list(_pruning_bounds(steps, 2))
-    box = [a for a in itertools.product(range(-2, 3), repeat=4) if any(a)]
-    assert [a for a, _ in walked] == box
+    assert [a for a, _ in walked] == box_in_scan_order(2, 4)
     mats = _mult_matrices(module)
     assert all(lower <= scale * _abs_norm(mats, a) for a, lower in walked)
-    assert sum(lower > 0 for _, lower in walked) > len(box) // 2
+    assert sum(lower > 0 for _, lower in walked) > len(walked) // 2
 
 
 def test_min_norm_search_bounds_only_prune(monkeypatch):
@@ -296,6 +312,21 @@ def test_table_k4_row_emits_both_and_flags():
     assert not agrees_significant(rec["K4"], "0.1380198")
     assert "0.1380198" in rec["note"]
     assert "disagrees" in rec["note"]
+
+
+def test_table_k4_n15_cell_from_the_built_module():
+    # second route to the flagged cell: N(alpha) and the proven minimum
+    # norm of the built p37(7, 11) module, not the closed-form tables
+    m = get_module("p37", p1=7, p2=11)
+    n = m.field.n
+    norm_alpha = norm_real(m.alpha, m.field)
+    found = min_norm_search(m, 1)
+    assert (n, norm_alpha, m.c) == (15, 22370117, 77)
+    assert (found.min_abs_norm, found.exhaustive) == (1, True)
+    value = float(Fraction(norm_alpha * found.min_abs_norm**2, (2 * m.c) ** n)) ** (1 / (2 * n))
+    cell = {r["n"]: r for r in table1()}[15]["K4"]
+    assert f"{value:.6g}" == f"{cell:.6g}" == "0.141654"
+    assert not agrees_significant(value, "0.1380198")
 
 
 def test_table_csv_layout():

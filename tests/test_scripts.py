@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 from helpers import BATTERY, get_module
+from rotlat.verify import VerificationReport
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -42,6 +43,16 @@ def test_certify_constructions_searches_every_box_within_the_budget():
     assert len(norms) == len(BATTERY) == 11
     assert "skipped" not in done.stdout
     assert all(line.rstrip().endswith(" determinants)") for line in norms)
+
+
+def test_certify_constructions_exits_1_when_a_module_fails(monkeypatch, capsys):
+    script = _load("certify_constructions")
+    failing = VerificationReport(checks=(("ambient Z^n", False),), verdict=False, transform=None)
+    monkeypatch.setattr(script, "BATTERY", [("p32", {"p": 7})])
+    monkeypatch.setattr(script, "verify_rotated_dn", lambda module: failing)
+    monkeypatch.setattr(sys, "argv", ["certify_constructions"])
+    assert script.main() == 1
+    assert "NOT certified" in capsys.readouterr().out
 
 
 def test_certify_constructions_skips_a_box_beyond_the_budget():
