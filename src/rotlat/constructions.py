@@ -10,11 +10,10 @@ the module divided by sqrt(c).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cyclo import CycloElt
 from .fields import (
@@ -33,8 +32,7 @@ from .linalg import pivot_inverse, sparse_vec_mat
 from .numtheory import is_prime
 
 
-@dataclass(frozen=True)
-class TwistedModule:
+class TwistedModule(NamedTuple):
     field: FieldDesc
     gamma: tuple[CycloElt, ...]
     alpha: CycloElt
@@ -82,8 +80,7 @@ def _p32_check(q: dict) -> None:
         raise ValueError("p must be a prime >= 7")
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(NamedTuple):
     """One module construction.  ``scale`` and ``norm_alpha`` give c and
     N(alpha) as prime -> exponent tables from the checked parameters and
     the factor degrees, so closed forms never need the field built."""
@@ -235,15 +232,13 @@ def element_from_coords(module: TwistedModule, coords) -> CycloElt:
 # -- ideal test -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdealityWitness:
+class IdealityWitness(NamedTuple):
     basis_factor: CycloElt  # a ring generator (``FieldDesc.generators``)
     module_factor: CycloElt
     product: CycloElt
 
 
-@dataclass(frozen=True)
-class IdealCheck:
+class IdealCheck(NamedTuple):
     is_ideal: bool
     witness: IdealityWitness | None
 

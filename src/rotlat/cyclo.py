@@ -28,10 +28,10 @@ this module needs mpmath, and construct and verify never load it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import attrgetter
 
 from .numtheory import divisors, euler_phi, mobius
 
@@ -109,30 +109,67 @@ def _clear(values) -> tuple[list[int], int]:
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
-@dataclass(frozen=True)
-class CycloElt:
+class Value:
+    """Base of the value types that validate or normalise on construction.
+
+    The constructor sets each attribute once (through ``object.__setattr__``);
+    assignment and deletion raise AttributeError afterwards.  ==, hash, repr
+    and pickling read the fields named in ``_fields``, in order: a value
+    equals only a value of its own class, and hashes as the tuple of those
+    fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = property(attrgetter(*cls._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._key
+
+
+class CycloElt(Value):
     """Element of Q(zeta_m): phi(m) integer numerators ``num`` over the power
     basis and one denominator ``den`` > 0, in lowest terms, so == and hash
     are value equality."""
 
-    m: int
-    num: tuple[int, ...]
-    den: int = 1
+    __slots__ = _fields = ("m", "num", "den")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, num: tuple[int, ...], den: int = 1):
+        if m < 1:
             raise ValueError("conductor must be positive")
-        if len(self.num) != euler_phi(self.m):
+        if len(num) != euler_phi(m):
             raise ValueError(
-                f"conductor {self.m} needs {euler_phi(self.m)} coefficients, "
-                f"got {len(self.num)}"
+                f"conductor {m} needs {euler_phi(m)} coefficients, got {len(num)}"
             )
-        if self.den < 1:
+        if den < 1:
             raise ValueError("denominator must be positive")
-        g = gcd(self.den, *self.num)  # also rejects non-integer numerators
+        g = gcd(den, *num)  # also rejects non-integer numerators
         if g != 1:
-            object.__setattr__(self, "num", tuple(c // g for c in self.num))
-            object.__setattr__(self, "den", self.den // g)
+            num, den = tuple(c // g for c in num), den // g
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

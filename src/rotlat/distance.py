@@ -17,9 +17,9 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from typing import NamedTuple
 
 from .constructions import TwistedModule, lookup
 from .cyclo import real_embedding_bounds
@@ -97,8 +97,7 @@ def exponents_to_square_radicand(table: ExponentTable) -> tuple[int, int]:
     return square, radicand
 
 
-@dataclass(frozen=True)
-class DistanceResult:
+class DistanceResult(NamedTuple):
     dp_unscaled: tuple[int, int]  # (square_part, radicand)
     dp_rel: tuple[tuple[int, Fraction], ...]  # prime-exponent table
     dp_rel_per_dim: float
@@ -134,8 +133,7 @@ def dp_closed_form(module: TwistedModule, confirm_bound: int | None = None) -> D
 # -- minimum-norm oracle -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormSearchResult:
+class NormSearchResult(NamedTuple):
     min_abs_norm: int
     witness: tuple[int, ...]
     exhaustive: bool
@@ -279,8 +277,7 @@ def min_norm_search(
 # -- the published comparison table -------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     n: int
     p: int | None = None
     r: int | None = None

@@ -18,7 +18,7 @@ integral basis and no discriminant is built.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .fields import FieldDesc, discriminant_2adic_valuation, fixing_subgroup
 from .numtheory import euler_phi, order_in_quotient, v2
@@ -29,8 +29,7 @@ VERDICT_NECESSARY_HOLDS = "NecessaryConditionHolds"
 VERDICT_KNOWN_CONSTRUCTION = "KnownConstruction"
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     e: int
     f: int
     g: int
@@ -40,7 +39,7 @@ class FeasibilityReport:
     rule: str
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def splitting_of_two(field: FieldDesc) -> tuple[int, int, int]:

@@ -29,21 +29,19 @@ check that the result reproduces x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, prod
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .cyclo import CycloElt, real_embedding_bounds, trace_abs, trace_form
+from .cyclo import CycloElt, Value, real_embedding_bounds, trace_abs, trace_form
 from .linalg import det_int, pivot_inverse, sparse_vec_mat
 from .numtheory import crt, euler_phi, is_prime
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     """A field Q(zeta_m + zeta_m^-1) named by one integer parameter.
 
     ``exponents`` lists the integral basis, each element as the exponents
@@ -86,16 +84,19 @@ FAMILIES: dict[str, tuple[tuple[str, Factor], ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class FieldDesc:
+class FieldDesc(Value):
     """A totally real field from one of the four supported families, as
     its invariants; ``disc``, ``basis`` and ``generators`` are built on
-    first read."""
+    first read (``cached_property`` fills the instance dict directly, so
+    the refused assignment does not stop it)."""
 
-    family: str
-    params: tuple[tuple[str, int], ...]
-    m: int
-    n: int
+    _fields = ("family", "params", "m", "n")
+
+    def __init__(self, family: str, params: tuple[tuple[str, int], ...], m: int, n: int):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     def param(self, name: str) -> int:
         return dict(self.params)[name]

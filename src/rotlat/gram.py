@@ -7,12 +7,11 @@ floating embedding matrices with certified error control.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-from .cyclo import CycloElt, _sum_leaves, trace_form
+from .cyclo import CycloElt, Value, _sum_leaves, trace_form
 from .constructions import TwistedModule, module_index
 from .fields import embedding_reps, norm_real
 from .linalg import gram_schmidt
@@ -20,33 +19,33 @@ from .linalg import gram_schmidt
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(Value):
     """Symmetric positive-definite rational matrix: integer numerators
     ``num`` over one denominator ``den`` > 0, in lowest terms, so == and
-    hash are value equality.  ``minors`` (the leading principal minors)
-    and ``lam`` are the integral Gram-Schmidt data of ``num``, from one
-    ``linalg.gram_schmidt`` pass (the positive-definiteness test)."""
+    hash are value equality (over num, den and scale_applied).  ``minors``
+    (the leading principal minors) and ``lam`` are the integral
+    Gram-Schmidt data of ``num``, from one ``linalg.gram_schmidt`` pass
+    (the positive-definiteness test)."""
 
-    num: tuple[tuple[int, ...], ...]
-    den: int = 1
-    scale_applied: Fraction = _ONE
-    minors: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
-    lam: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
+    __slots__ = ("num", "den", "scale_applied", "minors", "lam")
+    _fields = ("num", "den", "scale_applied")
 
-    def __post_init__(self):
-        n = len(self.num)
-        if any(len(row) != n for row in self.num):
+    def __init__(self, num: tuple[tuple[int, ...], ...], den: int = 1,
+                 scale_applied: Fraction = _ONE):
+        n = len(num)
+        if any(len(row) != n for row in num):
             raise ValueError("Gram matrix must be square")
-        if any(self.num[i][j] != self.num[j][i] for i in range(n) for j in range(i)):
+        if any(num[i][j] != num[j][i] for i in range(n) for j in range(i)):
             raise ValueError("Gram matrix must be symmetric")
-        if self.den < 1:
+        if den < 1:
             raise ValueError("denominator must be positive")
-        g = gcd(self.den, *(e for row in self.num for e in row))  # rejects non-integers
+        g = gcd(den, *(e for row in num for e in row))  # rejects non-integers
         if g != 1:
-            object.__setattr__(self, "num", tuple(tuple(e // g for e in row) for row in self.num))
-            object.__setattr__(self, "den", self.den // g)
-        d, lam = gram_schmidt(self.num)
+            num, den = tuple(tuple(e // g for e in row) for row in num), den // g
+        d, lam = gram_schmidt(num)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "scale_applied", scale_applied)
         object.__setattr__(self, "minors", tuple(d[1:]))
         object.__setattr__(self, "lam", tuple(map(tuple, lam)))
 

@@ -18,7 +18,7 @@ not a complete isometry test.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclo import CycloElt
 from .constructions import TwistedModule, module_index
@@ -104,8 +104,7 @@ def verify_ambient_zn(field: FieldDesc, alpha: CycloElt, c: int):
     return False, None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[tuple[str, bool], ...]
     verdict: bool
     transform: tuple[tuple[int, ...], ...] | None

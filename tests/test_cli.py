@@ -399,32 +399,37 @@ def test_python_dash_m_runs_from_a_checkout():
     assert run_fresh("-m", "rotlat", "--help").startswith("usage: rotlat ")
 
 
-# Runs ``python -m rotlat <args>`` in this interpreter, then reports whether
-# mpmath was loaded.
-_DASH_M_THEN_MPMATH = """
+# Which of the modules a cold command should not pay for are loaded: mpmath
+# (only the embed rows read its leaves), and dataclasses with the inspect
+# module it pulls in (their class generation ran at every start).
+_LOADED = "print([name for name in ('mpmath', 'dataclasses', 'inspect') if name in sys.modules])"
+
+# Runs ``python -m rotlat <args>`` in this interpreter, then reports what it loaded.
+_DASH_M_THEN_LOADED = """
 import runpy, sys
 try:
     runpy.run_module("rotlat", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     if exc.code:
         raise
-print("mpmath" in sys.modules)
-"""
+""" + _LOADED
 
 
 @pytest.mark.parametrize("args, loaded", [
-    (["-c", "import rotlat, sys; print('mpmath' in sys.modules)"], False),
-    (["-c", _DASH_M_THEN_MPMATH, "table1"], False),
-    (["-c", _DASH_M_THEN_MPMATH, "feasibility", "--family", "pow2", "--r", "11"], False),
+    (["-c", "import rotlat, sys; " + _LOADED], []),
+    (["-c", _DASH_M_THEN_LOADED, "table1"], []),
+    (["-c", _DASH_M_THEN_LOADED, "feasibility", "--family", "pow2", "--r", "11"], []),
     # construct, verify and a build prove total positivity with integer leaves
-    (["-c", _DASH_M_THEN_MPMATH, "construct", "--construction", "p31", "--r", "5",
-      "--out", "{dir}/out.json"], False),
-    (["-c", _DASH_M_THEN_MPMATH, "verify", "{module}"], False),
-    (["-c", "import rotlat, sys; rotlat.build('p31', r=5); print('mpmath' in sys.modules)"], False),
-    # the positive control: the embed rows read mpmath's leaves
-    (["-c", _DASH_M_THEN_MPMATH, "embed", "{module}", "--out", "{dir}/e.csv"], True),
+    (["-c", _DASH_M_THEN_LOADED, "construct", "--construction", "p31", "--r", "5",
+      "--out", "{dir}/out.json"], []),
+    (["-c", _DASH_M_THEN_LOADED, "verify", "{module}"], []),
+    (["-c", "import rotlat, sys; rotlat.build('p31', r=5); " + _LOADED], []),
+    # the positive control: the embed rows read mpmath's leaves, and mpmath
+    # loads neither dataclasses nor inspect
+    (["-c", _DASH_M_THEN_LOADED, "embed", "{module}", "--out", "{dir}/e.csv"], ["mpmath"]),
 ], ids=["import", "table1", "feasibility", "construct", "verify", "build", "embed"])
 def test_closed_form_commands_never_load_mpmath(args, loaded, tmp_path):
+    # also: no command loads dataclasses or inspect
     module = tmp_path / "p31_r5.json"
     module.write_text(json.dumps(module_to_json(get_module("p31", r=5))))
     args = [a.format(dir=tmp_path, module=module) for a in args]

@@ -20,6 +20,8 @@ from rotlat import (
     module_to_json,
 )
 from rotlat.constructions import coordinate_matrix
+from rotlat.fields import FieldDesc
+from rotlat.gram import gram
 from rotlat.distance import lattice_dimension
 from helpers import get_module, inverse_rational, BATTERY
 
@@ -34,6 +36,30 @@ def test_p34_3_5_basis_exactly():
     b1 = CycloElt.zeta_pair(5, 1).lift(40)
     assert m.alpha == (2 - e1) * (2 - b1)
     assert m.c == 20
+
+
+def test_cache_key_values_refuse_assignment():
+    # modules and fields key lru caches (coordinate_matrix, _gamma_solver,
+    # embedding_reps, _basis_solver, fixing_subgroup), elements sit inside
+    # those keys, and a Gram matrix's minors and lam derive from num
+    module = get_module("p31", r=5)
+    G = gram(module)
+    fresh = FieldDesc(*(getattr(module.field, name) for name in ("family", "params", "m", "n")))
+    # the field's derived data fills on first read
+    assert not {"basis", "disc", "generators"} & set(vars(fresh))
+    assert (fresh.basis, fresh.disc, fresh.generators) == \
+        (module.field.basis, module.field.disc, module.field.generators)
+    assert {"basis", "disc", "generators"} <= set(vars(fresh))
+    cases = [(module, "c"), (module, "gamma"), (module.field, "m"), (fresh, "disc"),
+             (fresh, "basis"), (module.alpha, "num"), (module.alpha, "den"), (G, "num"),
+             (G, "minors")]
+    for value, name in cases:
+        before = (value, hash(value))
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            setattr(value, "extra", None)
+        assert (value, hash(value)) == before
 
 
 def test_p32_7_basis_exactly():

@@ -4,9 +4,13 @@ import importlib.util
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
+import pytest
+
 from helpers import BATTERY, get_module
+from rotlat.distance import min_norm_search
 from rotlat.verify import VerificationReport
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,9 +59,22 @@ def test_certify_constructions_exits_1_when_a_module_fails(monkeypatch, capsys):
     assert "NOT certified" in capsys.readouterr().out
 
 
-def test_certify_constructions_skips_a_box_beyond_the_budget():
-    line = _load("certify_constructions").norm_line(get_module("p31", r=5), 6)
-    assert line == f"skipped: box of {13**8 - 1} vectors exceeds the budget"
+def test_certify_constructions_searches_a_box_beyond_the_budget_that_holds_a_unit():
+    # 5^10 - 1 vectors, past the budget, but a unit turns up in the first shell
+    line = _load("certify_constructions").norm_line(get_module("p37", p1=5, p2=11), 2)
+    assert line.startswith("min |norm| over box 2: 1 at ")
+    assert line.endswith(" (3 vectors, 3 determinants)")
+
+
+def test_certify_constructions_marks_a_search_stopped_at_the_budget_partial(monkeypatch):
+    # a small budget: the full box 6 of p31 r=5 is 13^8 - 1 vectors
+    script = _load("certify_constructions")
+    monkeypatch.setattr(script, "min_norm_search", partial(min_norm_search, budget=20_000))
+    with pytest.warns(RuntimeWarning, match="stopped at the work budget 20000"):
+        line = script.norm_line(get_module("p31", r=5), 6)
+    assert line.startswith("min |norm| over box 6: 2 at ")
+    assert line.endswith(" determinants), partial: the search stopped at its work budget")
+    assert "(20000 vectors, " in line
 
 
 def test_certify_constructions_battery_matches_the_tests():
