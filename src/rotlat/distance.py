@@ -5,11 +5,13 @@ exponents; floats appear only at the output boundary (the per-dimension
 value, i.e. the n-th root of the relative minimum product distance).
 A coefficient-box search over the module provides the independent
 check of the minimum-norm assumption behind the closed forms: exact
-determinants, with vectors that certified integer embedding bounds prove
-no smaller than the current minimum passed over.  The box is scanned one
-sup-norm shell at a time, smallest coefficients first, so a unit of small
-coefficients ends the search early (Fincke & Pohst's enumeration by
-increasing size, applied to the norm form).
+determinants of one of each pair +-x (|N(-x)| = |N(x)|).  Norms of
+nonzero module elements are positive integers, so a vector whose certified
+integer embedding bounds prove |N(x)| > best - 1 cannot beat the current
+minimum and is passed over.  The box is scanned one sup-norm shell at a
+time, smallest coefficients first, so a unit of small coefficients ends the
+search early (Fincke & Pohst's enumeration by increasing size, applied to
+the norm form).
 """
 
 from __future__ import annotations
@@ -109,7 +111,9 @@ def dp_closed_form(module: TwistedModule, confirm_bound: int | None = None) -> D
     """Closed-form minimum product distances for one of the four constructions.
 
     With confirm_bound set, the minimum-norm assumption is re-derived by
-    the brute-force search over that coefficient box.
+    ``min_norm_search`` over that coefficient box: exact norms of one of
+    each pair +-x, with vectors that provably cannot beat the minimum
+    passed over.
     """
     params = dict(module.field.params)
     code = module.construction
@@ -137,7 +141,7 @@ class NormSearchResult(NamedTuple):
     min_abs_norm: int
     witness: tuple[int, ...]
     exhaustive: bool
-    evaluated: int  # box vectors scanned
+    evaluated: int  # box vectors scanned, one of each pair +-x
     determinants: int  # exact norms computed; the rest were pruned
 
 
@@ -187,17 +191,22 @@ def _embedding_steps(module: TwistedModule, coeff_bound: int):
 
 
 def _pruning_bounds(steps, coeff_bound: int):
-    """Each nonzero vector a of the box, one sup-norm shell at a time, with
+    """One of each pair +-a of nonzero box vectors, the one whose first
+    nonzero coordinate is negative, one sup-norm shell at a time, with
     prod_j max(lo_j, -hi_j, 0): a lower bound of D^n |N(x)|, where
     [lo_j, hi_j] is the interval sum of ``steps[i][a_i]`` enclosing
     D sigma_j(x).
 
     Shell k (k = 1, ..., coeff_bound) holds the vectors with max |a_i| = k,
     in the product order over the alphabet 0, -1, 1, ..., -k, k with the
-    last coordinate changing fastest; a head with no coordinate equal to
-    +-k lies in the inner box and takes only the last coordinates -k and k.
-    Prefix sums are kept per depth and reset at each shell, so a vector
-    costs n additions per bound beyond its shared prefix."""
+    last coordinate changing fastest, which puts each walked vector before
+    its negative.  Heads whose leading nonzero is positive are never
+    generated: the all-zero head comes first and takes only the last
+    coordinate -k, then the heads whose first nonzero is at position i, for
+    i from the last head position down to 0.  A head with no coordinate
+    equal to +-k lies in the inner box and takes only the last coordinates
+    -k and k.  Prefix sums are kept per depth and reset at each shell, so a
+    vector costs n additions per bound beyond its shared prefix."""
     n = len(steps)
     zeros = [0] * n
     sums = [(zeros, zeros)] * n  # sums[d]: the bounds of the first d terms
@@ -206,8 +215,13 @@ def _pruning_bounds(steps, coeff_bound: int):
         alphabet = [0] + [s * c for c in range(1, k + 1) for s in (-1, 1)]
         last = [(c, steps[n - 1][c + coeff_bound]) for c in alphabet]
         rim = last[-2:]  # c = -k, k
+        c, (step_lo, step_nhi) = rim[0]
+        yield (0,) * (n - 1) + (c,), math.prod(map(max, step_lo, step_nhi, zeros))
+        heads = itertools.chain.from_iterable(
+            itertools.product(*[[0]] * i, alphabet[1::2], *[alphabet] * (n - 2 - i))
+            for i in reversed(range(n - 1)))
         prev: tuple[int, ...] = ()
-        for head in itertools.product(alphabet, repeat=n - 1):
+        for head in heads:
             changed = 0
             while changed < len(prev) and head[changed] == prev[changed]:
                 changed += 1
@@ -229,19 +243,23 @@ def min_norm_search(
     """Exact minimum of |norm| over nonzero integer combinations of gamma
     with coefficients bounded by coeff_bound, plus a witness vector.
 
-    Vectors are scanned by increasing sup-norm, one shell at a time (see
-    ``_pruning_bounds`` for the order within a shell), so the witness is
-    the first vector of that order attaining the minimum.  The scan stops
+    Since |N(-x)| = |N(x)|, only the vectors whose first nonzero coordinate
+    is negative are scanned: half the box, and ``evaluated`` and the budget
+    count those.  They are scanned by increasing sup-norm, one shell at a
+    time (see ``_pruning_bounds`` for the order within a shell); each comes
+    before its negative in the order over the whole box, so the witness is
+    the first vector of the box attaining the minimum.  The scan stops
     early once a norm of 1 appears (no nonzero algebraic integer can do
     better), which for a module holding a unit of small coefficients
     happens in the first shell; a budget overrun returns a partial result,
     flagged and warned about.
 
-    Every reported norm is an exact determinant.  A vector is passed over
-    only when its certified integer embedding bounds prove |N(x)| >= the
-    current minimum, so it could never replace it (Fincke & Pohst's
-    pruning, applied to the norm form); the first vector attaining each
-    new minimum always reaches the determinant.
+    Every reported norm is an exact determinant.  Gamma elements are
+    algebraic integers, so |N(x)| is a positive integer, and a certified
+    integer embedding bound above best - 1 proves |N(x)| >= best: such a
+    vector could never replace the current minimum and is passed over
+    (Fincke & Pohst's pruning, applied to the norm form).  The first
+    vector attaining each new minimum always reaches the determinant.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
@@ -250,20 +268,21 @@ def min_norm_search(
     mats = _mult_matrices(module)
     steps, scale = _embedding_steps(module, coeff_bound)
     best: int | None = None
+    cutoff = math.inf  # (best - 1) * D^n: a larger bound proves |N(x)| >= best
     witness: tuple[int, ...] = ()
     evaluated = determinants = 0
     for a, lower in _pruning_bounds(steps, coeff_bound):
         if evaluated >= budget:
             box = (2 * coeff_bound + 1) ** module.field.n - 1
             warnings.warn(
-                f"norm search of a box of {box} vectors stopped at the work budget "
-                f"{budget}; the result is partial",
+                f"norm search of a box of {box} vectors ({box // 2} up to sign) "
+                f"stopped at the work budget {budget}; the result is partial",
                 RuntimeWarning,
                 stacklevel=2,
             )
             return NormSearchResult(best, witness, False, evaluated, determinants)
         evaluated += 1
-        if best is not None and lower >= best * scale:
+        if lower > cutoff:
             continue
         determinants += 1
         value = _abs_norm(mats, a)
@@ -271,6 +290,7 @@ def min_norm_search(
             best, witness = value, a
             if value == 1:
                 break
+            cutoff = (value - 1) * scale
     return NormSearchResult(best, witness, True, evaluated, determinants)
 
 

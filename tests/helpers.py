@@ -1,8 +1,8 @@
 """Shared test data and oracles: the certification battery, published
 table cells, tolerance helpers, ``Enclosure`` arithmetic for checking the
 integer enclosure kernel, multiplication matrices for traces and norms,
-dense matrix products and a dense rational inverse, the unpruned
-minimum-norm oracle, and a fresh interpreter on this checkout."""
+dense matrix products and a dense rational inverse, the box orders and the
+unpruned minimum-norm oracle, and a fresh interpreter on this checkout."""
 
 import itertools
 import math
@@ -319,10 +319,17 @@ def box_in_scan_order(coeff_bound, n):
                   key=lambda a: (max(map(abs, a)), tuple(2 * abs(x) - (x < 0) for x in a)))
 
 
-def min_norm_search_oracle(module, coeff_bound, budget=NORM_SEARCH_BUDGET):
+def half_box_in_scan_order(coeff_bound, n):
+    """The vectors of ``box_in_scan_order`` whose first nonzero coordinate
+    is negative: one of each pair +-a, the set the norm search walks."""
+    return [a for a in box_in_scan_order(coeff_bound, n) if next(x for x in a if x) < 0]
+
+
+def min_norm_search_oracle(module, coeff_bound, budget=NORM_SEARCH_BUDGET, half=False):
     """``min_norm_search`` without pruning: one exact determinant for every
     vector of the box, in the order of ``box_in_scan_order``, which sorts
-    the box independently of the search's own walk."""
+    the box independently of the search's own walk.  With ``half``, only
+    the vectors of ``half_box_in_scan_order`` are scanned, and so counted."""
     K = module.field
     n = K.n
     mats = [[integral_coords(K, g * w) for w in K.basis] for g in module.gamma]
@@ -330,7 +337,7 @@ def min_norm_search_oracle(module, coeff_bound, budget=NORM_SEARCH_BUDGET):
     best = None
     witness = ()
     evaluated = 0
-    for a in box_in_scan_order(coeff_bound, n):
+    for a in (half_box_in_scan_order if half else box_in_scan_order)(coeff_bound, n):
         if evaluated >= budget:
             return NormSearchResult(best, witness, False, evaluated, evaluated)
         evaluated += 1

@@ -15,6 +15,7 @@ from rotlat import (
     table1,
     table1_csv,
 )
+from rotlat import distance
 from rotlat.distance import (
     _abs_norm,
     _embedding_steps,
@@ -31,6 +32,7 @@ from helpers import (
     agrees_significant,
     box_in_scan_order,
     get_module,
+    half_box_in_scan_order,
     min_norm_search_oracle,
     widen_leaves,
 )
@@ -169,12 +171,14 @@ def test_min_norm_search_p31_minimum_two():
 def test_min_norm_search_witness_is_first_in_scan_order():
     m = get_module("p34", r=3, p=5)
     res = min_norm_search(m, 1)
-    # rescan the box: no attaining vector may precede the witness
+    # the search walks one of each pair +-x and counts the walked vectors;
+    # rescan the whole box: no attaining vector may precede the witness
     from rotlat import element_from_coords
 
     box = box_in_scan_order(1, 4)
-    assert box.index(res.witness) == res.evaluated - 1 > 0
-    for a in box[:res.evaluated - 1]:
+    assert half_box_in_scan_order(1, 4).index(res.witness) == res.evaluated - 1 == 13
+    assert box.index(res.witness) == 26
+    for a in box[:box.index(res.witness)]:
         assert abs(norm_real(element_from_coords(m, a), m.field)) > res.min_abs_norm
 
 
@@ -194,8 +198,9 @@ def test_min_norm_budget_flagging():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning):
             min_norm_search(m, 2, budget=5)
-    # the minimum is 2, so no unit ends the scan of the 624-vector box: a
-    # budget of 5 must return a partial, flagged result
+    # the minimum is 2, so no unit ends the scan of the 312 vectors of the
+    # 624-vector box taken up to sign: a budget of 5 must return a partial,
+    # flagged result
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         res = min_norm_search(m, 2, budget=5)
@@ -211,15 +216,29 @@ def test_min_norm_search_warns_only_when_the_budget_stops_it():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = min_norm_search(m, 1)
-    assert (res.min_abs_norm, res.exhaustive, res.evaluated) == (1, True, 3)
+    assert (res.min_abs_norm, res.exhaustive, res.evaluated) == (1, True, 2)
+    assert res.witness == (0,) * 13 + (-1, 0)
 
 
 def test_min_norm_search_finds_the_unit_of_p34_in_the_first_shell():
-    # a lexicographic scan of the same box passes 81,387 vectors first
+    # a lexicographic scan of the same box passes 81,387 vectors first; the
+    # walk passes one of each pair +-x with first coordinate 0, then the unit
     res = min_norm_search(get_module("p34", r=4, p=5), 2)
     assert (res.min_abs_norm, res.exhaustive) == (1, True)
     assert res.witness == (-1, 0, 0, 0, 0, 0, 0, 0)
-    assert res.evaluated == 2187 == 3**7
+    assert res.evaluated == 1094 == (3**7 - 1) // 2 + 1
+    # the first vector sets the minimum at 4, and only a vector whose bound
+    # allows |N| <= 3 reaches the next determinant: the unit
+    assert res.determinants == 2
+
+
+def test_min_norm_search_of_p31_r5_needs_one_determinant():
+    # the minimum is 2, so the whole half box of shell 1 is walked; every
+    # other vector's bound proves |N| > 1, so |N| >= 2 = the minimum
+    res = min_norm_search(get_module("p31", r=5), 1)
+    assert (res.min_abs_norm, res.witness, res.exhaustive) == (2, (0,) * 7 + (-1,), True)
+    assert (res.evaluated, res.determinants) == (3280, 1)
+    assert res.evaluated == (3**8 - 1) // 2
 
 
 def test_min_norm_rejects_bad_bound():
@@ -235,6 +254,10 @@ def test_min_norm_rejects_bad_budget(budget):
 
 def _found(res):
     return res.min_abs_norm, res.witness, res.exhaustive, res.evaluated
+
+
+def _result(res):
+    return res.min_abs_norm, res.witness, res.exhaustive
 
 
 # The benchmark's norm-oracle confirmations (ORACLE_BOUNDS in
@@ -256,10 +279,13 @@ ORACLE_CASES = (
 
 @pytest.mark.parametrize("code,params,bound", ORACLE_CASES)
 def test_min_norm_search_matches_the_unpruned_oracle(code, params, bound):
+    # the result is the full box's; the count is the half box's
     module = get_module(code, **params)
     res = min_norm_search(module, bound)
     oracle = min_norm_search_oracle(module, bound)
-    assert _found(res) == _found(oracle)
+    half = min_norm_search_oracle(module, bound, half=True)
+    assert _result(res) == _result(oracle)
+    assert _found(res) == _found(half)
     assert oracle.determinants == oracle.evaluated
     assert 1 <= res.determinants <= res.evaluated
 
@@ -271,19 +297,80 @@ def test_min_norm_budget_overrun_matches_the_oracle(code, params, budget):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         res = min_norm_search(module, 2, budget=budget)
-    assert _found(res) == _found(min_norm_search_oracle(module, 2, budget=budget))
+    assert _found(res) == _found(min_norm_search_oracle(module, 2, budget=budget, half=True))
 
 
 def test_pruning_bounds_are_certified():
-    # the walk yields every nonzero box vector in shell order, each with a
+    # the walk yields one of each pair +-x in shell order, each with a
     # lower bound of D^n |N(x)| that the exact norm respects
     module = get_module("p34", r=3, p=5)
     steps, scale = _embedding_steps(module, 2)
     walked = list(_pruning_bounds(steps, 2))
-    assert [a for a, _ in walked] == box_in_scan_order(2, 4)
+    assert [a for a, _ in walked] == half_box_in_scan_order(2, 4)
     mats = _mult_matrices(module)
     assert all(lower <= scale * _abs_norm(mats, a) for a, lower in walked)
     assert sum(lower > 0 for _, lower in walked) > len(walked) // 2
+
+
+@pytest.mark.parametrize(
+    "code,params,bound",
+    [("p31", {"r": 3}, 3), ("p32", {"p": 7}, 3), ("p31", {"r": 4}, 2), ("p34", {"r": 3, "p": 5}, 2)],
+)
+def test_pruning_walk_takes_one_of_each_pair(code, params, bound):
+    # every nonzero box vector is +-x for exactly one walked x
+    module = get_module(code, **params)
+    steps, _ = _embedding_steps(module, bound)
+    walked = [a for a, _ in _pruning_bounds(steps, bound)]
+    signed = walked + [tuple(-x for x in a) for a in walked]
+    assert sorted(signed) == sorted(box_in_scan_order(bound, module.field.n))
+    assert len(walked) == ((2 * bound + 1) ** module.field.n - 1) // 2
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("code,params", [("p31", {"r": 4}), ("p34", {"r": 3, "p": 7})])
+def test_min_norm_search_skips_only_vectors_that_cannot_beat_the_minimum(
+    monkeypatch, code, params, reverse
+):
+    # record each walked vector and the exact norm computed for it, if any:
+    # a vector left without one was skipped at the minimum found so far,
+    # and its exact norm must be at least that minimum.  In walk order the
+    # first vector sets the minimum (2 for p31) or the next minimum is the
+    # unit (8, then 1 for p34); fed the walk backwards, the minimum falls in
+    # 5 and 8 steps, so vectors are skipped at many different minima
+    from rotlat import element_from_coords
+
+    module = get_module(code, **params)
+    walk, exact = distance._pruning_bounds, distance._abs_norm
+    seen = []
+
+    def recording_walk(steps, bound):
+        walked = walk(steps, bound)
+        for a, lower in reversed(list(walked)) if reverse else walked:
+            seen.append([a, None])
+            yield a, lower
+
+    def recording_norm(mats, a):
+        assert seen[-1] == [a, None]
+        seen[-1][1] = exact(mats, a)
+        return seen[-1][1]
+
+    monkeypatch.setattr(distance, "_pruning_bounds", recording_walk)
+    monkeypatch.setattr(distance, "_abs_norm", recording_norm)
+    res = min_norm_search(module, 2)
+    assert res.exhaustive and len(seen) == res.evaluated
+    best, skipped = None, []
+    for a, value in seen:
+        if value is None:
+            skipped.append((a, best))
+        else:
+            best = value if best is None else min(best, value)
+    assert best == res.min_abs_norm
+    assert len(skipped) == res.evaluated - res.determinants > 0
+    norms = [abs(norm_real(element_from_coords(module, a), module.field)) for a, _ in skipped]
+    assert all(norm >= at for norm, (_, at) in zip(norms, skipped))
+    # some skipped vector ties the minimum: only its norm being an integer
+    # above best - 1 let it be skipped
+    assert any(norm == at for norm, (_, at) in zip(norms, skipped))
 
 
 def test_min_norm_search_bounds_only_prune(monkeypatch):
@@ -292,12 +379,14 @@ def test_min_norm_search_bounds_only_prune(monkeypatch):
     # oracle's (p31 r=4 scans the whole box, its minimum being 2)
     module = get_module("p31", r=4)
     oracle = min_norm_search_oracle(module, 2)
+    half = min_norm_search_oracle(module, 2, half=True)
     tight = min_norm_search(module, 2)
     asked = widen_leaves(monkeypatch, None, 2)
     loose = min_norm_search(module, 2)
     assert asked
-    assert _found(loose) == _found(tight) == _found(oracle)
-    assert tight.determinants < loose.determinants <= loose.evaluated == oracle.evaluated
+    assert _result(loose) == _result(tight) == _result(oracle)
+    assert _found(loose) == _found(tight) == _found(half)
+    assert tight.determinants < loose.determinants <= loose.evaluated == half.evaluated
 
 
 def test_table_reproduces_published_cells():
