@@ -34,7 +34,6 @@ from .gram import (
     det_exact,
     det_via_formula,
     embedding_csv,
-    embedding_matrix,
     gram,
     gram_json,
     gram_scaled,
@@ -76,7 +75,7 @@ __all__ = [
     "coords_in_module", "element_from_coords", "in_module", "is_ideal",
     "module_from_json", "module_index", "module_to_json",
     "GramMatrix", "det_exact", "det_via_formula", "embedding_csv",
-    "embedding_matrix", "gram", "gram_json", "gram_scaled",
+    "gram", "gram_json", "gram_scaled",
     "VerificationReport", "lll_reduce", "verify_ambient_zn", "verify_rotated_dn",
     "DistanceResult", "NormSearchResult", "TABLE_ROWS", "TableRow",
     "dp_closed_form", "dp_rel_exponents", "dp_unscaled_exponents",

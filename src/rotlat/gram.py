@@ -1,7 +1,10 @@
 """Trace-form Gram matrices: integer numerators over one denominator, the
 leading minors and determinant from one fraction-free pass, the
 determinant identity over module index / twist norm / discriminant, and
-floating embedding matrices with certified error control.
+the embedding CSV: certified integer enclosures of the generator matrix,
+each cell's midpoint written in integers (``digits``), digit for digit as
+mpmath's ``mpf`` and ``nstr`` write it.  mpmath is imported only for the
+embed's cosine leaves (``_embed_cos_table``).
 """
 
 from __future__ import annotations
@@ -194,7 +197,13 @@ def _embed_cos_table(m: int, prec: int) -> tuple[int, tuple[int, ...], tuple[int
     bits with mpmath's directed rounding, as (S, lower numerators, upper
     numerators) over the one denominator 2^S.  The ``embed`` bytes are
     pinned to these leaves, so they are kept beside the integer leaves
-    ``cyclo._cos_table`` that everything else reads."""
+    ``cyclo._cos_table`` that everything else reads.
+
+    S is at most prec + 32.  When 4 | m, the enclosure of cos(pi/2) = 0
+    has endpoints near 2^-2prec, and S would reach 2*prec - 1; past
+    prec + 32 the endpoints are rounded outward instead, which widens a
+    leaf by at most 2^-(prec+32) and leaves every pinned embed digest
+    unchanged."""
     import mpmath
 
     ctx = mpmath.iv
@@ -208,42 +217,32 @@ def _embed_cos_table(m: int, prec: int) -> tuple[int, tuple[int, ...], tuple[int
             ends.append((_dyadic(a), _dyadic(b)))
     finally:
         ctx.prec = old
-    shift = max(0, *(-e for pair in ends for _, e in pair))
-    lo = tuple(man << (shift + e) for (man, e), _ in ends)
-    hi = tuple(man << (shift + e) for _, (man, e) in ends)
+    shift = min(max(0, *(-e for pair in ends for _, e in pair)), prec + 32)
+
+    def scaled(man, e, up):
+        k = shift + e
+        if k >= 0:
+            return man << k
+        return -(-man >> -k) if up else man >> -k
+
+    lo = tuple(scaled(man, e, False) for (man, e), _ in ends)
+    hi = tuple(scaled(man, e, True) for _, (man, e) in ends)
     return shift, lo, hi
 
 
-def embedding_matrix(module: TwistedModule, precision: int = 128):
-    """Generator matrix of the scaled lattice, collapsed to floats at
-    the requested precision (bits): each entry is its enclosure's midpoint
-    (lo + hi) / (2 D), divided once in mpmath.  The midpoint is put in
-    lowest terms first, because mpf rounds the numerator before the
-    division and the written bytes depend on that rounding."""
-    import mpmath
-
-    rows = embedding_enclosure_rows(module, precision)
-    out = []
-    with mpmath.workprec(precision):
-        for row, den in rows:
-            cells = []
-            for lo, hi in row:
-                num, d = lo + hi, 2 * den
-                g = gcd(num, d)
-                cells.append(mpmath.mpf(num // g) / (d // g))
-            out.append(tuple(cells))
-    return tuple(out)
-
-
 def embedding_csv(module: TwistedModule, precision: int = 128) -> str:
-    import mpmath
+    """The scaled lattice's generator matrix as CSV at ``precision`` bits:
+    each cell is its enclosure's midpoint (lo + hi) / (2 D), written as
+    mpmath's ``nstr(mpf(num / g) / (den / g), dps)`` would write it at that
+    precision, where g = gcd(num, den) (see ``digits.cell_writer``)."""
+    from .digits import cell_writer
 
-    rows = embedding_matrix(module, precision)
     dps = max(17, int(precision * 0.30103) + 3)
+    cell = cell_writer(precision, dps)
     lines = [f"# precision_bits={precision}"]
-    with mpmath.workprec(precision):
-        for row in rows:
-            lines.append(",".join(mpmath.nstr(v, dps) for v in row))
+    for row, den in embedding_enclosure_rows(module, precision):
+        den *= 2
+        lines.append(",".join([cell(lo + hi, den) for lo, hi in row]))
     return "\n".join(lines) + "\n"
 
 

@@ -1,8 +1,9 @@
 """Shared test data and oracles: the certification battery, published
 table cells, tolerance helpers, ``Enclosure`` arithmetic for checking the
-integer enclosure kernel, multiplication matrices for traces and norms,
-dense matrix products and a dense rational inverse, the box orders and the
-unpruned minimum-norm oracle, and a fresh interpreter on this checkout."""
+integer enclosure kernel, the mpf route that the embed cells are written
+to match, multiplication matrices for traces and norms, dense matrix
+products and a dense rational inverse, the box orders and the unpruned
+minimum-norm oracle, and a fresh interpreter on this checkout."""
 
 import itertools
 import math
@@ -14,10 +15,13 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+import mpmath
+
 import rotlat.cyclo
 from rotlat import build, embedding_reps, real_embedding_bounds
 from rotlat.distance import NORM_SEARCH_BUDGET, NormSearchResult
 from rotlat.fields import integral_coords
+from rotlat.gram import embedding_enclosure_rows
 from rotlat.linalg import det_int
 from rotlat.numtheory import euler_phi
 
@@ -227,6 +231,44 @@ def enclosure_rows_oracle(module, precision):
         if work >= 1 << 14:
             raise RuntimeError("requested precision unreachable")
         work *= 2
+
+
+# -- The mpf route of the embed cells ----------------------------------------
+
+
+def mpf_cell(num, den):
+    """num / den put in lowest terms, then ``mpf(num) / den`` at the
+    working precision: mpf rounds the reduced numerator, then the
+    quotient, so the written digits depend on the reduction."""
+    g = math.gcd(num, den)
+    return mpmath.mpf(num // g) / (den // g)
+
+
+def nstr_cell(num, den, precision, dps):
+    """One embed cell the way mpmath writes it: ``nstr(mpf_cell(num, den),
+    dps)`` under ``workprec(precision)``."""
+    with mpmath.workprec(precision):
+        return mpmath.nstr(mpf_cell(num, den), dps)
+
+
+def embedding_matrix(module, precision=128):
+    """Generator matrix of the scaled lattice as mpf values at the
+    requested precision (bits): each entry is its enclosure's midpoint
+    (lo + hi) / (2 D), through ``mpf_cell``."""
+    with mpmath.workprec(precision):
+        return tuple(tuple(mpf_cell(lo + hi, 2 * den) for lo, hi in row)
+                     for row, den in embedding_enclosure_rows(module, precision))
+
+
+def embedding_csv_oracle(module, precision=128):
+    """``embedding_csv`` through the mpf route: ``embedding_matrix`` with
+    each value written by ``nstr``."""
+    dps = max(17, int(precision * 0.30103) + 3)
+    lines = [f"# precision_bits={precision}"]
+    with mpmath.workprec(precision):
+        for row in embedding_matrix(module, precision):
+            lines.append(",".join(mpmath.nstr(v, dps) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def widen_leaves(monkeypatch, at, bits):

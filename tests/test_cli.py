@@ -400,9 +400,11 @@ def test_python_dash_m_runs_from_a_checkout():
 
 
 # Which of the modules a cold command should not pay for are loaded: mpmath
-# (only the embed rows read its leaves), and dataclasses with the inspect
-# module it pulls in (their class generation ran at every start).
-_LOADED = "print([name for name in ('mpmath', 'dataclasses', 'inspect') if name in sys.modules])"
+# (only the embed rows read its leaves), the embed's cell writer
+# rotlat.digits, and dataclasses with the inspect module it pulls in (their
+# class generation ran at every start).
+_LOADED = ("print([name for name in ('mpmath', 'rotlat.digits', 'dataclasses', 'inspect')"
+           " if name in sys.modules])")
 
 # Runs ``python -m rotlat <args>`` in this interpreter, then reports what it loaded.
 _DASH_M_THEN_LOADED = """
@@ -424,9 +426,10 @@ except SystemExit as exc:
       "--out", "{dir}/out.json"], []),
     (["-c", _DASH_M_THEN_LOADED, "verify", "{module}"], []),
     (["-c", "import rotlat, sys; rotlat.build('p31', r=5); " + _LOADED], []),
-    # the positive control: the embed rows read mpmath's leaves, and mpmath
-    # loads neither dataclasses nor inspect
-    (["-c", _DASH_M_THEN_LOADED, "embed", "{module}", "--out", "{dir}/e.csv"], ["mpmath"]),
+    # the positive control: the embed rows read mpmath's leaves, its cells
+    # come from the writer, and neither loads dataclasses or inspect
+    (["-c", _DASH_M_THEN_LOADED, "embed", "{module}", "--out", "{dir}/e.csv"],
+     ["mpmath", "rotlat.digits"]),
 ], ids=["import", "table1", "feasibility", "construct", "verify", "build", "embed"])
 def test_closed_form_commands_never_load_mpmath(args, loaded, tmp_path):
     # also: no command loads dataclasses or inspect

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -317,6 +318,28 @@ def test_cos_leaves_are_the_directed_rounding_endpoints():
     for ends, got in zip(expected, cos_enclosures(7, 40, embed=True)):
         lo, hi = (Fraction((-1) ** sign * man) * Fraction(2) ** exp for sign, man, exp, _ in ends)
         assert (got.lo, got.hi) == (lo, hi)
+
+
+@pytest.mark.parametrize("m", [4, 7, 8, 20, 77, 2048])
+@pytest.mark.parametrize("prec", [8, 40, 144])
+def test_embed_cos_leaves_round_outward_past_prec_plus_32(m, prec):
+    # when 4 | m the enclosure of cos(pi/2) = 0 reaches about 2^-2prec;
+    # the leaves stop at 2^-(prec+32), each mpmath endpoint rounded
+    # outward, and a table without such an endpoint is exact
+    old, mpmath.iv.prec = mpmath.iv.prec, prec
+    try:
+        expected = [mpmath.iv.cos(2 * mpmath.iv.pi * t / m)._mpi_ for t in range(m)]
+    finally:
+        mpmath.iv.prec = old
+    ends = [tuple(Fraction((-1) ** sign * man) * Fraction(2) ** exp for sign, man, exp, _ in pair)
+            for pair in expected]
+    shift, lo, hi = sys.modules["rotlat.gram"]._embed_cos_table(m, prec)
+    full = max(Fraction(e).denominator.bit_length() - 1 for pair in ends for e in pair)
+    assert shift == min(full, prec + 32)
+    assert (full > prec + 32) == (m % 4 == 0 and prec > 8)
+    scale = 1 << shift
+    for (a, b), low, high in zip(ends, lo, hi):
+        assert (low, high) == (math.floor(a * scale), math.ceil(b * scale))
 
 
 @pytest.mark.parametrize("m, prec", [

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +12,6 @@ from rotlat import (
     det_exact,
     det_via_formula,
     embedding_csv,
-    embedding_matrix,
     embedding_reps,
     gram,
     gram_json,
@@ -22,8 +22,8 @@ from rotlat import (
     subfield_degrees,
 )
 from rotlat.gram import embedding_enclosure_rows
-from helpers import (BATTERY, Enclosure, enclosure_rows_oracle, enclosure_rows_oracle_at,
-                     get_module, widen_leaves)
+from helpers import (BATTERY, Enclosure, embedding_csv_oracle, embedding_matrix,
+                     enclosure_rows_oracle, enclosure_rows_oracle_at, get_module, widen_leaves)
 
 
 def test_gram_integral_basis_pow2_alpha_one():
@@ -231,3 +231,31 @@ def test_embedding_rows_precision_cap_still_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="requested precision unreachable"):
         embedding_enclosure_rows(module, 64)
     assert max(asked) >= 1 << 14
+
+
+# -- the embed CSV against the mpf route -------------------------------------
+
+
+@pytest.mark.parametrize("code,params", BATTERY)
+def test_embedding_csv_matches_the_mpf_route(code, params):
+    module = get_module(code, **params)
+    for precision in (8, 77, 300):
+        assert embedding_csv(module, precision) == embedding_csv_oracle(module, precision)
+
+
+def test_embedding_csv_matches_the_mpf_route_at_the_maximum_precision():
+    # 4,930 digits a cell: past CPython's 4,300-digit int-to-str limit
+    module = get_module("p31", r=3)
+    text = embedding_csv(module, 16368)
+    assert text == embedding_csv_oracle(module, 16368)
+    assert max(len(cell) for cell in text.replace("\n", ",").split(",")) > 4300
+
+
+def test_embedding_csv_writes_cells_without_mpmath(monkeypatch):
+    # with the embed leaves cached, mpmath is not needed for a single digit
+    module = get_module("p32", p=7)
+    text = embedding_csv(module, 96)
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    with pytest.raises(ImportError):
+        import mpmath  # noqa: F401
+    assert embedding_csv(module, 96) == text
