@@ -19,10 +19,10 @@ leaves have two sources.  ``_cos_table`` computes them here in exact
 integer arithmetic (a fixed-point pi, one Taylor-series base angle and
 integer rotation steps, each leaf widened by a proven error radius);
 ``real_embedding_bounds`` sums them, and total positivity and the
-norm-search pruning read it.  The ``embed`` rows alone sum mpmath's
-directed-rounding leaves, kept in ``gram``, because the written
-embedding bytes are pinned to those leaves' endpoints.  So nothing in
-this module needs mpmath, and construct and verify never load it.
+norm-search pruning read it.  The ``embed`` rows alone sum the
+directed-rounding leaves of mpmath's ``iv.cos``, kept in ``gram`` and
+computed in integers by ``ivcos``, because the written embedding bytes
+are pinned to those leaves' endpoints.  No command loads mpmath.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Trace-form Gram matrices: integer numerators over one denominator, the
 leading minors and determinant from one fraction-free pass, the
 determinant identity over module index / twist norm / discriminant, and
-the embedding CSV: certified integer enclosures of the generator matrix,
-each cell's midpoint written in integers (``digits``), digit for digit as
-mpmath's ``mpf`` and ``nstr`` write it.  mpmath is imported only for the
-embed's cosine leaves (``_embed_cos_table``).
+the embedding CSV: certified integer enclosures of the generator matrix
+over the cosine leaves of mpmath's ``iv.cos`` (``ivcos``), each cell's
+midpoint written as mpmath's ``mpf`` and ``nstr`` write it (``digits``).
+Both repeat mpmath's arithmetic in integers, so nothing here imports
+mpmath; ``embed`` loads the two modules on first use.
 """
 
 from __future__ import annotations
@@ -180,43 +181,23 @@ def _rows_at(module: TwistedModule, reps, work: int, precision: int):
     return rows
 
 
-def _dyadic(t) -> tuple[int, int]:
-    """A finite raw mpmath endpoint as (signed mantissa, exponent)."""
-    sign, man, exp, _ = t
-    man = int(man)
-    if man == 0:
-        if exp == 0:
-            return 0, 0
-        raise ValueError("nonfinite interval endpoint")
-    return (-man if sign else man), exp
-
-
 @lru_cache(maxsize=None)
 def _embed_cos_table(m: int, prec: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """The embed's leaves: cos(2*pi*t/m) for t = 0..m-1, enclosed at prec
-    bits with mpmath's directed rounding, as (S, lower numerators, upper
-    numerators) over the one denominator 2^S.  The ``embed`` bytes are
-    pinned to these leaves, so they are kept beside the integer leaves
-    ``cyclo._cos_table`` that everything else reads.
+    bits with the directed rounding of mpmath's ``iv.cos`` (``ivcos``, in
+    integers), as (S, lower numerators, upper numerators) over the one
+    denominator 2^S.  The ``embed`` bytes are pinned to these leaves, so
+    they are kept beside the integer leaves ``cyclo._cos_table`` that
+    everything else reads.
 
     S is at most prec + 32.  When 4 | m, the enclosure of cos(pi/2) = 0
     has endpoints near 2^-2prec, and S would reach 2*prec - 1; past
     prec + 32 the endpoints are rounded outward instead, which widens a
     leaf by at most 2^-(prec+32) and leaves every pinned embed digest
     unchanged."""
-    import mpmath
+    from .ivcos import cos_interval
 
-    ctx = mpmath.iv
-    old = ctx.prec
-    try:
-        ctx.prec = prec
-        two_pi = 2 * ctx.pi
-        ends = []
-        for t in range(m):
-            a, b = ctx.cos(two_pi * t / m)._mpi_
-            ends.append((_dyadic(a), _dyadic(b)))
-    finally:
-        ctx.prec = old
+    ends = [cos_interval(t, m, prec) for t in range(m)]
     shift = min(max(0, *(-e for pair in ends for _, e in pair)), prec + 32)
 
     def scaled(man, e, up):

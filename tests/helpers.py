@@ -1,9 +1,9 @@
 """Shared test data and oracles: the certification battery, published
 table cells, tolerance helpers, ``Enclosure`` arithmetic for checking the
-integer enclosure kernel, the mpf route that the embed cells are written
-to match, multiplication matrices for traces and norms, dense matrix
-products and a dense rational inverse, the box orders and the unpruned
-minimum-norm oracle, and a fresh interpreter on this checkout."""
+integer enclosure kernel, the mpmath routes that the embed leaves and
+cells are written to match, multiplication matrices for traces and norms,
+dense matrix products and a dense rational inverse, the box orders and the
+unpruned minimum-norm oracle, and a fresh interpreter on this checkout."""
 
 import itertools
 import math
@@ -16,6 +16,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import mpmath
+import pytest
 
 import rotlat.cyclo
 from rotlat import build, embedding_reps, real_embedding_bounds
@@ -163,9 +164,10 @@ class Enclosure:
 def cos_enclosures(m, prec, embed=False):
     """The package's cosine leaves cos(2*pi*t/m), t = 0..m-1, as enclosures:
     the integer leaves ``rotlat.cyclo._cos_table`` that positivity and the
-    norm search read, or with ``embed`` the mpmath leaves
-    ``rotlat.gram._embed_cos_table`` that the embed rows read (each looked
-    up at call time, so ``widen_leaves`` applies)."""
+    norm search read, or with ``embed`` the leaves
+    ``rotlat.gram._embed_cos_table`` that the embed rows read, mpmath's
+    ``iv.cos`` endpoints (each looked up at call time, so ``widen_leaves``
+    applies)."""
     table = sys.modules["rotlat.gram"]._embed_cos_table if embed else rotlat.cyclo._cos_table
     shift, lo, hi = table(m, prec)
     d = 1 << shift
@@ -231,6 +233,59 @@ def enclosure_rows_oracle(module, precision):
         if work >= 1 << 14:
             raise RuntimeError("requested precision unreachable")
         work *= 2
+
+
+# -- The mpmath route of the embed leaves ------------------------------------
+
+
+# Under gmpy mpmath takes other cutoffs (libelefun: COS_SIN_CACHE_PREC 200,
+# EXP_COSH_CUTOFF 400), so its iv.cos can differ from the embed leaves in
+# the last bits.
+python_backend_only = pytest.mark.skipif(
+    mpmath.libmp.BACKEND != "python",
+    reason=f"the embed leaves repeat mpmath's pure-Python backend, not {mpmath.libmp.BACKEND}")
+
+
+def dyadic(t):
+    """A finite raw mpmath endpoint as (signed mantissa, exponent)."""
+    sign, man, exp, _ = t
+    man = int(man)
+    if man == 0:
+        if exp == 0:
+            return 0, 0
+        raise ValueError("nonfinite interval endpoint")
+    return (-man if sign else man), exp
+
+
+def iv_cos_oracle(t, m, prec):
+    """The endpoints of ``mpmath.iv.cos(2 * mpmath.iv.pi * t / m)`` at
+    ``iv.prec = prec``, each as ``dyadic`` gives it."""
+    ctx = mpmath.iv
+    old = ctx.prec
+    try:
+        ctx.prec = prec
+        a, b = ctx.cos(2 * ctx.pi * t / m)._mpi_
+    finally:
+        ctx.prec = old
+    return dyadic(a), dyadic(b)
+
+
+def embed_cos_table_oracle(m, prec):
+    """``rotlat.gram._embed_cos_table`` through mpmath: the leaves
+    ``iv_cos_oracle(t, m, prec)`` over 2^S, S the largest endpoint
+    exponent but at most prec + 32, finer endpoints rounded outward."""
+    ends = [iv_cos_oracle(t, m, prec) for t in range(m)]
+    shift = min(max(0, *(-e for pair in ends for _, e in pair)), prec + 32)
+
+    def scaled(man, e, up):
+        k = shift + e
+        if k >= 0:
+            return man << k
+        return -(-man >> -k) if up else man >> -k
+
+    lo = tuple(scaled(man, e, False) for (man, e), _ in ends)
+    hi = tuple(scaled(man, e, True) for _, (man, e) in ends)
+    return shift, lo, hi
 
 
 # -- The mpf route of the embed cells ----------------------------------------

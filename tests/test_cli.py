@@ -400,11 +400,12 @@ def test_python_dash_m_runs_from_a_checkout():
 
 
 # Which of the modules a cold command should not pay for are loaded: mpmath
-# (only the embed rows read its leaves), the embed's cell writer
-# rotlat.digits, and dataclasses with the inspect module it pulls in (their
-# class generation ran at every start).
-_LOADED = ("print([name for name in ('mpmath', 'rotlat.digits', 'dataclasses', 'inspect')"
-           " if name in sys.modules])")
+# (no command needs it: the embed repeats its leaves and digits in
+# integers), the embed's leaves rotlat.ivcos and cell writer rotlat.digits,
+# and dataclasses with the inspect module it pulls in (their class
+# generation ran at every start).
+_LOADED = ("print([name for name in ('mpmath', 'rotlat.ivcos', 'rotlat.digits', 'dataclasses',"
+           " 'inspect') if name in sys.modules])")
 
 # Runs ``python -m rotlat <args>`` in this interpreter, then reports what it loaded.
 _DASH_M_THEN_LOADED = """
@@ -426,11 +427,13 @@ except SystemExit as exc:
       "--out", "{dir}/out.json"], []),
     (["-c", _DASH_M_THEN_LOADED, "verify", "{module}"], []),
     (["-c", "import rotlat, sys; rotlat.build('p31', r=5); " + _LOADED], []),
-    # the positive control: the embed rows read mpmath's leaves, its cells
-    # come from the writer, and neither loads dataclasses or inspect
+    # the embed rows read the integer iv.cos leaves and its cells come from
+    # the writer; neither loads mpmath, dataclasses or inspect
     (["-c", _DASH_M_THEN_LOADED, "embed", "{module}", "--out", "{dir}/e.csv"],
-     ["mpmath", "rotlat.digits"]),
-], ids=["import", "table1", "feasibility", "construct", "verify", "build", "embed"])
+     ["rotlat.ivcos", "rotlat.digits"]),
+    # the positive control: the probe sees a module that is loaded
+    (["-c", "import rotlat, mpmath, sys; " + _LOADED], ["mpmath"]),
+], ids=["import", "table1", "feasibility", "construct", "verify", "build", "embed", "mpmath"])
 def test_closed_form_commands_never_load_mpmath(args, loaded, tmp_path):
     # also: no command loads dataclasses or inspect
     module = tmp_path / "p31_r5.json"

@@ -18,7 +18,7 @@ from rotlat.cyclo import (
 )
 from rotlat.numtheory import euler_phi
 from helpers import (Enclosure, cos_enclosures, embedding_enclosures, embedding_enclosures_oracle,
-                     mult_matrix_abs, norm_abs, trace_via_mult_matrix)
+                     mult_matrix_abs, norm_abs, python_backend_only, trace_via_mult_matrix)
 
 
 def eval_complex(x: CycloElt) -> complex:
@@ -307,6 +307,7 @@ def test_real_embedding_enclosures_width_shrinks():
     assert all(b.width < a.width for a, b in zip(w1, w2))
 
 
+@python_backend_only
 def test_cos_leaves_are_the_directed_rounding_endpoints():
     # the embed's leaves: one power-of-two denominator, the same values as
     # mpmath.iv gives
@@ -320,6 +321,7 @@ def test_cos_leaves_are_the_directed_rounding_endpoints():
         assert (got.lo, got.hi) == (lo, hi)
 
 
+@python_backend_only
 @pytest.mark.parametrize("m", [4, 7, 8, 20, 77, 2048])
 @pytest.mark.parametrize("prec", [8, 40, 144])
 def test_embed_cos_leaves_round_outward_past_prec_plus_32(m, prec):

@@ -252,10 +252,13 @@ def test_embedding_csv_matches_the_mpf_route_at_the_maximum_precision():
 
 
 def test_embedding_csv_writes_cells_without_mpmath(monkeypatch):
-    # with the embed leaves cached, mpmath is not needed for a single digit
+    # neither the leaves (computed afresh here) nor a single digit needs
+    # mpmath; the text is the mpf route's once mpmath is back
     module = get_module("p32", p=7)
-    text = embedding_csv(module, 96)
     monkeypatch.setitem(sys.modules, "mpmath", None)
     with pytest.raises(ImportError):
         import mpmath  # noqa: F401
-    assert embedding_csv(module, 96) == text
+    sys.modules["rotlat.gram"]._embed_cos_table.cache_clear()
+    text = embedding_csv(module, 96)
+    monkeypatch.undo()
+    assert text == embedding_csv_oracle(module, 96)
