@@ -1,7 +1,7 @@
 """Exact construction and certification of rotated D_n lattices obtained
 from totally real subfields of cyclotomic fields and their composita."""
 
-from .cyclo import CycloElt, cyclotomic_polynomial, real_embedding_bounds, trace_abs
+from .cyclo import CycloElt, cyclotomic_polynomial, real_embedding_bounds
 from .fields import (
     FieldDesc,
     coords_on_basis,
@@ -14,15 +14,12 @@ from .fields import (
     make_field,
     norm_real,
     subfield_degrees,
-    trace_real,
 )
 from .constructions import (
     IdealCheck,
     IdealityWitness,
     TwistedModule,
     build,
-    coords_in_module,
-    element_from_coords,
     in_module,
     is_ideal,
     module_from_json,
@@ -35,8 +32,6 @@ from .gram import (
     det_via_formula,
     embedding_csv,
     gram,
-    gram_json,
-    gram_scaled,
 )
 from .verify import (
     VerificationReport,
@@ -66,16 +61,14 @@ from .feasibility import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CycloElt", "cyclotomic_polynomial", "real_embedding_bounds", "trace_abs",
+    "CycloElt", "cyclotomic_polynomial", "real_embedding_bounds",
     "FieldDesc", "coords_on_basis",
     "discriminant_2adic_valuation", "embedding_reps", "field_from_json",
     "field_to_json", "is_element", "is_totally_positive", "make_field",
-    "norm_real", "subfield_degrees", "trace_real",
+    "norm_real", "subfield_degrees",
     "IdealCheck", "IdealityWitness", "TwistedModule", "build",
-    "coords_in_module", "element_from_coords", "in_module", "is_ideal",
-    "module_from_json", "module_index", "module_to_json",
-    "GramMatrix", "det_exact", "det_via_formula", "embedding_csv",
-    "gram", "gram_json", "gram_scaled",
+    "in_module", "is_ideal", "module_from_json", "module_index", "module_to_json",
+    "GramMatrix", "det_exact", "det_via_formula", "embedding_csv", "gram",
     "VerificationReport", "lll_reduce", "verify_ambient_zn", "verify_rotated_dn",
     "DistanceResult", "NormSearchResult", "TABLE_ROWS", "TableRow",
     "dp_closed_form", "dp_rel_exponents", "dp_unscaled_exponents",

@@ -14,6 +14,8 @@ import json
 import os
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 from .constructions import CONSTRUCTIONS, build, module_from_json, module_to_json
 from .distance import table1_csv
@@ -123,6 +125,13 @@ def _load_module(path: str):
         raise ValueError(f"module file is missing key {exc.args[0]!r}") from None
 
 
+def _exact(q: Fraction) -> str:
+    """str(q) with no digit limit: each integer is written through
+    ``Decimal``, as ``field_to_json`` writes disc."""
+    text = str(Decimal(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
+
+
 def _cmd_verify(args) -> int:
     module = _load_module(args.module)
     report = verify_rotated_dn(module)
@@ -130,8 +139,8 @@ def _cmd_verify(args) -> int:
     det_gram = det_exact(gram(module))
     det_formula = det_via_formula(module)
     payload["det_cross_check"] = {
-        "gram": str(det_gram),
-        "formula": str(det_formula),
+        "gram": _exact(det_gram),
+        "formula": _exact(det_formula),
         "equal": det_gram == det_formula,
     }
     text = json.dumps(payload, indent=2) + "\n"
@@ -183,8 +192,8 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # MemoryError too: exit 1 would read as "not verified"
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

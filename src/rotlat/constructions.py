@@ -10,7 +10,6 @@ the module divided by sqrt(c).
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from typing import Callable, NamedTuple
@@ -207,26 +206,12 @@ def _module_coords(module: TwistedModule, x: CycloElt) -> tuple[list[int], int]:
     return sparse_vec_mat(acc, inv, module.field.n), den * scale
 
 
-def coords_in_module(module: TwistedModule, x: CycloElt) -> tuple[Fraction, ...]:
-    """Coordinates of x over gamma (rational; integral iff x is in the module)."""
-    coords, scale = _module_coords(module, x)
-    return tuple(Fraction(b, scale) for b in coords)
-
-
 def in_module(module: TwistedModule, x: CycloElt) -> bool:
     try:
         coords, scale = _module_coords(module, x)
     except ValueError:
         return False
     return not any(b % scale for b in coords)
-
-
-def element_from_coords(module: TwistedModule, coords) -> CycloElt:
-    acc = CycloElt.zero(module.field.m)
-    for a, g in zip(coords, module.gamma):
-        if a:
-            acc = acc + a * g
-    return acc
 
 
 # -- ideal test -------------------------------------------------------------

@@ -5,9 +5,9 @@ An element is phi(m) integer numerators over the power basis
 lowest terms and reduced modulo the monic m-th cyclotomic polynomial, so
 the ring operations run in integers; ``coeffs`` is a read-only view of
 the rational coordinates.  On top of the ring operations this module
-provides absolute traces (via the closed form Tr(zeta_m^k) = c_m(k), the
-Ramanujan sum), the integer trace-form kernel built on that closed form,
-and certified real-interval enclosures of embedding values.
+provides the integer trace-form kernel, built on the closed form
+Tr(zeta_m^k) = c_m(k) (the Ramanujan sum), and certified real-interval
+enclosures of embedding values.
 
 Enclosure policy: cosine values at the rational angles 2*pi*t/m are
 enclosed once per (m, precision) as integer lower and upper numerators
@@ -282,9 +282,6 @@ class CycloElt(Value):
             raise ValueError(f"{s} is not invertible modulo {self.m}")
         return self._spread(self.m, s)
 
-    def conj(self) -> "CycloElt":
-        return self.galois(-1)
-
     def lift(self, target: int) -> "CycloElt":
         """Image in Q(zeta_target) under zeta_m |-> zeta_target^(target/m)."""
         if target % self.m != 0:
@@ -320,7 +317,7 @@ class CycloElt(Value):
         return cls(m, tuple(num), den)
 
 
-# -- traces and norms over Q -------------------------------------------
+# -- traces over Q ------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -333,12 +330,6 @@ def _trace_table(m: int) -> tuple[int, ...]:
         md = m // gcd(t, m)
         out.append(mobius(md) * (phi // euler_phi(md)))
     return tuple(out)
-
-
-def trace_abs(x: CycloElt) -> Fraction:
-    """Trace of x from Q(zeta_m) down to Q."""
-    table = _trace_table(x.m)
-    return Fraction(sum(c * t for c, t in zip(x.num, table)), x.den)
 
 
 def trace_form(xs, twist: CycloElt | None = None) -> tuple[list[list[int]], int]:

@@ -54,12 +54,6 @@ def scale_exponents(construction: str, **params) -> ExponentTable:
     return _table(spec.scale(q))
 
 
-def norm_alpha_exponents(construction: str, **params) -> ExponentTable:
-    """Exponent table of N(alpha), the norm of the twist."""
-    spec, q, dims = lookup(construction, params)
-    return _table(spec.norm_alpha(q, dims))
-
-
 def dp_unscaled_exponents(construction: str, **params) -> ExponentTable:
     """Minimum product distance of the unscaled twisted embedding,
     sqrt(norm(alpha)) times the assumed minimum norm over the module."""

@@ -1,5 +1,5 @@
 """The four families of totally real cyclotomic subfields used by the
-lattice constructions, plus field-relative traces, norms and embeddings.
+lattice constructions, plus field-relative norms and embeddings.
 
 Families (conductor m, degree n):
 
@@ -36,7 +36,7 @@ from itertools import product
 from math import gcd, prod
 from typing import Callable, NamedTuple
 
-from .cyclo import CycloElt, Value, real_embedding_bounds, trace_abs, trace_form
+from .cyclo import CycloElt, Value, real_embedding_bounds, trace_form
 from .linalg import det_int, pivot_inverse, sparse_vec_mat
 from .numtheory import crt, euler_phi, is_prime
 
@@ -320,13 +320,7 @@ def coords_on_basis(field: FieldDesc, x: CycloElt) -> tuple[Fraction, ...]:
     return tuple(Fraction(a, scale) for a in acc)
 
 
-# -- field-relative trace, norm, embeddings -------------------------------
-
-
-def trace_real(x: CycloElt, field: FieldDesc) -> Fraction:
-    """Trace of x from the field down to Q."""
-    _require_member(x, field)
-    return trace_abs(x) / field.codegree
+# -- field-relative norm, embeddings --------------------------------------
 
 
 def norm_real(x: CycloElt, field: FieldDesc) -> Fraction:
@@ -390,7 +384,12 @@ def field_from_json(obj) -> FieldDesc:
         raise ValueError("field needs integer 'm' and 'n' and a string 'disc'")
     family = str(obj["family"])
     field = _build_field(family, tuple(check_params(family, obj["params"]).items()))
-    # m and n first: the discriminant can be far too long to build
-    if (obj["m"], obj["n"]) == (field.m, field.n) and obj["disc"] == str(Decimal(field.disc)):
-        return field
+    # m and n, then the digit count, first: the discriminant can be far too
+    # long to build or write.  A value of L digits has log10 in [L - 1, L);
+    # half a digit either way absorbs the rounding of the 28-digit logs.
+    disc = obj["disc"]
+    if (obj["m"], obj["n"]) == (field.m, field.n):
+        log = sum(e * Decimal(p).log10() for p, e in field._disc_exponents.items())
+        if len(disc) - 1.5 < log < len(disc) + 0.5 and disc == str(Decimal(field.disc)):
+            return field
     raise ValueError("stored field data does not match its parameters")

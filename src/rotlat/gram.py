@@ -10,32 +10,28 @@ mpmath; ``embed`` loads the two modules on first use.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .cyclo import CycloElt, Value, _sum_leaves, trace_form
 from .constructions import TwistedModule, module_index
 from .fields import embedding_reps, norm_real
 from .linalg import gram_schmidt
 
-_ONE = Fraction(1)
-
 
 class GramMatrix(Value):
     """Symmetric positive-definite rational matrix: integer numerators
     ``num`` over one denominator ``den`` > 0, in lowest terms, so == and
-    hash are value equality (over num, den and scale_applied).  ``minors``
-    (the leading principal minors) and ``lam`` are the integral
-    Gram-Schmidt data of ``num``, from one ``linalg.gram_schmidt`` pass
-    (the positive-definiteness test)."""
+    hash are value equality (over num and den).  ``minors`` (the leading
+    principal minors) and ``lam`` are the integral Gram-Schmidt data of
+    ``num``, from one ``linalg.gram_schmidt`` pass (the positive-definiteness
+    test)."""
 
-    __slots__ = ("num", "den", "scale_applied", "minors", "lam")
-    _fields = ("num", "den", "scale_applied")
+    __slots__ = ("num", "den", "minors", "lam")
+    _fields = ("num", "den")
 
-    def __init__(self, num: tuple[tuple[int, ...], ...], den: int = 1,
-                 scale_applied: Fraction = _ONE):
+    def __init__(self, num: tuple[tuple[int, ...], ...], den: int = 1):
         n = len(num)
         if any(len(row) != n for row in num):
             raise ValueError("Gram matrix must be square")
@@ -49,37 +45,12 @@ class GramMatrix(Value):
         d, lam = gram_schmidt(num)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "scale_applied", scale_applied)
         object.__setattr__(self, "minors", tuple(d[1:]))
         object.__setattr__(self, "lam", tuple(map(tuple, lam)))
-
-    @classmethod
-    def from_rows(cls, rows, scale_applied=_ONE) -> "GramMatrix":
-        """The Gram matrix with rational entries ``rows``."""
-        fracs = [[Fraction(e) for e in row] for row in rows]
-        den = lcm(*(e.denominator for row in fracs for e in row))
-        num = tuple(tuple(e.numerator * (den // e.denominator) for e in row) for row in fracs)
-        return cls(num, den, Fraction(scale_applied))
-
-    @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The rational entries (a read-only view)."""
-        return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.num)
 
     @property
     def n(self) -> int:
         return len(self.num)
-
-    def scaled(self, factor) -> "GramMatrix":
-        q = Fraction(factor)
-        rows = tuple(tuple(e * q.numerator for e in row) for row in self.num)
-        return GramMatrix(rows, self.den * q.denominator, self.scale_applied * q)
-
-    def is_integral(self) -> bool:
-        return self.den == 1
-
-    def has_even_diagonal(self) -> bool:
-        return all(self.num[i][i] % (2 * self.den) == 0 for i in range(self.n))
 
 
 def twisted_gram(xs, alpha: CycloElt, divisor: int) -> GramMatrix:
@@ -92,11 +63,6 @@ def twisted_gram(xs, alpha: CycloElt, divisor: int) -> GramMatrix:
 def gram(module: TwistedModule) -> GramMatrix:
     """Unscaled Gram matrix: trace of alpha * gamma_i * gamma_j over the field."""
     return twisted_gram(module.gamma, module.alpha, module.field.codegree)
-
-
-def gram_scaled(module: TwistedModule) -> GramMatrix:
-    """Gram matrix of the lattice scaled by 1/sqrt(c)."""
-    return gram(module).scaled(Fraction(1, module.c))
 
 
 def det_exact(g: GramMatrix) -> Fraction:
@@ -226,10 +192,3 @@ def embedding_csv(module: TwistedModule, precision: int = 128) -> str:
         lines.append(",".join([cell(lo + hi, den) for lo, hi in row]))
     return "\n".join(lines) + "\n"
 
-
-def gram_json(g: GramMatrix) -> str:
-    obj = {
-        "scale_applied": str(g.scale_applied),
-        "entries": [[str(e) for e in row] for row in g.entries],
-    }
-    return json.dumps(obj, indent=2) + "\n"

@@ -17,7 +17,6 @@ not a complete isometry test.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .cyclo import CycloElt
@@ -77,7 +76,7 @@ def lll_reduce(g: GramMatrix):
     gt_rows = [[(j, x) for j, x in enumerate(col) if x] for col in zip(*tg)]
     product = tuple(tuple(sparse_vec_mat(row, gt_rows, g.n)) for row in t)
     try:
-        reduced = GramMatrix(product, g.den, g.scale_applied)
+        reduced = GramMatrix(product, g.den)
     except ValueError:  # a product that is not positive definite
         reduced = None
     if reduced is None or (reduced.minors, reduced.lam) != (tuple(d[1:]), tuple(map(tuple, lam))):
@@ -109,9 +108,6 @@ class VerificationReport(NamedTuple):
     verdict: bool
     transform: tuple[tuple[int, ...], ...] | None
 
-    def check(self, name: str) -> bool:
-        return dict(self.checks)[name]
-
     def to_json(self) -> dict:
         return {
             "checks": dict(self.checks),
@@ -139,6 +135,3 @@ def verify_rotated_dn(module: TwistedModule) -> VerificationReport:
     )
     return VerificationReport(checks, all(v for _, v in checks), transform)
 
-
-def report_json(report: VerificationReport) -> str:
-    return json.dumps(report.to_json(), indent=2) + "\n"

@@ -3,9 +3,11 @@ table cells, tolerance helpers, ``Enclosure`` arithmetic for checking the
 integer enclosure kernel, the mpmath routes that the embed leaves and
 cells are written to match, multiplication matrices for traces and norms,
 dense matrix products and a dense rational inverse, the box orders and the
-unpruned minimum-norm oracle, and a fresh interpreter on this checkout."""
+unpruned minimum-norm oracle, the Gram JSON layout the golden digests pin,
+and a fresh interpreter on this checkout."""
 
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -19,7 +21,8 @@ import mpmath
 import pytest
 
 import rotlat.cyclo
-from rotlat import build, embedding_reps, real_embedding_bounds
+from rotlat import CycloElt, build, embedding_reps, real_embedding_bounds
+from rotlat.cyclo import trace_form
 from rotlat.distance import NORM_SEARCH_BUDGET, NormSearchResult
 from rotlat.fields import integral_coords
 from rotlat.gram import embedding_enclosure_rows
@@ -379,6 +382,12 @@ def trace_via_mult_matrix(x):
     return sum((rows[i][i] for i in range(len(rows))), Fraction(0))
 
 
+def trace_by_form(x):
+    """Tr(x) from Q(zeta_m) down to Q: the 1 x 1 trace form of 1 twisted by x."""
+    rows, den = trace_form((CycloElt.one(x.m),), x)
+    return Fraction(rows[0][0], den)
+
+
 def norm_abs(x):
     """Norm of x from Q(zeta_m) down to Q (determinant of the multiplication map)."""
     rows = _mult_rows(x)
@@ -452,3 +461,13 @@ def min_norm_search_oracle(module, coeff_bound, budget=NORM_SEARCH_BUDGET, half=
             if value == 1:
                 break
     return NormSearchResult(best, witness, True, evaluated, evaluated)
+
+
+def gram_json(g):
+    """A GramMatrix's rational entries as JSON strings, in the layout
+    ``tests/test_golden.py`` pins (``"scale_applied"`` is always "1")."""
+    obj = {
+        "scale_applied": "1",
+        "entries": [[str(Fraction(e, g.den)) for e in row] for row in g.num],
+    }
+    return json.dumps(obj, indent=2) + "\n"

@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -14,7 +15,6 @@ from rotlat import (
     det_exact,
     det_via_formula,
     dn_feasibility,
-    element_from_coords,
     gram,
     in_module,
     is_ideal,
@@ -25,14 +25,12 @@ from rotlat import (
     subfield_degrees,
     table1,
     table1_csv,
-    trace_abs,
-    trace_real,
     verify_ambient_zn,
     verify_rotated_dn,
 )
 from rotlat.numtheory import euler_phi
 from helpers import (BATTERY, PUBLISHED_CELLS, agrees_significant, conjugates, get_module,
-                     mat_mul, trace_via_mult_matrix, transpose)
+                     mat_mul, trace_by_form, trace_via_mult_matrix, transpose)
 
 
 def _line(num, name, ok):
@@ -114,10 +112,11 @@ def test_criterion_4_p34_gram_diagonal():
         module = get_module("p34", r=r, p=p)
         n1, n2 = subfield_degrees(module.field)
         G = gram(module)
+        assert G.den == 1
         pos = 0
         for i in range(n1):
             for j in range(1, n2 + 1):
-                entry = G.entries[pos][pos]
+                entry = G.num[pos][pos]
                 if i == 0 and j == n2:
                     assert entry == 4 * (2 * n1 * p), (r, p, i, j)  # doubled vector
                 elif i != 0 and j != n2:
@@ -163,7 +162,7 @@ def test_criterion_6_norm_minimum_oracle():
         result = min_norm_search(module, 2)
         assert result.exhaustive, (code, params)
         assert result.min_abs_norm == 1, (code, params, result.min_abs_norm)
-        witness = element_from_coords(module, result.witness)
+        witness = sum(a * g for a, g in zip(result.witness, module.gamma))
         assert abs(norm_real(witness, module.field)) == 1
     _line(6, "norm-minimum oracle", True)
 
@@ -260,7 +259,7 @@ def test_criterion_8_arithmetic_properties():
     for field in fields:
         for _ in range(200):
             x = _random_cyclo(rng, field.m)
-            assert trace_abs(x) == trace_via_mult_matrix(x)
+            assert trace_by_form(x) == trace_via_mult_matrix(x)
         for _ in range(200):
             x = _random_member(rng, field)
             y = _random_member(rng, field)
@@ -271,7 +270,7 @@ def test_criterion_8_arithmetic_properties():
             total = enclosures[0]
             for e in enclosures[1:]:
                 total = total + e
-            assert total.contains(trace_real(x, field))
+            assert total.contains(trace_by_form(x) / field.codegree)
     _line(8, "arithmetic property suite", True)
 
 
@@ -285,9 +284,13 @@ def _ambient_gram_rows(field, alpha, c):
     twisted = [alpha * w for w in field.basis]
     for i in range(n):
         for j in range(i, n):
-            v = trace_abs(twisted[i] * field.basis[j]) / idx / c
+            v = trace_by_form(twisted[i] * field.basis[j]) / idx / c
             rows[i][j] = rows[j][i] = v
     return rows
+
+
+def _rational_rows(g):
+    return [[Fraction(e, g.den) for e in row] for row in g.num]
 
 
 def test_criterion_9_lll_certificates():
@@ -296,10 +299,12 @@ def test_criterion_9_lll_certificates():
     for code, params in BATTERY:
         module = get_module(code, **params)
         rows = _ambient_gram_rows(module.field, module.alpha, module.c)
-        reduced, transform = lll_reduce(GramMatrix.from_rows(rows))
+        den = lcm(*(q.denominator for row in rows for q in row))
+        reduced, transform = lll_reduce(
+            GramMatrix(tuple(tuple(int(q * den) for q in row) for row in rows), den))
         t_rows = [list(r) for r in transform]
         product = mat_mul(mat_mul(t_rows, rows), transpose(t_rows))
-        assert [list(map(Fraction, r)) for r in product] == [list(r) for r in reduced.entries]
+        assert product == _rational_rows(reduced)
         ambient, t2 = verify_ambient_zn(module.field, module.alpha, module.c)
         assert ambient
         product2 = mat_mul(mat_mul([list(r) for r in t2], rows),
@@ -316,10 +321,10 @@ def test_kernel_grams_match_trace_oracle_at_certify_sizes(code, params):
 
     module = get_module(code, **params)
     K, alpha, c = module.field, module.alpha, module.c
-    assert [list(r) for r in ambient_gram(K, alpha, c).entries] == _ambient_gram_rows(K, alpha, c)
-    entries = gram(module).entries
+    assert _rational_rows(ambient_gram(K, alpha, c)) == _ambient_gram_rows(K, alpha, c)
+    entries = _rational_rows(gram(module))
     for i, x in enumerate(module.gamma):
         twisted = alpha * x
         for j in range(i, K.n):
-            expected = trace_abs(twisted * module.gamma[j]) / K.codegree
+            expected = trace_by_form(twisted * module.gamma[j]) / K.codegree
             assert entries[i][j] == entries[j][i] == expected

@@ -1,12 +1,16 @@
 import json
 import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+import rotlat.cli
 from rotlat.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNVERIFIED, main
-from rotlat.constructions import module_to_json
+from rotlat.constructions import module_from_json, module_to_json
+from rotlat.fields import FieldDesc
+from rotlat.gram import det_via_formula
 from rotlat.cyclo import trace_form
 from rotlat.linalg import gram_schmidt, pivot_inverse
 from rotlat import TwistedModule
@@ -205,6 +209,44 @@ def test_field_params_are_checked_before_the_discriminant(tmp_path, capsys):
     assert captured.err.splitlines() == ["error: stored field data does not match its parameters"]
 
 
+@pytest.mark.parametrize("command", ["verify", "embed"])
+@pytest.mark.parametrize("r", [22, 26])
+def test_a_wrong_discriminant_is_rejected_without_building_it(tmp_path, capsys, monkeypatch,
+                                                              r, command):
+    # pow2 r=26 has the discriminant 2^(25 * 2^24 - 1), of 126 million
+    # digits; the stored one has one digit, so the digit counts differ
+    def built(field):
+        raise AssertionError("the discriminant was built")
+
+    monkeypatch.setattr(FieldDesc, "disc", property(built))
+    m, n = 2**r, 2 ** (r - 2)
+    obj = {"field": {"family": "pow2", "params": {"r": r}, "m": m, "n": n, "disc": "8"},
+           "gamma": [], "alpha": {"m": m, "coeffs": []}, "c": 1, "construction": "p31"}
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(obj))
+    assert main([command, str(path)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: stored field data does not match its parameters"]
+
+
+def test_verify_writes_determinants_past_the_int_str_limit(tmp_path, capsys):
+    # a twist with a 4,001-digit constant coefficient: both determinants have
+    # about 12,000 digits, past CPython's 4,300-digit int-to-str limit
+    obj = module_to_json(get_module("p32", p=7))
+    coeffs = obj["alpha"]["coeffs"]
+    coeffs[0] = str(int(coeffs[0]) + 10**4000)
+    assert len(coeffs[0]) == 4001
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == EXIT_UNVERIFIED
+    cross = json.loads(capsys.readouterr().out)["det_cross_check"]
+    det = det_via_formula(module_from_json(obj))
+    assert det.denominator == 1 and Decimal(cross["formula"]) == det.numerator
+    assert cross["gram"] == cross["formula"] and cross["equal"] is True
+    assert len(cross["gram"]) > 12000
+
+
 def test_warning_is_one_line(tmp_path, capsys):
     out = tmp_path / "module.json"
     with warnings.catch_warnings():
@@ -393,6 +435,23 @@ def test_internal_runtime_error_exits_two(tmp_path, capsys, monkeypatch, command
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError(), "error: MemoryError"),
+    (TypeError("unsupported operand"), "error: unsupported operand"),
+])
+def test_any_failure_exits_two_with_one_line(capsys, monkeypatch, error, line):
+    # a command that dies of anything else (out of memory building a field
+    # of conductor 2^r for a huge r, say) is not a "not verified" verdict
+    def fail(args):
+        raise error
+
+    monkeypatch.setitem(rotlat.cli._COMMANDS, "feasibility", fail)
+    assert main(["feasibility", "--family", "pow2", "--r", "5"]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
 
 
 def test_python_dash_m_runs_from_a_checkout():

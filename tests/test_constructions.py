@@ -8,9 +8,7 @@ from rotlat import (
     CycloElt,
     TwistedModule,
     build,
-    coords_in_module,
     dp_rel_exponents,
-    element_from_coords,
     in_module,
     is_ideal,
     is_totally_positive,
@@ -19,7 +17,7 @@ from rotlat import (
     module_index,
     module_to_json,
 )
-from rotlat.constructions import coordinate_matrix
+from rotlat.constructions import _module_coords, coordinate_matrix
 from rotlat.fields import FieldDesc
 from rotlat.gram import gram
 from rotlat.distance import lattice_dimension
@@ -152,11 +150,17 @@ def test_alpha_totally_positive_battery():
         assert is_totally_positive(m.alpha, m.field)
 
 
+def _coords(module, x):
+    """Coordinates of x over gamma (rational; integral iff x is in the module)."""
+    coords, scale = _module_coords(module, x)
+    return tuple(Fraction(b, scale) for b in coords)
+
+
 def test_membership_and_coords():
     m = get_module("p32", p=7)
-    y = element_from_coords(m, (1, -2, 3))
+    y = m.gamma[0] - 2 * m.gamma[1] + 3 * m.gamma[2]
     assert in_module(m, y)
-    assert coords_in_module(m, y) == (1, -2, 3)
+    assert _coords(m, y) == (1, -2, 3)
     b3 = m.field.basis[2]
     assert not in_module(m, b3)  # only even multiples of the last basis vector
 
@@ -175,9 +179,9 @@ def test_coords_in_module_equals_dense_oracle(case, nums, den):
     # test-side oracle: y times the dense rational inverse of the coordinate matrix
     inv = inverse_rational([list(row) for row in coordinate_matrix(m)])
     expected = tuple(sum(y[i] * inv[i][j] for i in range(K.n)) for j in range(K.n))
-    assert coords_in_module(m, x) == expected
+    assert _coords(m, x) == expected
     assert in_module(m, x) == all(q.denominator == 1 for q in expected)
-    assert element_from_coords(m, expected) == x
+    assert sum(q * g for q, g in zip(expected, m.gamma)) == x
 
 
 def test_module_hash_is_consistent_with_equality():
@@ -187,8 +191,8 @@ def test_module_hash_is_consistent_with_equality():
     doubled = TwistedModule(m.field, (2 * m.gamma[0],) + m.gamma[1:], m.alpha, m.c, m.construction)
     assert doubled != m
     # equal hashes, different modules: the caches keyed on modules keep them apart
-    assert coords_in_module(doubled, m.gamma[0]) == (Fraction(1, 2),) + (0,) * (m.field.n - 1)
-    assert coords_in_module(m, m.gamma[0]) == (1,) + (0,) * (m.field.n - 1)
+    assert _coords(doubled, m.gamma[0]) == (Fraction(1, 2),) + (0,) * (m.field.n - 1)
+    assert _coords(m, m.gamma[0]) == (1,) + (0,) * (m.field.n - 1)
 
 
 def test_is_ideal_verdicts():
@@ -242,9 +246,7 @@ def test_p37_witness_found_by_scan_is_minimal_counterexample():
     m = get_module("p37", p1=5, p2=7)
     chk = is_ideal(m)
     assert not chk.is_ideal
-    from rotlat import coords_in_module
-
-    coords = coords_in_module(m, chk.witness.product)
+    coords = _coords(m, chk.witness.product)
     assert any(q.denominator == 2 for q in coords)
 
 

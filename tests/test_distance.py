@@ -16,6 +16,7 @@ from rotlat import (
     table1_csv,
 )
 from rotlat import distance
+from rotlat.constructions import lookup
 from rotlat.distance import (
     _abs_norm,
     _embedding_steps,
@@ -23,7 +24,6 @@ from rotlat.distance import (
     _pruning_bounds,
     exponents_to_square_radicand,
     lattice_dimension,
-    norm_alpha_exponents,
     scale_exponents,
 )
 from helpers import (
@@ -117,7 +117,8 @@ def test_construction_table_matches_built_module(code, params):
     # module that build() made
     m = get_module(code, **params)
     norm_alpha = norm_real(m.alpha, m.field)
-    assert _squared(norm_alpha_exponents(code, **params)) == norm_alpha**2
+    spec, q, dims = lookup(code, params)
+    assert prod(p**e for p, e in spec.norm_alpha(q, dims).items()) == norm_alpha
     assert _squared(scale_exponents(code, **params)) == m.c**2
     assert lattice_dimension(code, **params) == m.field.n
     min_norm = dp_closed_form(m).min_norm_assumed
@@ -154,9 +155,7 @@ def test_min_norm_search_confirms_unit(code, params):
     assert res.min_abs_norm == 1
     assert res.exhaustive
     m = get_module(code, **params)
-    from rotlat import element_from_coords
-
-    witness = element_from_coords(m, res.witness)
+    witness = sum(a * g for a, g in zip(res.witness, m.gamma))
     assert abs(norm_real(witness, m.field)) == 1
 
 
@@ -173,21 +172,17 @@ def test_min_norm_search_witness_is_first_in_scan_order():
     res = min_norm_search(m, 1)
     # the search walks one of each pair +-x and counts the walked vectors;
     # rescan the whole box: no attaining vector may precede the witness
-    from rotlat import element_from_coords
-
     box = box_in_scan_order(1, 4)
     assert half_box_in_scan_order(1, 4).index(res.witness) == res.evaluated - 1 == 13
     assert box.index(res.witness) == 26
     for a in box[:box.index(res.witness)]:
-        assert abs(norm_real(element_from_coords(m, a), m.field)) > res.min_abs_norm
+        assert abs(norm_real(sum(c * g for c, g in zip(a, m.gamma)), m.field)) > res.min_abs_norm
 
 
 def test_norm_homogeneity_of_witness():
     m = get_module("p34", r=3, p=5)
     res = min_norm_search(m, 1)
-    from rotlat import element_from_coords
-
-    y = element_from_coords(m, res.witness)
+    y = sum(a * g for a, g in zip(res.witness, m.gamma))
     n = m.field.n
     assert abs(norm_real(2 * y, m.field)) == 2**n * abs(norm_real(y, m.field))
 
@@ -337,8 +332,6 @@ def test_min_norm_search_skips_only_vectors_that_cannot_beat_the_minimum(
     # first vector sets the minimum (2 for p31) or the next minimum is the
     # unit (8, then 1 for p34); fed the walk backwards, the minimum falls in
     # 5 and 8 steps, so vectors are skipped at many different minima
-    from rotlat import element_from_coords
-
     module = get_module(code, **params)
     walk, exact = distance._pruning_bounds, distance._abs_norm
     seen = []
@@ -366,7 +359,8 @@ def test_min_norm_search_skips_only_vectors_that_cannot_beat_the_minimum(
             best = value if best is None else min(best, value)
     assert best == res.min_abs_norm
     assert len(skipped) == res.evaluated - res.determinants > 0
-    norms = [abs(norm_real(element_from_coords(module, a), module.field)) for a, _ in skipped]
+    norms = [abs(norm_real(sum(c * g for c, g in zip(a, module.gamma)), module.field))
+             for a, _ in skipped]
     assert all(norm >= at for norm, (_, at) in zip(norms, skipped))
     # some skipped vector ties the minimum: only its norm being an integer
     # above best - 1 let it be skipped

@@ -10,9 +10,9 @@ import json
 
 import pytest
 
-from rotlat import embedding_csv, gram, gram_json, module_to_json
+from rotlat import embedding_csv, gram, module_to_json
 from rotlat.cli import EXIT_OK, main
-from helpers import BATTERY, get_module
+from helpers import BATTERY, get_module, gram_json
 
 LARGER = (
     ("p31", {"r": 6}),

@@ -14,8 +14,6 @@ from rotlat import (
     embedding_csv,
     embedding_reps,
     gram,
-    gram_json,
-    gram_scaled,
     make_field,
     norm_real,
     real_embedding_bounds,
@@ -23,31 +21,37 @@ from rotlat import (
 )
 from rotlat.gram import embedding_enclosure_rows
 from helpers import (BATTERY, Enclosure, embedding_csv_oracle, embedding_matrix,
-                     enclosure_rows_oracle, enclosure_rows_oracle_at, get_module, widen_leaves)
+                     enclosure_rows_oracle, enclosure_rows_oracle_at, get_module, gram_json,
+                     widen_leaves)
+
+
+def _scaled(module):
+    """The Gram matrix of the scaled lattice: G / c."""
+    g = gram(module)
+    return GramMatrix(g.num, g.den * module.c)
 
 
 def test_gram_integral_basis_pow2_alpha_one():
     K = make_field("pow2", r=3)
     amb = TwistedModule(K, K.basis, CycloElt.one(8), 1, "ambient")
-    assert gram(amb).entries == ((2, 0), (0, 4))
+    g = gram(amb)
+    assert (g.num, g.den) == (((2, 0), (0, 4)), 1)
 
 
 def test_gram_requires_symmetry_and_positivity():
     with pytest.raises(ValueError):
-        GramMatrix.from_rows([[1, 2], [3, 1]])
+        GramMatrix(((1, 2), (3, 1)))
     with pytest.raises(ValueError):
-        GramMatrix.from_rows([[1, 2], [2, 1]])
+        GramMatrix(((1, 2), (2, 1)))
 
 
 def test_gram_is_integer_numerators_over_one_denominator_in_lowest_terms():
     G = GramMatrix(((4, 2), (2, 4)), 6)
     assert (G.num, G.den, G.minors) == (((2, 1), (1, 2)), 3, (2, 3))
-    H = GramMatrix.from_rows([[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]])
+    H = GramMatrix(((2, 1), (1, 2)), 3)
     assert H == G and hash(H) == hash(G)
-    assert G.entries == ((Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 3), Fraction(2, 3)))
+    assert H != GramMatrix(((2, 1), (1, 2))) and GramMatrix(((6, 3), (3, 6)), 3).den == 1
     assert det_exact(G) == Fraction(1, 3)
-    assert not G.is_integral() and G.scaled(3).is_integral()
-    assert G.scaled(3).has_even_diagonal() and not G.scaled(Fraction(3, 2)).has_even_diagonal()
     for bad in ((((1, 0), (0, 1)), 0), (((Fraction(1, 2), 0), (0, 1)), 1)):
         with pytest.raises((ValueError, TypeError)):
             GramMatrix(*bad)
@@ -67,11 +71,12 @@ def test_p34_gram_diagonal_piecewise(r, p):
     m = get_module("p34", r=r, p=p)
     n1, n2 = subfield_degrees(m.field)
     G = gram(m)
+    assert G.den == 1
     pos = 0
     for i in range(n1):
         for j in range(1, n2 + 1):
             doubled = i == 0 and j == n2
-            assert G.entries[pos][pos] == _p34_expected_diag(r, p, n2, i, j, doubled)
+            assert G.num[pos][pos] == _p34_expected_diag(r, p, n2, i, j, doubled)
             pos += 1
 
 
@@ -81,6 +86,7 @@ def test_p37_gram_diagonal_piecewise():
     m = get_module("p37", p1=5, p2=7)
     n1, n2 = subfield_degrees(m.field)
     G = gram(m)
+    assert G.den == 1
     pos = 0
     for i in range(1, n1 + 1):
         for j in range(1, n2 + 1):
@@ -90,16 +96,16 @@ def test_p37_gram_diagonal_piecewise():
                 expected = 4 * 5 * 7
             else:
                 expected = 2 * 5 * 7
-            assert G.entries[pos][pos] == expected
-            assert G.entries[pos][pos] in (2 * 5 * 7, 4 * 5 * 7)
+            assert G.num[pos][pos] == expected
+            assert G.num[pos][pos] in (2 * 5 * 7, 4 * 5 * 7)
             pos += 1
 
 
 def test_det_examples():
     m = get_module("p34", r=3, p=5)
     assert det_exact(gram(m)) == 4 * 20**4
-    assert det_exact(gram_scaled(m)) == 4
-    assert det_exact(GramMatrix.from_rows([[1, 0], [0, 1]])) == 1
+    assert det_exact(_scaled(m)) == 4
+    assert det_exact(GramMatrix(((1, 0), (0, 1)))) == 1
 
 
 def test_det_via_formula_examples():
@@ -121,9 +127,9 @@ def test_det_identity_battery(code, params):
 @pytest.mark.parametrize("code,params", BATTERY)
 def test_scaled_gram_integral_even_diagonal(code, params):
     m = get_module(code, **params)
-    gs = gram_scaled(m)
-    assert gs.is_integral()
-    assert gs.has_even_diagonal()
+    gs = _scaled(m)
+    assert gs.den == 1
+    assert all(gs.num[i][i] % 2 == 0 for i in range(gs.n))
 
 
 def test_embedding_rows_closed_form():
@@ -141,13 +147,13 @@ def test_embedding_matches_gram(code, params):
     precision = 96
     m = get_module(code, **params)
     M = embedding_matrix(m, precision)
-    gs = gram_scaled(m)
+    gs = _scaled(m)
     with mpmath.workprec(precision):
         tol = mpmath.mpf(2) ** (-precision // 2)
         for i in range(m.field.n):
             for j in range(m.field.n):
                 approx = mpmath.fsum(M[i][k] * M[j][k] for k in range(m.field.n))
-                exact = mpmath.mpf(gs.entries[i][j].numerator) / gs.entries[i][j].denominator
+                exact = mpmath.mpf(gs.num[i][j]) / gs.den
                 scale = max(1, abs(exact))
                 assert abs(approx - exact) <= tol * scale
 
@@ -185,9 +191,10 @@ def test_embedding_csv_header_and_determinism():
 
 def test_gram_json_decimal_strings():
     m = get_module("p34", r=3, p=5)
-    obj = json.loads(gram_json(gram_scaled(m)))
-    assert obj["scale_applied"] == "1/20"
-    assert obj["entries"][0][0] == "2"
+    obj = json.loads(gram_json(gram(m)))
+    assert obj["scale_applied"] == "1"
+    assert obj["entries"][0][0] == "40"  # 2 in the lattice scaled by 1/c = 1/20
+    assert json.loads(gram_json(GramMatrix(((2, 1), (1, 2)), 3)))["entries"][0] == ["2/3", "1/3"]
     assert all(isinstance(s, str) for row in obj["entries"] for s in row)
 
 

@@ -1,5 +1,7 @@
-"""The scripts under scripts/ run end to end against the package in src/."""
+"""The scripts under scripts/ run end to end against the package in src/,
+and every public name of the package has a reader outside the tests."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import rotlat
 from helpers import BATTERY, get_module
 from rotlat.distance import min_norm_search
 from rotlat.verify import VerificationReport
@@ -87,3 +90,50 @@ def test_feasibility_survey_prints_one_row_per_field():
     assert done.returncode == 0, done.stderr
     rows = done.stdout.splitlines()[1:]
     assert len(rows) == len(_load("feasibility_survey").survey(4, 7)) == 9
+
+
+PUBLIC = {
+    "CycloElt", "cyclotomic_polynomial", "real_embedding_bounds",
+    "FieldDesc", "coords_on_basis", "discriminant_2adic_valuation", "embedding_reps",
+    "field_from_json", "field_to_json", "is_element", "is_totally_positive", "make_field",
+    "norm_real", "subfield_degrees",
+    "IdealCheck", "IdealityWitness", "TwistedModule", "build", "in_module", "is_ideal",
+    "module_from_json", "module_index", "module_to_json",
+    "GramMatrix", "det_exact", "det_via_formula", "embedding_csv", "gram",
+    "VerificationReport", "lll_reduce", "verify_ambient_zn", "verify_rotated_dn",
+    "DistanceResult", "NormSearchResult", "TABLE_ROWS", "TableRow", "dp_closed_form",
+    "dp_rel_exponents", "dp_unscaled_exponents", "min_norm_search", "per_dimension",
+    "table1", "table1_csv",
+    "FeasibilityReport", "dn_feasibility", "splitting_of_two",
+}
+
+
+def test_public_names_are_pinned():
+    assert sorted(rotlat.__all__) == sorted(PUBLIC)
+
+
+def _names_read(path):
+    """The names a file loads, imports or reads as attributes, leaving out
+    each top-level definition's reads of its own name."""
+    names = set()
+    for statement in ast.parse(path.read_text()).body:
+        found = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            found.discard(statement.name)
+        names |= found
+    return names
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    package = ROOT / "src" / "rotlat"
+    files = [path for path in package.glob("*.py") if path.name != "__init__.py"]
+    files += [*(ROOT / "perfbench").glob("*.py"), *SCRIPTS.glob("*.py")]
+    read = set().union(*map(_names_read, files))
+    assert [name for name in rotlat.__all__ if name not in read] == []

@@ -10,19 +10,24 @@ from rotlat import (
     TwistedModule,
     det_exact,
     gram,
-    gram_scaled,
     lll_reduce,
     make_field,
     verify_ambient_zn,
     verify_rotated_dn,
 )
 from rotlat.linalg import det_int, gram_schmidt, identity_matrix
-from rotlat.verify import _swap, report_json
-from helpers import BATTERY, get_module, mat_mul, transpose
+from rotlat.verify import _swap
+from helpers import BATTERY, get_module, mat_mul, trace_by_form, transpose
 
 
-def _frac_rows(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+def _gram(rows, den=1):
+    return GramMatrix(tuple(map(tuple, rows)), den)
+
+
+def _scaled(g, q):
+    """The Gram matrix g * q."""
+    return GramMatrix(tuple(tuple(e * q.numerator for e in row) for row in g.num),
+                      g.den * q.denominator)
 
 
 def _rational_gso(g):
@@ -40,24 +45,24 @@ def _rational_gso(g):
 
 
 def test_lll_identity_fixed_point():
-    G = GramMatrix.from_rows([[1, 0], [0, 1]])
+    G = _gram([[1, 0], [0, 1]])
     red, T = lll_reduce(G)
-    assert red.entries == _frac_rows([[1, 0], [0, 1]])
+    assert red == G
     assert T == ((1, 0), (0, 1))
 
 
 def test_lll_already_reduced_hexagonal():
-    G = GramMatrix.from_rows([[2, 1], [1, 2]])
+    G = _gram([[2, 1], [1, 2]])
     red, T = lll_reduce(G)
     # reduced up to sign convention; diagonal and determinant preserved
-    assert red.entries in (_frac_rows([[2, 1], [1, 2]]), _frac_rows([[2, -1], [-1, 2]]))
+    assert red in (G, _gram([[2, -1], [-1, 2]]))
     assert abs(det_int([list(r) for r in T])) == 1
 
 
 def test_lll_unimodular_frame_reaches_identity():
-    G = GramMatrix.from_rows([[5, 3], [3, 2]])
+    G = _gram([[5, 3], [3, 2]])
     red, T = lll_reduce(G)
-    assert red.entries == _frac_rows([[1, 0], [0, 1]])
+    assert red == _gram([[1, 0], [0, 1]])
 
 
 def test_lll_certificate_rejects_a_corrupted_transform(monkeypatch):
@@ -69,12 +74,9 @@ def test_lll_certificate_rejects_a_corrupted_transform(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "_swap", lam_only)
     with pytest.raises(RuntimeError, match="certificate check"):
-        lll_reduce(GramMatrix.from_rows([[5, 3], [3, 2]]))
+        lll_reduce(_gram([[5, 3], [3, 2]]))
     with pytest.raises(RuntimeError, match="certificate check"):
-        lll_reduce(GramMatrix.from_rows([
-            [Fraction(5, 3), Fraction(4, 3)],
-            [Fraction(4, 3), Fraction(7, 5)],
-        ]))
+        lll_reduce(_gram([[25, 20], [20, 21]], 15))  # [[5/3, 4/3], [4/3, 7/5]]
 
 
 rand_basis = st.integers(min_value=2, max_value=5).flatmap(
@@ -90,15 +92,15 @@ rand_basis = st.integers(min_value=2, max_value=5).flatmap(
 @settings(max_examples=60, deadline=None)
 def test_lll_certificate_and_conditions(rows):
     gram_rows = mat_mul(rows, transpose(rows))
-    G = GramMatrix.from_rows(gram_rows)
+    G = _gram(gram_rows)
     red, T = lll_reduce(G)
     # exact certificate
     t_rows = [list(r) for r in T]
-    product = mat_mul(mat_mul(t_rows, [list(r) for r in G.entries]), transpose(t_rows))
-    assert _frac_rows(product) == red.entries
+    product = mat_mul(mat_mul(t_rows, gram_rows), transpose(t_rows))
+    assert red == _gram(product)
     assert abs(det_int(t_rows)) == 1
     # size-reduction and Lovasz conditions hold for the output
-    mu, norms = _rational_gso(red.entries)
+    mu, norms = _rational_gso([[Fraction(e) for e in row] for row in product])
     n = len(norms)
     for i in range(n):
         for j in range(i):
@@ -112,7 +114,7 @@ def test_lll_certificate_and_conditions(rows):
 def test_lll_leaves_its_input_untouched(rows):
     # the loop starts from copies of the input's (d, lam): a second run on
     # the same GramMatrix sees the same data and gives the same result
-    G = GramMatrix.from_rows(mat_mul(rows, transpose(rows)))
+    G = _gram(mat_mul(rows, transpose(rows)))
     minors, lam = G.minors, G.lam
     first = lll_reduce(G)
     assert lll_reduce(G) == first
@@ -141,12 +143,12 @@ def test_swap_matches_the_kernel_on_the_swapped_gram(rows):
 def test_lll_transform_is_scale_invariant(rows, k, invert):
     # every LLL decision is homogeneous in the Gram matrix, so the integer
     # numerators of G and of G * q lead to the same transform
-    G = GramMatrix.from_rows(mat_mul(rows, transpose(rows)))
+    G = _gram(mat_mul(rows, transpose(rows)))
     q = Fraction(1, k) if invert else Fraction(k)
     red, T = lll_reduce(G)
-    red_q, T_q = lll_reduce(G.scaled(q))
+    red_q, T_q = lll_reduce(_scaled(G, q))
     assert T_q == T
-    assert red_q == red.scaled(q)
+    assert red_q == _scaled(red, q)
 
 
 @pytest.mark.parametrize(
@@ -176,10 +178,8 @@ def test_verify_ambient_identity_input():
     ok, T = verify_ambient_zn(K, alpha, 4)
     assert ok
     # certificate: T G T^t = I exactly
-    from rotlat.cyclo import trace_abs
-
     rows = [
-        [trace_abs(alpha * wi * wj) / K.codegree / 4 for wj in K.basis]
+        [trace_by_form(alpha * wi * wj) / K.codegree / 4 for wj in K.basis]
         for wi in K.basis
     ]
     t_rows = [list(r) for r in T]
@@ -208,10 +208,13 @@ def test_module_checks_match_the_scaled_gram(c):
     # the scaled GramMatrix is the oracle (c = 20 is the module's own scale)
     m = get_module("p34", r=3, p=5)
     report = verify_rotated_dn(TwistedModule(m.field, m.gamma, m.alpha, c, m.construction))
-    scaled = gram(m).scaled(Fraction(1, c))
-    assert report.check("integral") == scaled.is_integral()
-    assert report.check("even") == (scaled.is_integral() and scaled.has_even_diagonal())
-    assert report.check("det_is_4") == (det_exact(scaled) == 4)
+    scaled = _scaled(gram(m), Fraction(1, c))
+    integral = scaled.den == 1
+    checks = dict(report.checks)
+    assert checks["integral"] == integral
+    even = integral and all(scaled.num[i][i] % 2 == 0 for i in range(scaled.n))
+    assert checks["even"] == even
+    assert checks["det_is_4"] == (det_exact(scaled) == 4)
 
 
 def test_verify_ambient_false_when_not_unimodular():
@@ -223,9 +226,9 @@ def test_verify_ambient_false_when_not_unimodular():
 
 
 def test_lll_single_dimension():
-    G = GramMatrix.from_rows([[5]])
+    G = _gram([[5]])
     red, T = lll_reduce(G)
-    assert red.entries == ((5,),) and T == ((1,),)
+    assert red == G and T == ((1,),)
 
 
 def test_verify_ambient_module_fails_index_and_det():
@@ -233,9 +236,10 @@ def test_verify_ambient_module_fails_index_and_det():
     K = m.field
     ambient = TwistedModule(K, K.basis, m.alpha, m.c, "ambient")
     report = verify_rotated_dn(ambient)
-    assert report.check("ambient_is_zn")
-    assert not report.check("det_is_4")
-    assert not report.check("index_is_2")
+    checks = dict(report.checks)
+    assert checks["ambient_is_zn"]
+    assert not checks["det_is_4"]
+    assert not checks["index_is_2"]
     assert not report.verdict
 
 
@@ -244,9 +248,10 @@ def test_verify_ambient_module_fails_index_and_det():
 def test_even_diagonal_forces_even_norms(vec):
     # with an integral Gram and even diagonal, every vector norm is even
     m = get_module("p34", r=3, p=5)
-    gs = gram_scaled(m)
+    gs = _scaled(gram(m), Fraction(1, m.c))
+    assert gs.den == 1
     total = sum(
-        gs.entries[i][j] * vec[i] * vec[j]
+        gs.num[i][j] * vec[i] * vec[j]
         for i in range(4)
         for j in range(4)
     )
@@ -255,7 +260,7 @@ def test_even_diagonal_forces_even_norms(vec):
 
 def test_report_json_shape():
     rep = verify_rotated_dn(get_module("p32", p=7))
-    obj = json.loads(report_json(rep))
+    obj = json.loads(json.dumps(rep.to_json()))
     assert set(obj) == {"checks", "verdict", "transform"}
     assert set(obj["checks"]) == {"ambient_is_zn", "integral", "even", "det_is_4", "index_is_2"}
     assert obj["verdict"] is True
