@@ -5,13 +5,14 @@ exponents; floats appear only at the output boundary (the per-dimension
 value, i.e. the n-th root of the relative minimum product distance).
 A coefficient-box search over the module provides the independent
 check of the minimum-norm assumption behind the closed forms: exact
-determinants of one of each pair +-x (|N(-x)| = |N(x)|).  Norms of
-nonzero module elements are positive integers, so a vector whose certified
-integer embedding bounds prove |N(x)| > best - 1 cannot beat the current
-minimum and is passed over.  The box is scanned one sup-norm shell at a
-time, smallest coefficients first, so a unit of small coefficients ends the
-search early (Fincke & Pohst's enumeration by increasing size, applied to
-the norm form).
+norms of one of each pair +-x (|N(-x)| = |N(x)|).  Norms of nonzero module
+elements are positive integers, so a vector whose certified integer
+embedding bounds prove |N(x)| > best - 1 cannot beat the current minimum
+and is passed over; only the vectors left get an exact norm, ``norm_real``
+of the one candidate x (the determinant of multiplication by x).  The box
+is scanned one sup-norm shell at a time, smallest coefficients first, so a
+unit of small coefficients ends the search early (Fincke & Pohst's
+enumeration by increasing size, applied to the norm form).
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
-from .constructions import TwistedModule, lookup
+from .constructions import TwistedModule, coordinate_matrix, lookup
 from .cyclo import real_embedding_bounds
-from .fields import embedding_reps, integral_coords
-from .linalg import det_int, sparse_vec_mat
+from .fields import embedding_reps, norm_real
 from .numtheory import factorize
 
 _HALF = Fraction(1, 2)
@@ -147,21 +147,13 @@ NORM_SEARCH_BUDGET = 2_000_000
 _BOUND_PREC = 64
 
 
-def _mult_matrices(module: TwistedModule) -> list[tuple[tuple[int, int], ...]]:
-    """Multiplication by each gamma element on the integral basis, as the
-    nonzero entries (n * row + col, value) of its integer matrix M_i; the
-    norm of sum a_i gamma_i is det(sum a_i M_i)."""
-    K = module.field
-    return [tuple((K.n * i + j, x) for i, w in enumerate(K.basis)
-                  for j, x in enumerate(integral_coords(K, g * w)) if x)
-            for g in module.gamma]
-
-
-def _abs_norm(mats: list[tuple[tuple[int, int], ...]], a: tuple[int, ...]) -> int:
-    """|N(sum a_i gamma_i)| = |det(sum a_i M_i)|, exactly."""
-    n = len(a)
-    flat = sparse_vec_mat(a, mats, n * n)
-    return abs(det_int([flat[i:i + n] for i in range(0, n * n, n)]))
+def _abs_norm(module: TwistedModule, a: tuple[int, ...]) -> int:
+    """|N(sum a_i gamma_i)|, exactly: ``norm_real`` of the one element, an
+    integer since gamma is integral."""
+    x = sum(c * g for c, g in zip(a, module.gamma) if c)
+    norm = norm_real(x, module.field)
+    assert norm.denominator == 1
+    return abs(norm.numerator)
 
 
 def _embedding_steps(module: TwistedModule, coeff_bound: int):
@@ -248,18 +240,19 @@ def min_norm_search(
     happens in the first shell; a budget overrun returns a partial result,
     flagged and warned about.
 
-    Every reported norm is an exact determinant.  Gamma elements are
-    algebraic integers, so |N(x)| is a positive integer, and a certified
-    integer embedding bound above best - 1 proves |N(x)| >= best: such a
-    vector could never replace the current minimum and is passed over
-    (Fincke & Pohst's pruning, applied to the norm form).  The first
-    vector attaining each new minimum always reaches the determinant.
+    Every reported norm is exact, ``norm_real`` of the candidate.  Gamma
+    must be integral (else ValueError, before the scan), so |N(x)| is a
+    positive integer, and a certified integer embedding bound above
+    best - 1 proves |N(x)| >= best: such a vector could never replace the
+    current minimum and is passed over (Fincke & Pohst's pruning, applied
+    to the norm form).  The first vector attaining each new minimum always
+    gets its exact norm.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    mats = _mult_matrices(module)
+    coordinate_matrix(module)  # raises unless gamma is integral over the basis
     steps, scale = _embedding_steps(module, coeff_bound)
     best: int | None = None
     cutoff = math.inf  # (best - 1) * D^n: a larger bound proves |N(x)| >= best
@@ -279,7 +272,7 @@ def min_norm_search(
         if lower > cutoff:
             continue
         determinants += 1
-        value = _abs_norm(mats, a)
+        value = _abs_norm(module, a)
         if best is None or value < best:
             best, witness = value, a
             if value == 1:

@@ -15,12 +15,11 @@ from rotlat import (
     table1,
     table1_csv,
 )
-from rotlat import distance
-from rotlat.constructions import lookup
+from rotlat import distance, fields
+from rotlat.constructions import TwistedModule, lookup
 from rotlat.distance import (
     _abs_norm,
     _embedding_steps,
-    _mult_matrices,
     _pruning_bounds,
     exponents_to_square_radicand,
     lattice_dimension,
@@ -302,8 +301,7 @@ def test_pruning_bounds_are_certified():
     steps, scale = _embedding_steps(module, 2)
     walked = list(_pruning_bounds(steps, 2))
     assert [a for a, _ in walked] == half_box_in_scan_order(2, 4)
-    mats = _mult_matrices(module)
-    assert all(lower <= scale * _abs_norm(mats, a) for a, lower in walked)
+    assert all(lower <= scale * _abs_norm(module, a) for a, lower in walked)
     assert sum(lower > 0 for _, lower in walked) > len(walked) // 2
 
 
@@ -342,9 +340,9 @@ def test_min_norm_search_skips_only_vectors_that_cannot_beat_the_minimum(
             seen.append([a, None])
             yield a, lower
 
-    def recording_norm(mats, a):
-        assert seen[-1] == [a, None]
-        seen[-1][1] = exact(mats, a)
+    def recording_norm(searched, a):
+        assert searched is module and seen[-1] == [a, None]
+        seen[-1][1] = exact(searched, a)
         return seen[-1][1]
 
     monkeypatch.setattr(distance, "_pruning_bounds", recording_walk)
@@ -365,6 +363,48 @@ def test_min_norm_search_skips_only_vectors_that_cannot_beat_the_minimum(
     # some skipped vector ties the minimum: only its norm being an integer
     # above best - 1 let it be skipped
     assert any(norm == at for norm, (_, at) in zip(norms, skipped))
+
+
+@pytest.mark.parametrize("code,params,bound,limit", [
+    ("p34", {"r": 4, "p": 5}, 2, 16),
+    ("p37", {"p1": 7, "p2": 11}, 1, 30),
+])
+def test_min_norm_search_solves_coordinates_only_for_its_determinants(
+    monkeypatch, code, params, bound, limit
+):
+    # each exact norm is norm_real of the one candidate: n products and n
+    # coordinate solves, not a multiplication matrix per gamma element
+    # (n^2 solves, 64 and 225 here, before the first vector is walked)
+    module = get_module(code, **params)
+    solve = fields.integer_coords
+    solves = []
+
+    def counting_solve(field, x):
+        solves.append(x)
+        return solve(field, x)
+
+    monkeypatch.setattr(fields, "integer_coords", counting_solve)
+    res = min_norm_search(module, bound)
+    assert (res.min_abs_norm, res.exhaustive, res.determinants) == (1, True, 2)
+    assert len(solves) <= module.field.n * res.determinants == limit
+
+
+def test_min_norm_search_rejects_a_non_integral_gamma_before_it_walks(monkeypatch):
+    # a module built without the constructor's checks: pruning by integral
+    # norms would be unsound, so the search refuses it as soon as it starts
+    good = get_module("p32", p=7)
+    half = (good.gamma[0] * Fraction(1, 2), *good.gamma[1:])
+    module = TwistedModule(good.field, half, good.alpha, good.c, good.construction)
+    walked = []
+
+    def recording_walk(steps, bound):
+        walked.append(bound)
+        return iter(())
+
+    monkeypatch.setattr(distance, "_pruning_bounds", recording_walk)
+    with pytest.raises(ValueError, match="non-integer coordinates"):
+        min_norm_search(module, 1)
+    assert walked == []
 
 
 def test_min_norm_search_bounds_only_prune(monkeypatch):
