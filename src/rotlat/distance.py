@@ -8,11 +8,13 @@ check of the minimum-norm assumption behind the closed forms: exact
 norms of one of each pair +-x (|N(-x)| = |N(x)|).  Norms of nonzero module
 elements are positive integers, so a vector whose certified integer
 embedding bounds prove |N(x)| > best - 1 cannot beat the current minimum
-and is passed over; only the vectors left get an exact norm, ``norm_real``
-of the one candidate x (the determinant of multiplication by x).  The box
-is scanned one sup-norm shell at a time, smallest coefficients first, so a
-unit of small coefficients ends the search early (Fincke & Pohst's
-enumeration by increasing size, applied to the norm form).
+and is passed over.  Each vector left gets its exact norm from the same
+kind of bounds: the product of the enclosures of |sigma_j(x)| pins one
+integer, at the module's 64-bit bounds or, if those are too wide, at x's
+own bounds with the precision doubled until it does.  The box is scanned
+one sup-norm shell at a time, smallest coefficients first, so a unit of
+small coefficients ends the search early (Fincke & Pohst's enumeration by
+increasing size, applied to the norm form).
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ import itertools
 import math
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 from typing import NamedTuple
 
-from .constructions import TwistedModule, coordinate_matrix, lookup
+from .constructions import Construction, TwistedModule, coordinate_matrix, lookup
 from .cyclo import real_embedding_bounds
-from .fields import embedding_reps, norm_real
+from .fields import embedding_reps
 from .numtheory import factorize
 
 _HALF = Fraction(1, 2)
@@ -57,20 +60,30 @@ def scale_exponents(construction: str, **params) -> ExponentTable:
 def dp_unscaled_exponents(construction: str, **params) -> ExponentTable:
     """Minimum product distance of the unscaled twisted embedding,
     sqrt(norm(alpha)) times the assumed minimum norm over the module."""
-    spec, q, dims = lookup(construction, params)
+    return _unscaled(*lookup(construction, params))
+
+
+def dp_rel_exponents(construction: str, **params) -> ExponentTable:
+    """Relative minimum product distance: the unscaled value renormalized
+    by 1/sqrt(2)^n (minimum norm of D_n) and 1/sqrt(c)^n."""
+    return _relative(
+        lattice_dimension(construction, **params),
+        dp_unscaled_exponents(construction, **params),
+        scale_exponents(construction, **params),
+    )
+
+
+def _unscaled(spec: Construction, q: dict, dims: tuple[int, ...]) -> ExponentTable:
     table = _table(spec.norm_alpha(q, dims), _HALF)
     for p, e in factorize(spec.min_norm):
         table[p] = table.get(p, Fraction(0)) + e
     return _clean(table)
 
 
-def dp_rel_exponents(construction: str, **params) -> ExponentTable:
-    """Relative minimum product distance: the unscaled value renormalized
-    by 1/sqrt(2)^n (minimum norm of D_n) and 1/sqrt(c)^n."""
-    n = lattice_dimension(construction, **params)
-    table = dict(dp_unscaled_exponents(construction, **params))
+def _relative(n: int, unscaled: ExponentTable, scale: ExponentTable) -> ExponentTable:
+    table = dict(unscaled)
     table[2] = table.get(2, Fraction(0)) - n * _HALF
-    for p, e in scale_exponents(construction, **params).items():
+    for p, e in scale.items():
         table[p] = table.get(p, Fraction(0)) - n * _HALF * e
     return _clean(table)
 
@@ -109,21 +122,19 @@ def dp_closed_form(module: TwistedModule, confirm_bound: int | None = None) -> D
     each pair +-x, with vectors that provably cannot beat the minimum
     passed over.
     """
-    params = dict(module.field.params)
-    code = module.construction
-    unscaled = dp_unscaled_exponents(code, **params)
-    rel = dp_rel_exponents(code, **params)
-    n = lattice_dimension(code, **params)
-    assumed = lookup(code, params)[0].min_norm
+    spec, q, dims = lookup(module.construction, dict(module.field.params))
+    n = math.prod(dims)
+    unscaled = _unscaled(spec, q, dims)
+    rel = _relative(n, unscaled, _table(spec.scale(q)))
     confirmed = False
     if confirm_bound is not None:
         found = min_norm_search(module, confirm_bound)
-        confirmed = found.exhaustive and found.min_abs_norm == assumed
+        confirmed = found.exhaustive and found.min_abs_norm == spec.min_norm
     return DistanceResult(
         dp_unscaled=exponents_to_square_radicand(unscaled),
         dp_rel=tuple(rel.items()),
         dp_rel_per_dim=per_dimension(rel, n),
-        min_norm_assumed=assumed,
+        min_norm_assumed=spec.min_norm,
         oracle_confirmed=confirmed,
     )
 
@@ -142,18 +153,26 @@ class NormSearchResult(NamedTuple):
 # Default work budget of the search, in box vectors.
 NORM_SEARCH_BUDGET = 2_000_000
 
-# Leaf precision of the embedding bounds.  It only decides how many vectors
-# are pruned, never the result, so it is fixed and never escalated.
+# Leaf precision of the module's embedding bounds.  It decides how many
+# vectors are pruned and how many exact norms need wider-precision bounds of
+# their own, never the result, so it is fixed.
 _BOUND_PREC = 64
 
 
-def _abs_norm(module: TwistedModule, a: tuple[int, ...]) -> int:
-    """|N(sum a_i gamma_i)|, exactly: ``norm_real`` of the one element, an
-    integer since gamma is integral."""
-    x = sum(c * g for c, g in zip(a, module.gamma) if c)
-    norm = norm_real(x, module.field)
-    assert norm.denominator == 1
-    return abs(norm.numerator)
+@lru_cache(maxsize=None)
+def _gamma_enclosures(module: TwistedModule):
+    """Certified bounds of sigma_j(gamma_i) at ``_BOUND_PREC``: per gamma
+    element, the (lower, upper) numerators over the n embeddings, all over
+    one common denominator D, returned with D^n.  They depend on the module
+    alone, so every search of a module reads the same ones."""
+    reps = embedding_reps(module.field)
+    bounds = [real_embedding_bounds(g, reps, _BOUND_PREC) for g in module.gamma]
+    den = math.lcm(*(d for _, d in bounds))
+    rows = tuple(
+        (tuple(den // d * low for low, _ in pairs), tuple(den // d * high for _, high in pairs))
+        for pairs, d in bounds
+    )
+    return rows, den ** len(reps)
 
 
 def _embedding_steps(module: TwistedModule, coeff_bound: int):
@@ -161,19 +180,54 @@ def _embedding_steps(module: TwistedModule, coeff_bound: int):
     [-coeff_bound, coeff_bound]: ``steps[i][c + coeff_bound]`` is the pair
     (lower numerators, negated upper numerators) over the n embeddings, all
     over one common denominator D, returned with D^n."""
-    reps = embedding_reps(module.field)
-    bounds = [real_embedding_bounds(g, reps, _BOUND_PREC) for g in module.gamma]
-    den = math.lcm(*(d for _, d in bounds))
+    rows, scale = _gamma_enclosures(module)
     steps = []
-    for pairs, d in bounds:
-        lo = [den // d * low for low, _ in pairs]
-        hi = [den // d * high for _, high in pairs]
+    for lo, hi in rows:
         row = []
         for c in range(-coeff_bound, coeff_bound + 1):
             low, high = (hi, lo) if c < 0 else (lo, hi)
             row.append(([c * v for v in low], [-c * v for v in high]))
         steps.append(row)
-    return steps, den ** len(reps)
+    return steps, scale
+
+
+def _pin(pairs, scale: int) -> int | None:
+    """The integer |N(x)| >= 1 when enclosures [lo_j, hi_j] of D sigma_j(x)
+    (scale = D^n) prove it, else None.  With L = prod max(lo_j, -hi_j, 0)
+    and U = prod max(hi_j, -lo_j), |N(x)| lies in [L, U] / D^n, so
+    v = ceil(L / D^n) >= 1 and U < (v + 1) D^n leave v as its only
+    integer."""
+    lower = math.prod(max(lo, -hi, 0) for lo, hi in pairs)
+    upper = math.prod(max(hi, -lo) for lo, hi in pairs)
+    value = -(-lower // scale)
+    return value if value >= 1 and upper < (value + 1) * scale else None
+
+
+def _pinned_norm(module: TwistedModule, a: tuple[int, ...]) -> int:
+    """|N(sum a_i gamma_i)|, exactly: an integer, gamma being integral,
+    pinned by the interval sum of the module's enclosures or, when those
+    are too wide, by the element's own enclosures at 128, 256, ... bits,
+    which pin every nonzero norm in the end.  A zero element (gamma not of
+    full rank) has norm 0."""
+    rows, scale = _gamma_enclosures(module)
+    terms = [(c, (hi, lo) if c < 0 else (lo, hi)) for c, (lo, hi) in zip(a, rows) if c]
+    pairs = [
+        (sum(c * low[j] for c, (low, _) in terms), sum(c * high[j] for c, (_, high) in terms))
+        for j in range(len(rows))
+    ]
+    value = _pin(pairs, scale)
+    if value is not None:
+        return value
+    x = sum(c * g for c, g in zip(a, module.gamma) if c)
+    if not x:
+        return 0
+    reps = embedding_reps(module.field)
+    prec = _BOUND_PREC
+    while value is None:
+        prec *= 2
+        pairs, den = real_embedding_bounds(x, reps, prec)
+        value = _pin(pairs, den ** len(reps))
+    return value
 
 
 def _pruning_bounds(steps, coeff_bound: int):
@@ -240,13 +294,15 @@ def min_norm_search(
     happens in the first shell; a budget overrun returns a partial result,
     flagged and warned about.
 
-    Every reported norm is exact, ``norm_real`` of the candidate.  Gamma
-    must be integral (else ValueError, before the scan), so |N(x)| is a
-    positive integer, and a certified integer embedding bound above
-    best - 1 proves |N(x)| >= best: such a vector could never replace the
-    current minimum and is passed over (Fincke & Pohst's pruning, applied
-    to the norm form).  The first vector attaining each new minimum always
-    gets its exact norm.
+    Every reported norm is exact: gamma must be integral (else ValueError,
+    before the scan), so |N(x)| is a positive integer, pinned by certified
+    enclosures of the n embeddings of x (``_pinned_norm``: the module's
+    64-bit bounds summed, escalated to x's own bounds at 128, 256, ...
+    bits only when they do not pin one integer).  A certified embedding
+    bound above best - 1 proves |N(x)| >= best: such a vector could never
+    replace the current minimum and is passed over (Fincke & Pohst's
+    pruning, applied to the norm form).  The first vector attaining each
+    new minimum always gets its exact norm.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
@@ -272,7 +328,7 @@ def min_norm_search(
         if lower > cutoff:
             continue
         determinants += 1
-        value = _abs_norm(module, a)
+        value = _pinned_norm(module, a)
         if best is None or value < best:
             best, witness = value, a
             if value == 1:

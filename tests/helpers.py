@@ -21,6 +21,7 @@ import mpmath
 import pytest
 
 import rotlat.cyclo
+import rotlat.distance
 from rotlat import CycloElt, build, embedding_reps, real_embedding_bounds
 from rotlat.cyclo import trace_form
 from rotlat.distance import NORM_SEARCH_BUDGET, NormSearchResult
@@ -332,8 +333,12 @@ def embedding_csv_oracle(module, precision=128):
 def widen_leaves(monkeypatch, at, bits):
     """Widen the cosine leaves of both tables (``cos_enclosures``) by
     2^-bits on each side at the working precisions ``at`` (all of them
-    when None); returns the precisions asked for."""
+    when None); returns the precisions asked for.  The norm search's
+    per-module enclosure cache is swapped for an empty one while the
+    leaves are widened, so no enclosure outlives the test."""
     asked = []
+    fresh = lru_cache(maxsize=None)(rotlat.distance._gamma_enclosures.__wrapped__)
+    monkeypatch.setattr(rotlat.distance, "_gamma_enclosures", fresh)
     gram = sys.modules["rotlat.gram"]
     for owner, name in ((rotlat.cyclo, "_cos_table"), (gram, "_embed_cos_table")):
         def widened(m, prec, real=getattr(owner, name)):

@@ -18,7 +18,6 @@ from rotlat import (
 from rotlat import distance, fields
 from rotlat.constructions import TwistedModule, lookup
 from rotlat.distance import (
-    _abs_norm,
     _embedding_steps,
     _pruning_bounds,
     exponents_to_square_radicand,
@@ -136,6 +135,34 @@ def test_dp_closed_form_result_fields():
     assert res31.dp_unscaled == (2, 2)
     assert res31.min_norm_assumed == 2
     assert not res31.oracle_confirmed
+
+
+@pytest.mark.parametrize("code,params", BATTERY)
+def test_dp_closed_form_looks_its_construction_up_once(monkeypatch, code, params):
+    # one table lookup and one unscaled table (one N(alpha) exponent
+    # table) per call, and the same result as the public helpers give
+    module = get_module(code, **params)
+    looked, tables = [], []
+    real = distance.lookup
+
+    def counting_lookup(construction, given):
+        looked.append(construction)
+        spec, q, dims = real(construction, given)
+
+        def counting_norm_alpha(*args):
+            tables.append(args)
+            return spec.norm_alpha(*args)
+
+        return spec._replace(norm_alpha=counting_norm_alpha), q, dims
+
+    monkeypatch.setattr(distance, "lookup", counting_lookup)
+    res = dp_closed_form(module)
+    assert (len(looked), len(tables)) == (1, 1)
+    monkeypatch.undo()
+    rel = dp_rel_exponents(code, **params)
+    assert res.dp_unscaled == exponents_to_square_radicand(dp_unscaled_exponents(code, **params))
+    assert res.dp_rel == tuple(rel.items())
+    assert res.dp_rel_per_dim == per_dimension(rel, lattice_dimension(code, **params))
 
 
 def test_square_radicand_split():
@@ -301,7 +328,9 @@ def test_pruning_bounds_are_certified():
     steps, scale = _embedding_steps(module, 2)
     walked = list(_pruning_bounds(steps, 2))
     assert [a for a, _ in walked] == half_box_in_scan_order(2, 4)
-    assert all(lower <= scale * _abs_norm(module, a) for a, lower in walked)
+    norms = [abs(norm_real(sum(c * g for c, g in zip(a, module.gamma)), module.field))
+             for a, _ in walked]
+    assert all(lower <= scale * norm for (_, lower), norm in zip(walked, norms))
     assert sum(lower > 0 for _, lower in walked) > len(walked) // 2
 
 
@@ -331,7 +360,7 @@ def test_min_norm_search_skips_only_vectors_that_cannot_beat_the_minimum(
     # unit (8, then 1 for p34); fed the walk backwards, the minimum falls in
     # 5 and 8 steps, so vectors are skipped at many different minima
     module = get_module(code, **params)
-    walk, exact = distance._pruning_bounds, distance._abs_norm
+    walk, exact = distance._pruning_bounds, distance._pinned_norm
     seen = []
 
     def recording_walk(steps, bound):
@@ -346,7 +375,7 @@ def test_min_norm_search_skips_only_vectors_that_cannot_beat_the_minimum(
         return seen[-1][1]
 
     monkeypatch.setattr(distance, "_pruning_bounds", recording_walk)
-    monkeypatch.setattr(distance, "_abs_norm", recording_norm)
+    monkeypatch.setattr(distance, "_pinned_norm", recording_norm)
     res = min_norm_search(module, 2)
     assert res.exhaustive and len(seen) == res.evaluated
     best, skipped = None, []
@@ -372,21 +401,84 @@ def test_min_norm_search_skips_only_vectors_that_cannot_beat_the_minimum(
 def test_min_norm_search_solves_coordinates_only_for_its_determinants(
     monkeypatch, code, params, bound, limit
 ):
-    # each exact norm is norm_real of the one candidate: n products and n
-    # coordinate solves, not a multiplication matrix per gamma element
-    # (n^2 solves, 64 and 225 here, before the first vector is walked)
+    # past the integrality check, each exact norm is read off embedding
+    # enclosures: no norm_real and no coordinate solve, where a norm_real
+    # per candidate would take limit = n * determinants solves
     module = get_module(code, **params)
-    solve = fields.integer_coords
-    solves = []
+    checked, solves, norms = [], [], []
+    check, solve, norm = distance.coordinate_matrix, fields.integer_coords, fields.norm_real
+
+    def checking(searched):
+        rows = check(searched)
+        checked.append(searched)
+        return rows
 
     def counting_solve(field, x):
-        solves.append(x)
+        if checked:
+            solves.append(x)
         return solve(field, x)
 
+    def counting_norm(x, field):
+        if checked:
+            norms.append(x)
+        return norm(x, field)
+
+    monkeypatch.setattr(distance, "coordinate_matrix", checking)
     monkeypatch.setattr(fields, "integer_coords", counting_solve)
+    monkeypatch.setattr(fields, "norm_real", counting_norm)
     res = min_norm_search(module, bound)
     assert (res.min_abs_norm, res.exhaustive, res.determinants) == (1, True, 2)
-    assert len(solves) <= module.field.n * res.determinants == limit
+    assert module.field.n * res.determinants == limit
+    assert checked == [module]
+    assert solves == norms == []
+
+
+def test_min_norm_search_reuses_the_gamma_enclosures_of_its_module(monkeypatch):
+    # the 64-bit enclosures of sigma_j(gamma_i) are computed once per
+    # module: a second search bounds no gamma element again
+    module = get_module("p34", r=3, p=7)
+    first = min_norm_search(module, 2)
+    real = distance.real_embedding_bounds
+    bounded = []
+
+    def recording_bounds(x, reps, prec):
+        bounded.append(x)
+        return real(x, reps, prec)
+
+    monkeypatch.setattr(distance, "real_embedding_bounds", recording_bounds)
+    assert min_norm_search(module, 2) == first
+    assert min_norm_search(module, 1).min_abs_norm == first.min_abs_norm
+    assert not any(x in module.gamma for x in bounded)
+
+
+def test_min_norm_search_escalates_a_norm_its_64_bit_enclosures_cannot_pin(monkeypatch):
+    # the last gamma element 10^30 gamma_0 + gamma_1: its norm, the first
+    # exact one of the walk, has about 90 digits, far past what 64-bit
+    # bounds pin, so it is read off its own bounds at a doubled precision
+    good = get_module("p32", p=7)
+    huge = 10**30 * good.gamma[0] + good.gamma[1]
+    module = TwistedModule(good.field, (*good.gamma[:-1], huge), good.alpha, good.c,
+                           good.construction)
+    real, pinned = distance.real_embedding_bounds, distance._pinned_norm
+    precisions, exact = [], []
+
+    def recording_bounds(x, reps, prec):
+        precisions.append(prec)
+        return real(x, reps, prec)
+
+    def recording_norm(searched, a):
+        exact.append((a, pinned(searched, a)))
+        return exact[-1][1]
+
+    monkeypatch.setattr(distance, "real_embedding_bounds", recording_bounds)
+    monkeypatch.setattr(distance, "_pinned_norm", recording_norm)
+    res = min_norm_search(module, 2)
+    first, value = exact[0]
+    assert first == (0, 0, -1)
+    assert value == abs(norm_real(huge, module.field)) > 1 << 256
+    assert max(precisions) > 64
+    assert _result(res) == _result(min_norm_search_oracle(module, 2))
+    assert _found(res) == _found(min_norm_search_oracle(module, 2, half=True))
 
 
 def test_min_norm_search_rejects_a_non_integral_gamma_before_it_walks(monkeypatch):
@@ -407,17 +499,32 @@ def test_min_norm_search_rejects_a_non_integral_gamma_before_it_walks(monkeypatc
     assert walked == []
 
 
+def test_min_norm_search_of_a_rank_deficient_gamma_ends_at_norm_zero():
+    # a module built without the constructor's rank check, gamma_1 =
+    # gamma_0 (p31, so no unit ends the scan first): x = gamma_1 - gamma_0
+    # is zero, and its enclosures pin no integer at any precision; its
+    # norm is 0, as the oracle's determinant says
+    good = get_module("p31", r=4)
+    module = TwistedModule(good.field, (good.gamma[0], *good.gamma[:-1]), good.alpha, good.c,
+                           good.construction)
+    res = min_norm_search(module, 1)
+    assert _result(res) == _result(min_norm_search_oracle(module, 1)) == (0, (-1, 1, 0, 0), True)
+    assert _found(res) == _found(min_norm_search_oracle(module, 1, half=True))
+
+
 def test_min_norm_search_bounds_only_prune(monkeypatch):
-    # cosine leaves widened to +-1/4 leave most embedding intervals around
-    # zero: far fewer vectors are pruned, and the result is still the
-    # oracle's (p31 r=4 scans the whole box, its minimum being 2)
+    # 64-bit cosine leaves widened to +-1/4 leave most embedding intervals
+    # around zero: far fewer vectors are pruned, no exact norm is pinned
+    # at 64 bits, and the result is still the oracle's (p31 r=4 scans the
+    # whole box, its minimum being 2).  Only the 64-bit leaves are widened:
+    # leaves 1/4 wide at every precision could never pin a norm
     module = get_module("p31", r=4)
     oracle = min_norm_search_oracle(module, 2)
     half = min_norm_search_oracle(module, 2, half=True)
     tight = min_norm_search(module, 2)
-    asked = widen_leaves(monkeypatch, None, 2)
+    asked = widen_leaves(monkeypatch, {64}, 2)
     loose = min_norm_search(module, 2)
-    assert asked
+    assert 64 in asked and 128 in asked
     assert _result(loose) == _result(tight) == _result(oracle)
     assert _found(loose) == _found(tight) == _found(half)
     assert tight.determinants < loose.determinants <= loose.evaluated == half.evaluated
