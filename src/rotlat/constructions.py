@@ -37,7 +37,6 @@ class TwistedModule(NamedTuple):
     alpha: CycloElt
     c: int
     construction: str
-    extrapolated: bool = False
 
     def __hash__(self) -> int:
         # fields that == also compares, without every coefficient of gamma and
@@ -90,7 +89,7 @@ class Construction(NamedTuple):
     make: Callable[[FieldDesc, dict], tuple[tuple[CycloElt, ...], CycloElt]]  # gamma, alpha
     min_norm: int = 1  # assumed minimum |N(x)| over the nonzero module elements
     check: Callable[[dict], None] | None = None  # beyond the family's own rules
-    stated_from: tuple[str, int] | None = None  # below this bound: extrapolated
+    stated_from: tuple[str, int] | None = None  # below this bound, build warns
 
 
 CONSTRUCTIONS: dict[str, Construction] = {
@@ -135,10 +134,6 @@ def lookup(construction: str, params) -> tuple[Construction, dict[str, int], tup
     return spec, q, factor_degrees(spec.family, q)
 
 
-def _is_extrapolated(spec: Construction, q: dict) -> bool:
-    return spec.stated_from is not None and q[spec.stated_from[0]] < spec.stated_from[1]
-
-
 def build(construction: str, **params) -> TwistedModule:
     """Build one of the named module constructions (see CONSTRUCTIONS)."""
     spec, q, _ = lookup(construction, params)
@@ -146,8 +141,7 @@ def build(construction: str, **params) -> TwistedModule:
     gamma, alpha = spec.make(field, q)
     c = prod(p**e for p, e in spec.scale(q).items())
     code = construction.lower()
-    extrapolated = _is_extrapolated(spec, q)
-    if extrapolated:
+    if spec.stated_from is not None and q[spec.stated_from[0]] < spec.stated_from[1]:
         name, bound = spec.stated_from
         warnings.warn(
             f"{code} with {name}={q[name]} extends the construction below its stated range "
@@ -155,7 +149,7 @@ def build(construction: str, **params) -> TwistedModule:
             RuntimeWarning,
             stacklevel=2,
         )
-    return _validated(TwistedModule(field, gamma, alpha, c, code, extrapolated))
+    return _validated(TwistedModule(field, gamma, alpha, c, code))
 
 
 def _validated(module: TwistedModule) -> TwistedModule:
@@ -275,10 +269,9 @@ def module_from_json(obj) -> TwistedModule:
     construction = obj["construction"]
     if not isinstance(construction, str):
         raise ValueError("construction must be a JSON string")
-    extrapolated = False
     if construction in CONSTRUCTIONS:
         spec = CONSTRUCTIONS[construction]
         if spec.family != field.family:
             raise ValueError(f"construction {construction} needs a {spec.family} field")
-        extrapolated = _is_extrapolated(spec, lookup(construction, dict(field.params))[1])
-    return _validated(TwistedModule(field, gamma, alpha, c, construction, extrapolated))
+        lookup(construction, dict(field.params))  # the construction's own parameter check
+    return _validated(TwistedModule(field, gamma, alpha, c, construction))

@@ -36,39 +36,34 @@ from operator import attrgetter
 from .numtheory import divisors, euler_phi, mobius
 
 
-def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Exact division of integer polynomials; den must be monic and divide num."""
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            out[i - dn] = c
-            for j in range(dn + 1):
-                num[i - dn + j] -= c * den[j]
-    if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial.
 
-    Computed as (x^m - 1) / prod of the lower-order cyclotomic polynomials;
+    Phi_m = prod over d | m of (x^d - 1)^mu(m/d) (Washington, Introduction
+    to Cyclotomic Fields, ch. 2): each x^d - 1 with mu(m/d) = 1 is
+    multiplied in, then each with mu(m/d) = -1 is divided out by the exact
+    recurrence q_i = q_(i-d) - p_i, which must leave no remainder.
     lru_cache doubles as the per-conductor cache and is safe under
     concurrent use.
     """
     if m < 1:
         raise ValueError("conductor must be positive")
-    if m == 1:
-        return (-1, 1)
-    quo = [0] * (m + 1)
-    quo[0], quo[m] = -1, 1
-    for d in divisors(m)[:-1]:
-        quo = _polydiv_exact(quo, cyclotomic_polynomial(d))
-    return tuple(quo)
+    poly = [1]
+    for d in divisors(m):
+        if mobius(m // d) == 1:
+            poly = [0] * d + poly
+            for i in range(len(poly) - d):
+                poly[i] -= poly[i + d]
+    for d in divisors(m):
+        if mobius(m // d) == -1:
+            q: list[int] = []
+            for i in range(len(poly) - d):
+                q.append((q[i - d] if i >= d else 0) - poly[i])
+            if ([0] * d + q)[len(q):] != poly[len(q):]:
+                raise ArithmeticError("polynomial division left a remainder")
+            poly = q
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)

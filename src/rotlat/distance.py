@@ -385,14 +385,15 @@ _COLUMNS = (
 )
 
 
-def table1(rows: tuple[TableRow, ...] = TABLE_ROWS) -> list[dict]:
-    """Per-dimension relative minimum product distances, one dict per row.
+def table1() -> list[dict]:
+    """Per-dimension relative minimum product distances, one dict per row
+    of TABLE_ROWS.
 
-    Only closed forms are evaluated, so arbitrarily large rows complete
+    Only closed forms are evaluated, so even the n = 32768 row completes
     instantly; no Gram matrix is ever built here.
     """
     out = []
-    for row in rows:
+    for row in TABLE_ROWS:
         rec: dict = {
             "n": row.n, "p": row.p, "r": row.r, "r1": row.r1,
             "p1": row.p1, "p2": row.p2, "p3": row.p3,
@@ -418,14 +419,14 @@ def _check_dim(n: int, got: int, column: str, row: TableRow) -> None:
         raise ValueError(f"row n={n}: {column} parameters give dimension {got}")
 
 
-def table1_csv(rows: tuple[TableRow, ...] = TABLE_ROWS) -> str:
+def table1_csv() -> str:
     """CSV rendering: one line per row, empty cells where a column does
     not apply, and a trailing note column for flagged cells."""
     lines = [
         "# per-dimension relative minimum product distance, i.e. the n-th root of d_rel",
         "n,p,r,r1,p1,p2,p3,K1,K2,K3,K4,note",
     ]
-    for rec in table1(rows):
+    for rec in table1():
         cells = [str(rec["n"])]
         for key in ("p", "r", "r1", "p1", "p2", "p3"):
             cells.append("" if rec[key] is None else str(rec[key]))

@@ -2,7 +2,8 @@
 table cells, tolerance helpers, ``Enclosure`` arithmetic for checking the
 integer enclosure kernel, the mpmath routes that the embed leaves and
 cells are written to match, multiplication matrices for traces and norms,
-dense matrix products and a dense rational inverse, the box orders and the
+dense matrix products and a dense rational inverse, cyclotomic polynomials
+by long division and orders by walking the powers, the box orders and the
 unpruned minimum-norm oracle, the Gram JSON layout the golden digests pin,
 and a fresh interpreter on this checkout."""
 
@@ -416,6 +417,56 @@ def inverse_rational(rows):
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     return [row[n:] for row in a]
+
+
+# -- the cyclotomic polynomial and order oracles ------------------------------
+
+
+def _polydiv_exact(num, den):
+    """Exact division of integer polynomials; den must be monic and divide num."""
+    num = list(num)
+    dn = len(den) - 1
+    out = [0] * (len(num) - dn)
+    for i in range(len(num) - 1, dn - 1, -1):
+        c = num[i]
+        if c:
+            out[i - dn] = c
+            for j in range(dn + 1):
+                num[i - dn + j] -= c * den[j]
+    if any(num):
+        raise ArithmeticError("polynomial division left a remainder")
+    return out
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial_oracle(m):
+    """Phi_m as (x^m - 1) divided by Phi_d for every proper divisor d of m,
+    largest first, by long division."""
+    if m == 1:
+        return (-1, 1)
+    quo = [0] * (m + 1)
+    quo[0], quo[m] = -1, 1
+    for d in range(m - 1, 0, -1):
+        if m % d == 0:
+            quo = _polydiv_exact(quo, cyclotomic_polynomial_oracle(d))
+    return tuple(quo)
+
+
+def order_in_quotient_oracle(a, m, subgroup):
+    """The order of a modulo the subgroup, by walking a, a^2, ... one
+    multiplication at a time, at most phi(m) steps."""
+    a %= m
+    if 1 not in subgroup:
+        raise ValueError("subgroup must contain 1")
+    x = a
+    t = 1
+    bound = euler_phi(m)
+    while x not in subgroup:
+        x = x * a % m
+        t += 1
+        if t > bound:
+            raise ValueError(f"{a} is not invertible modulo {m}")
+    return t
 
 
 # -- the minimum-norm oracle ---------------------------------------------------

@@ -85,15 +85,16 @@ def test_p31_sign_pattern():
     assert m.c == 8
 
 
-def test_p31_low_r_warns_and_flags():
+def test_p31_warns_below_its_stated_range():
     import warnings
 
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning, match="below its stated range"):
         with warnings.catch_warnings():
             warnings.simplefilter("always")
-            m = build("p31", r=3)
-    assert m.extrapolated
-    assert not get_module("p31", r=5).extrapolated
+            build("p31", r=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build("p31", r=5)
 
 
 @pytest.mark.parametrize(

@@ -15,10 +15,10 @@ from rotlat.cyclo import (
     real_embedding_bounds,
     trace_form,
 )
-from rotlat.numtheory import euler_phi
-from helpers import (Enclosure, cos_enclosures, embedding_enclosures, embedding_enclosures_oracle,
-                     mult_matrix_abs, norm_abs, python_backend_only, trace_by_form,
-                     trace_via_mult_matrix)
+from rotlat.numtheory import euler_phi, mobius
+from helpers import (Enclosure, cos_enclosures, cyclotomic_polynomial_oracle, embedding_enclosures,
+                     embedding_enclosures_oracle, mult_matrix_abs, norm_abs, python_backend_only,
+                     trace_by_form, trace_via_mult_matrix)
 
 
 def eval_complex(x: CycloElt) -> complex:
@@ -41,6 +41,20 @@ def test_cyclotomic_polynomial_kills_primitive_root(m):
     val = sum(c * z**k for k, c in enumerate(cyclotomic_polynomial(m)))
     assert abs(val) < 1e-9
     assert len(cyclotomic_polynomial(m)) - 1 == euler_phi(m)
+
+
+def test_cyclotomic_polynomial_matches_the_division_oracle():
+    for m in (*range(1, 2001), 2310, 4096):
+        assert cyclotomic_polynomial(m) == cyclotomic_polynomial_oracle(m), m
+
+
+def test_cyclotomic_polynomial_refuses_a_remainder(monkeypatch):
+    # with mu negated the product is 1/Phi_12, so a division must leave a remainder
+    import rotlat.cyclo
+
+    monkeypatch.setattr(rotlat.cyclo, "mobius", lambda n: -mobius(n))
+    with pytest.raises(ArithmeticError, match="remainder"):
+        cyclotomic_polynomial.__wrapped__(12)
 
 
 def test_lift_identity_and_zeta():

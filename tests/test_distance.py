@@ -573,8 +573,11 @@ def test_table_csv_layout():
     assert "0.1380198" in n15
 
 
-def test_table_row_dimension_guard():
+def test_table_row_dimension_guard(monkeypatch):
+    import rotlat.distance
     from rotlat.distance import TableRow, table1 as build_table
 
+    # that pair generates dimension 6
+    monkeypatch.setattr(rotlat.distance, "TABLE_ROWS", (TableRow(12, r1=3, p1=7),))
     with pytest.raises(ValueError):
-        build_table((TableRow(12, r1=3, p1=7),))  # that pair generates dimension 6
+        build_table()

@@ -33,12 +33,15 @@ from helpers import run_fresh
         ("comp-pow2-odd", {"r": 5, "p": 31}, (8, 5, 3)),
         ("comp-odd-odd", {"p1": 7, "p2": 73}, (1, 9, 12)),
         ("comp-odd-odd", {"p1": 17, "p2": 31}, (1, 20, 6)),
+        # m' near 10^9 and 10^12: f is read off the primes of phi(m')
+        ("odd-prime", {"p": 1000000007}, (1, 500000003, 1)),
+        ("comp-odd-odd", {"p1": 1000003, "p2": 1000033}, (1, 20834041668, 12)),
     ],
 )
 def test_splitting_of_two(family, params, efg):
     K = make_field(family, **params)
-    e, f, g = splitting_of_two(K)
-    assert (e, f, g) == efg
+    e, f, g = dn_feasibility(K)[:3]
+    assert (e, f, g) == efg == splitting_of_two(K)
     assert e * f * g == K.n
 
 

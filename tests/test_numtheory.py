@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from rotlat.numtheory import (
     order_in_quotient,
     v2,
 )
+from helpers import order_in_quotient_oracle
 
 
 def test_is_prime_small():
@@ -75,3 +77,44 @@ def test_order_in_quotient():
     # and order 2 in (Z/5)^* / {1, 4}
     assert order_in_quotient(2, 5, frozenset((1, 4))) == 2
     assert order_in_quotient(1, 7, frozenset((1,))) == 1
+
+
+def _generated(gens, m):
+    """The subgroup of (Z/mZ)^* generated by gens."""
+    out = {1}
+    grown = True
+    while grown:
+        new = {x * g % m for x in out for g in gens} - out
+        out |= new
+        grown = bool(new)
+    return frozenset(out)
+
+
+def _outcome(fn, a, m, subgroup):
+    try:
+        return fn(a, m, subgroup)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("m", range(2, 151))
+def test_order_in_quotient_matches_the_walk(m):
+    # every residue a (non-invertible ones included) against the trivial
+    # group, the whole group, subgroups from random generators and a set
+    # without 1, which must raise the same ValueError as the walk
+    rng = random.Random(m)
+    units = [u for u in range(1, m) if math.gcd(u, m) == 1]
+    subgroups = [frozenset((1,)), frozenset(units), _generated([m - 1], m)]
+    subgroups += [_generated(rng.sample(units, min(k, len(units))), m) for k in (1, 1, 2)]
+    subgroups.append(subgroups[-1] - {1})
+    for subgroup in subgroups:
+        for a in range(-1, m + 1):
+            assert _outcome(order_in_quotient, a, m, subgroup) == \
+                _outcome(order_in_quotient_oracle, a, m, subgroup), (a, subgroup)
+
+
+def test_order_in_quotient_modulo_one_is_one():
+    # (Z/1Z)^* is the trivial group: every class has order 1
+    assert order_in_quotient(2, 1, frozenset((1,))) == 1
+    with pytest.raises(ValueError, match="must contain 1"):
+        order_in_quotient(2, 1, frozenset((0,)))
