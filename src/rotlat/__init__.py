@@ -45,8 +45,6 @@ from .distance import (
     TABLE_ROWS,
     TableRow,
     dp_closed_form,
-    dp_rel_exponents,
-    dp_unscaled_exponents,
     min_norm_search,
     per_dimension,
     table1,
@@ -71,7 +69,6 @@ __all__ = [
     "GramMatrix", "det_exact", "det_via_formula", "embedding_csv", "gram",
     "VerificationReport", "lll_reduce", "verify_ambient_zn", "verify_rotated_dn",
     "DistanceResult", "NormSearchResult", "TABLE_ROWS", "TableRow",
-    "dp_closed_form", "dp_rel_exponents", "dp_unscaled_exponents",
-    "min_norm_search", "per_dimension", "table1", "table1_csv",
+    "dp_closed_form", "min_norm_search", "per_dimension", "table1", "table1_csv",
     "FeasibilityReport", "dn_feasibility", "splitting_of_two",
 ]

@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 from .cyclo import CycloElt
 from .fields import (
     FieldDesc,
+    _build_field,
     check_params,
     factor_degrees,
     field_from_json,
@@ -24,7 +25,6 @@ from .fields import (
     integer_coords,
     integral_coords,
     is_totally_positive,
-    make_field,
     subfield_degrees,
 )
 from .linalg import pivot_inverse, sparse_vec_mat
@@ -122,34 +122,36 @@ CONSTRUCTION_CODES = tuple(CONSTRUCTIONS)
 
 
 def lookup(construction: str, params) -> tuple[Construction, dict[str, int], tuple[int, ...]]:
-    """The table row of a construction, its checked parameters and its
-    factor degrees."""
-    code = construction.lower()
-    if code not in CONSTRUCTIONS:
+    """The table row of a construction, its parameters checked once by the
+    family's rules and the construction's own, and its factor degrees.
+    Codes are exact: ``CONSTRUCTION_CODES``, as the CLI and module files
+    spell them."""
+    if construction not in CONSTRUCTIONS:
         raise ValueError(
             f"unknown construction {construction!r}; expected one of {CONSTRUCTION_CODES}"
         )
-    spec = CONSTRUCTIONS[code]
+    spec = CONSTRUCTIONS[construction]
     q = check_params(spec.family, params, spec.check)
     return spec, q, factor_degrees(spec.family, q)
 
 
 def build(construction: str, **params) -> TwistedModule:
-    """Build one of the named module constructions (see CONSTRUCTIONS)."""
+    """Build one of the named module constructions (see CONSTRUCTIONS).
+    The parameters are checked once, by ``lookup``, and the field comes
+    straight from the cache behind ``make_field``."""
     spec, q, _ = lookup(construction, params)
-    field = make_field(spec.family, **q)
+    field = _build_field(spec.family, tuple(q.items()))
     gamma, alpha = spec.make(field, q)
     c = prod(p**e for p, e in spec.scale(q).items())
-    code = construction.lower()
     if spec.stated_from is not None and q[spec.stated_from[0]] < spec.stated_from[1]:
         name, bound = spec.stated_from
         warnings.warn(
-            f"{code} with {name}={q[name]} extends the construction below its stated range "
-            f"({name} >= {bound}); certification decides empirically",
+            f"{construction} with {name}={q[name]} extends the construction below its stated "
+            f"range ({name} >= {bound}); certification decides empirically",
             RuntimeWarning,
             stacklevel=2,
         )
-    return _validated(TwistedModule(field, gamma, alpha, c, code))
+    return _validated(TwistedModule(field, gamma, alpha, c, construction))
 
 
 def _validated(module: TwistedModule) -> TwistedModule:
@@ -252,6 +254,10 @@ def module_to_json(module: TwistedModule) -> dict:
 
 
 def module_from_json(obj) -> TwistedModule:
+    """The module a ``module_to_json`` object describes.  ``field_from_json``
+    applies the family's parameter rules; a registered (exact) construction
+    code then needs its family and passes its own ``check``.  Any other
+    code, such as ``"ambient"``, is a module outside the registry."""
     if not isinstance(obj, dict):
         raise ValueError("module must be a JSON object")
     field = field_from_json(obj["field"])
@@ -269,9 +275,10 @@ def module_from_json(obj) -> TwistedModule:
     construction = obj["construction"]
     if not isinstance(construction, str):
         raise ValueError("construction must be a JSON string")
-    if construction in CONSTRUCTIONS:
-        spec = CONSTRUCTIONS[construction]
+    spec = CONSTRUCTIONS.get(construction)
+    if spec is not None:
         if spec.family != field.family:
             raise ValueError(f"construction {construction} needs a {spec.family} field")
-        lookup(construction, dict(field.params))  # the construction's own parameter check
+        if spec.check is not None:  # field_from_json has applied the family's rules
+            spec.check(dict(field.params))
     return _validated(TwistedModule(field, gamma, alpha, c, construction))

@@ -3,6 +3,8 @@
 Closed forms are carried as prime-exponent tables with half-integer
 exponents; floats appear only at the output boundary (the per-dimension
 value, i.e. the n-th root of the relative minimum product distance).
+Each construction's tables come from one registry ``lookup``
+(``_closed_form``), which ``dp_closed_form`` and every ``table1`` cell read.
 A coefficient-box search over the module provides the independent
 check of the minimum-norm assumption behind the closed forms: exact
 norms of one of each pair +-x (|N(-x)| = |N(x)|).  Norms of nonzero module
@@ -43,49 +45,26 @@ def _clean(table: ExponentTable) -> ExponentTable:
     return {p: e for p, e in sorted(table.items()) if e}
 
 
-def _table(exponents: dict[int, int], factor=Fraction(1)) -> ExponentTable:
-    return _clean({p: factor * e for p, e in exponents.items()})
-
-
-def lattice_dimension(construction: str, **params) -> int:
-    return math.prod(lookup(construction, params)[2])
-
-
-def scale_exponents(construction: str, **params) -> ExponentTable:
-    """Exponent table of the scale integer c."""
-    spec, q, _ = lookup(construction, params)
-    return _table(spec.scale(q))
-
-
-def dp_unscaled_exponents(construction: str, **params) -> ExponentTable:
-    """Minimum product distance of the unscaled twisted embedding,
-    sqrt(norm(alpha)) times the assumed minimum norm over the module."""
-    return _unscaled(*lookup(construction, params))
-
-
-def dp_rel_exponents(construction: str, **params) -> ExponentTable:
-    """Relative minimum product distance: the unscaled value renormalized
-    by 1/sqrt(2)^n (minimum norm of D_n) and 1/sqrt(c)^n."""
-    return _relative(
-        lattice_dimension(construction, **params),
-        dp_unscaled_exponents(construction, **params),
-        scale_exponents(construction, **params),
-    )
-
-
-def _unscaled(spec: Construction, q: dict, dims: tuple[int, ...]) -> ExponentTable:
-    table = _table(spec.norm_alpha(q, dims), _HALF)
+def _closed_form(
+    construction: str, params
+) -> tuple[Construction, int, ExponentTable, ExponentTable]:
+    """One lookup of a construction: its table row, the lattice dimension
+    n, and the exponent tables of its minimum product distance, unscaled
+    (sqrt(N(alpha)) times the assumed minimum norm) and relative (the
+    unscaled value renormalized by 1/sqrt(2)^n, the minimum norm of D_n,
+    and by 1/sqrt(c)^n)."""
+    spec, q, dims = lookup(construction, params)
+    n = math.prod(dims)
+    unscaled = {p: e * _HALF for p, e in spec.norm_alpha(q, dims).items()}
     for p, e in factorize(spec.min_norm):
-        table[p] = table.get(p, Fraction(0)) + e
-    return _clean(table)
-
-
-def _relative(n: int, unscaled: ExponentTable, scale: ExponentTable) -> ExponentTable:
-    table = dict(unscaled)
-    table[2] = table.get(2, Fraction(0)) - n * _HALF
-    for p, e in scale.items():
-        table[p] = table.get(p, Fraction(0)) - n * _HALF * e
-    return _clean(table)
+        unscaled[p] = unscaled.get(p, Fraction(0)) + e
+    unscaled = _clean(unscaled)
+    rel = dict(unscaled)
+    # two steps: the scale table of p31 holds the prime 2 as well
+    rel[2] = rel.get(2, Fraction(0)) - n * _HALF
+    for p, e in spec.scale(q).items():
+        rel[p] = rel.get(p, Fraction(0)) - n * _HALF * e
+    return spec, n, unscaled, _clean(rel)
 
 
 def per_dimension(table: ExponentTable, n: int) -> float:
@@ -122,10 +101,7 @@ def dp_closed_form(module: TwistedModule, confirm_bound: int | None = None) -> D
     each pair +-x, with vectors that provably cannot beat the minimum
     passed over.
     """
-    spec, q, dims = lookup(module.construction, dict(module.field.params))
-    n = math.prod(dims)
-    unscaled = _unscaled(spec, q, dims)
-    rel = _relative(n, unscaled, _table(spec.scale(q)))
+    spec, n, unscaled, rel = _closed_form(module.construction, dict(module.field.params))
     confirmed = False
     if confirm_bound is not None:
         found = min_norm_search(module, confirm_bound)
@@ -403,8 +379,10 @@ def table1() -> list[dict]:
             params = {name: getattr(row, attr) for name, attr in attrs.items()}
             if None in params.values():
                 continue
-            _check_dim(row.n, lattice_dimension(code, **params), column, row)
-            rec[column] = per_dimension(dp_rel_exponents(code, **params), row.n)
+            _, n, _, rel = _closed_form(code, params)
+            if n != row.n:
+                raise ValueError(f"row n={row.n}: {column} parameters give dimension {n}")
+            rec[column] = per_dimension(rel, row.n)
         if rec["K4"] is not None and row.n == 15:
             rec["note"] = (
                 f"closed form {rec['K4']:.6g} disagrees with the reference "
@@ -412,11 +390,6 @@ def table1() -> list[dict]:
             )
         out.append(rec)
     return out
-
-
-def _check_dim(n: int, got: int, column: str, row: TableRow) -> None:
-    if n != got:
-        raise ValueError(f"row n={n}: {column} parameters give dimension {got}")
 
 
 def table1_csv() -> str:

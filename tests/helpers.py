@@ -25,7 +25,7 @@ import rotlat.cyclo
 import rotlat.distance
 from rotlat import CycloElt, build, embedding_reps, real_embedding_bounds
 from rotlat.cyclo import trace_form
-from rotlat.distance import NORM_SEARCH_BUDGET, NormSearchResult
+from rotlat.distance import _COLUMNS, NORM_SEARCH_BUDGET, TABLE_ROWS, NormSearchResult, _closed_form
 from rotlat.fields import integral_coords
 from rotlat.gram import embedding_enclosure_rows
 from rotlat.linalg import det_int
@@ -44,6 +44,15 @@ BATTERY = (
     ("p34", {"r": 3, "p": 7}),
     ("p37", {"p1": 5, "p2": 7}),
     ("p37", {"p1": 5, "p2": 11}),
+)
+
+# The filled Table-1 cells with n <= 128, as (code, params): every filled
+# cell but the two of the n = 32768 row.
+TABLE_CELLS = tuple(
+    (code, {name: getattr(row, attr) for name, attr in attrs.items()})
+    for row in TABLE_ROWS if row.n <= 128
+    for _, code, attrs in _COLUMNS
+    if None not in (getattr(row, attr) for attr in attrs.values())
 )
 
 
@@ -417,6 +426,26 @@ def inverse_rational(rows):
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     return [row[n:] for row in a]
+
+
+# -- views of one closed form ---------------------------------------------------
+
+
+def lattice_dimension(code, **params):
+    return _closed_form(code, params)[1]
+
+
+def scale_exponents(code, **params):
+    """The exponent table of the scale integer c (params checked first)."""
+    return dict(sorted(_closed_form(code, params)[0].scale(params).items()))
+
+
+def dp_unscaled_exponents(code, **params):
+    return _closed_form(code, params)[2]
+
+
+def dp_rel_exponents(code, **params):
+    return _closed_form(code, params)[3]
 
 
 # -- the cyclotomic polynomial and order oracles ------------------------------

@@ -8,7 +8,7 @@ from rotlat import (
     CycloElt,
     TwistedModule,
     build,
-    dp_rel_exponents,
+    dp_closed_form,
     in_module,
     is_ideal,
     is_totally_positive,
@@ -17,11 +17,11 @@ from rotlat import (
     module_index,
     module_to_json,
 )
+from rotlat import constructions, fields
 from rotlat.constructions import _module_coords, coordinate_matrix
 from rotlat.fields import FieldDesc
 from rotlat.gram import gram
-from rotlat.distance import lattice_dimension
-from helpers import get_module, inverse_rational, BATTERY
+from helpers import get_module, inverse_rational, BATTERY, dp_rel_exponents, lattice_dimension
 
 
 def test_p34_3_5_basis_exactly():
@@ -132,6 +132,49 @@ def test_parameter_validation(code, params, message):
 def test_unknown_construction():
     with pytest.raises(ValueError):
         build("p99", r=3)
+    # codes are exact, as the CLI and every written module file spell them
+    with pytest.raises(ValueError, match="unknown construction 'P31'"):
+        build("P31", r=5)
+
+
+def test_upper_case_code_in_a_module_file_is_unregistered():
+    # "P34" is no registered code: the file loads as a module outside the
+    # registry, as "ambient" does, and the closed forms refuse it
+    obj = module_to_json(get_module("p32", p=7))
+    for code in ("P34", "ambient"):
+        obj["construction"] = code
+        module = module_from_json(json.loads(json.dumps(obj)))
+        assert module.construction == code
+        with pytest.raises(ValueError, match=f"unknown construction '{code}'"):
+            dp_closed_form(module)
+
+
+def test_each_parameter_is_checked_once_where_it_enters(monkeypatch):
+    # build checks through lookup and takes the field from the cache behind
+    # make_field; a module file's family rules run in field_from_json and
+    # only p32's own check (p >= 7, prime) runs after them.  check_params
+    # and is_prime are spied on under both names they are imported as.
+    calls = {"check_params": 0, "is_prime": 0, "lookup": 0}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module in (constructions, fields):
+        spy(module, "check_params")
+        spy(module, "is_prime")
+    spy(constructions, "lookup")
+    module = build("p32", p=257)
+    assert calls == {"check_params": 1, "is_prime": 2, "lookup": 1}
+    obj = json.loads(json.dumps(module_to_json(module)))
+    calls.update(dict.fromkeys(calls, 0))
+    assert module_from_json(obj) == module
+    assert calls == {"check_params": 1, "is_prime": 2, "lookup": 0}
 
 
 @pytest.mark.parametrize("code,params", BATTERY)

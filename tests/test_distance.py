@@ -7,8 +7,6 @@ import pytest
 from rotlat import (
     TABLE_ROWS,
     dp_closed_form,
-    dp_rel_exponents,
-    dp_unscaled_exponents,
     min_norm_search,
     norm_real,
     per_dimension,
@@ -17,21 +15,20 @@ from rotlat import (
 )
 from rotlat import distance, fields
 from rotlat.constructions import TwistedModule, lookup
-from rotlat.distance import (
-    _embedding_steps,
-    _pruning_bounds,
-    exponents_to_square_radicand,
-    lattice_dimension,
-    scale_exponents,
-)
+from rotlat.distance import _embedding_steps, _pruning_bounds, exponents_to_square_radicand
 from helpers import (
     BATTERY,
     PUBLISHED_CELLS,
+    TABLE_CELLS,
     agrees_significant,
     box_in_scan_order,
+    dp_rel_exponents,
+    dp_unscaled_exponents,
     get_module,
     half_box_in_scan_order,
+    lattice_dimension,
     min_norm_search_oracle,
+    scale_exponents,
     widen_leaves,
 )
 
@@ -109,10 +106,10 @@ def _squared(table) -> Fraction:
     return Fraction(prod(Fraction(p) ** int(2 * e) for p, e in table.items()))
 
 
-@pytest.mark.parametrize("code,params", BATTERY)
+@pytest.mark.parametrize("code,params", BATTERY + TABLE_CELLS)
 def test_construction_table_matches_built_module(code, params):
     # the closed-form tables, read without building anything, against the
-    # module that build() made
+    # module that build() made; over the Table-1 cells up to n = 128 too
     m = get_module(code, **params)
     norm_alpha = norm_real(m.alpha, m.field)
     spec, q, dims = lookup(code, params)
@@ -121,6 +118,28 @@ def test_construction_table_matches_built_module(code, params):
     assert lattice_dimension(code, **params) == m.field.n
     min_norm = dp_closed_form(m).min_norm_assumed
     assert _squared(dp_unscaled_exponents(code, **params)) == norm_alpha * min_norm**2
+    # the second route to the cell: d_rel^2 = N(alpha) min^2 / (2c)^n with
+    # N(alpha), c and n read off the built module
+    d_rel_squared = norm_alpha * spec.min_norm**2 / Fraction(2 * m.c) ** m.field.n
+    assert d_rel_squared == _squared(dp_rel_exponents(code, **params))
+
+
+def test_table1_looks_each_filled_cell_up_once(monkeypatch):
+    looked = []
+    real = distance.lookup
+
+    def counting_lookup(construction, given):
+        looked.append((construction, dict(given)))
+        return real(construction, given)
+
+    monkeypatch.setattr(distance, "lookup", counting_lookup)
+    table = table1()
+    filled = sum(rec[k] is not None for rec in table for k in ("K1", "K2", "K3", "K4"))
+    assert len(looked) == filled == 25
+    # all but the two cells of the n = 32768 row are built and checked above
+    assert len(TABLE_CELLS) == 23
+    assert [cell for cell in looked if cell not in TABLE_CELLS] == [
+        ("p32", {"p": 65537}), ("p31", {"r": 17})]
 
 
 def test_dp_closed_form_result_fields():
@@ -140,7 +159,7 @@ def test_dp_closed_form_result_fields():
 @pytest.mark.parametrize("code,params", BATTERY)
 def test_dp_closed_form_looks_its_construction_up_once(monkeypatch, code, params):
     # one table lookup and one unscaled table (one N(alpha) exponent
-    # table) per call, and the same result as the public helpers give
+    # table) per call, and the same result as the closed-form views give
     module = get_module(code, **params)
     looked, tables = [], []
     real = distance.lookup

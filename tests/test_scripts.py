@@ -102,8 +102,7 @@ PUBLIC = {
     "GramMatrix", "det_exact", "det_via_formula", "embedding_csv", "gram",
     "VerificationReport", "lll_reduce", "verify_ambient_zn", "verify_rotated_dn",
     "DistanceResult", "NormSearchResult", "TABLE_ROWS", "TableRow", "dp_closed_form",
-    "dp_rel_exponents", "dp_unscaled_exponents", "min_norm_search", "per_dimension",
-    "table1", "table1_csv",
+    "min_norm_search", "per_dimension", "table1", "table1_csv",
     "FeasibilityReport", "dn_feasibility", "splitting_of_two",
 }
 
