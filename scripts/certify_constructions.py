@@ -30,7 +30,8 @@ BATTERY = [
 
 def norm_line(module, bound):
     """The exact norm minimum over the coefficient box, marked partial when
-    the search stopped at its work budget before finding a unit."""
+    the search stopped at its work budget before reaching the module's
+    proven norm floor (1, or the index of an ideal)."""
     res = min_norm_search(module, bound)
     line = (f"min |norm| over box {bound}: {res.min_abs_norm} at {res.witness} "
             f"({res.evaluated} vectors, {res.determinants} determinants)")

@@ -194,19 +194,24 @@ def module_index(module: TwistedModule) -> int:
     return abs(_gamma_solver(module)[2])
 
 
-def _module_coords(module: TwistedModule, x: CycloElt) -> tuple[list[int], int]:
+def _module_coords(module: TwistedModule, x: CycloElt) -> tuple[list[int], int] | None:
     """Coordinates of x over gamma as integers b_i and one denominator s:
-    x = sum_i (b_i / s) gamma_i."""
-    acc, scale = integer_coords(module.field, x)
+    x = sum_i (b_i / s) gamma_i.  None when x has another conductor or lies
+    outside the rational span of the integral basis; a gamma that is not
+    of full rank raises ValueError, since its inverse decides nothing."""
     den, inv, _ = _gamma_solver(module)
+    try:
+        acc, scale = integer_coords(module.field, x)
+    except ValueError:
+        return None
     return sparse_vec_mat(acc, inv, module.field.n), den * scale
 
 
 def in_module(module: TwistedModule, x: CycloElt) -> bool:
-    try:
-        coords, scale = _module_coords(module, x)
-    except ValueError:
+    found = _module_coords(module, x)
+    if found is None:
         return False
+    coords, scale = found
     return not any(b % scale for b in coords)
 
 

@@ -14,9 +14,12 @@ and is passed over.  Each vector left gets its exact norm from the same
 kind of bounds: the product of the enclosures of |sigma_j(x)| pins one
 integer, at the module's 64-bit bounds or, if those are too wide, at x's
 own bounds with the precision doubled until it does.  The box is scanned
-one sup-norm shell at a time, smallest coefficients first, so a unit of
-small coefficients ends the search early (Fincke & Pohst's enumeration by
-increasing size, applied to the norm form).
+one sup-norm shell at a time, smallest coefficients first (Fincke &
+Pohst's enumeration by increasing size, applied to the norm form), and the
+scan ends at the module's proven norm floor: 1, or the index [O_K : M]
+when M is an ideal, since every nonzero norm of an ideal is a multiple of
+its index.  So a unit of small coefficients ends the search early, and so
+does the generator e_1 of the p31 ideal e_1 O_K (norm 2, index 2).
 """
 
 from __future__ import annotations
@@ -29,7 +32,14 @@ from functools import lru_cache
 from operator import add
 from typing import NamedTuple
 
-from .constructions import Construction, TwistedModule, coordinate_matrix, lookup
+from .constructions import (
+    Construction,
+    TwistedModule,
+    coordinate_matrix,
+    is_ideal,
+    lookup,
+    module_index,
+)
 from .cyclo import real_embedding_bounds
 from .fields import embedding_reps
 from .numtheory import factorize
@@ -253,6 +263,23 @@ def _pruning_bounds(steps, coeff_bound: int):
                 yield head + (c,), math.prod(lows)
 
 
+def _at_norm_floor(module: TwistedModule, value: int) -> bool:
+    """Whether the norm ``value`` of a nonzero module element is proven
+    minimal: value is 1, or value is the index [O_K : M] of a module M that
+    is an ideal, since then xO_K lies in M and |N(x)| = [O_K : xO_K] =
+    [O_K : M] [M : xO_K] (Neukirch, I.2 and I.6).  Both inputs are exact
+    (the determinant of the coordinate matrix and closure under the ring
+    generators), and closure is tested only when value is the index.  A
+    gamma that is not of full rank has no index, and only 1 is minimal."""
+    if value == 1:
+        return True
+    try:
+        index = module_index(module)
+    except ValueError:
+        return False
+    return value == index and is_ideal(module).is_ideal
+
+
 def min_norm_search(
     module: TwistedModule, coeff_bound: int, budget: int = NORM_SEARCH_BUDGET
 ) -> NormSearchResult:
@@ -265,10 +292,13 @@ def min_norm_search(
     time (see ``_pruning_bounds`` for the order within a shell); each comes
     before its negative in the order over the whole box, so the witness is
     the first vector of the box attaining the minimum.  The scan stops
-    early once a norm of 1 appears (no nonzero algebraic integer can do
-    better), which for a module holding a unit of small coefficients
-    happens in the first shell; a budget overrun returns a partial result,
-    flagged and warned about.
+    early once a new minimum is the module's proven norm floor
+    (``_at_norm_floor``): 1 (no nonzero algebraic integer does better), or
+    the index when the module is an ideal.  The minimum only falls, so it
+    equals the index at most once, and closure is tested at most once per
+    search.  A unit of small coefficients, or in an ideal such an element
+    whose norm is the index, stops the scan in the first shell; a budget
+    overrun returns a partial result, flagged and warned about.
 
     Every reported norm is exact: gamma must be integral (else ValueError,
     before the scan), so |N(x)| is a positive integer, pinned by certified
@@ -307,7 +337,7 @@ def min_norm_search(
         value = _pinned_norm(module, a)
         if best is None or value < best:
             best, witness = value, a
-            if value == 1:
+            if _at_norm_floor(module, value):
                 break
             cutoff = (value - 1) * scale
     return NormSearchResult(best, witness, True, evaluated, determinants)

@@ -23,7 +23,7 @@ import pytest
 
 import rotlat.cyclo
 import rotlat.distance
-from rotlat import CycloElt, build, embedding_reps, real_embedding_bounds
+from rotlat import CycloElt, TwistedModule, build, embedding_reps, real_embedding_bounds
 from rotlat.cyclo import trace_form
 from rotlat.distance import _COLUMNS, NORM_SEARCH_BUDGET, TABLE_ROWS, NormSearchResult, _closed_form
 from rotlat.fields import integral_coords
@@ -59,6 +59,17 @@ TABLE_CELLS = tuple(
 @lru_cache(maxsize=None)
 def get_module(code, **params):
     return build(code, **params)
+
+
+def doubled_gamma0(module):
+    """The module with gamma_0 replaced by 2 gamma_0, built without the
+    constructor's checks.  From a p31 module (the ideal e_1 O_K of index 2)
+    it makes a submodule of index 4 that is no longer an ideal, so the norm
+    search's floor is 1, while the last gamma element keeps norm 2, the
+    minimum: its scan runs to the end of the box, as p31's did before the
+    floor."""
+    return TwistedModule(module.field, (2 * module.gamma[0], *module.gamma[1:]), module.alpha,
+                         module.c, module.construction)
 
 
 def run_fresh(*args) -> str:

@@ -309,6 +309,27 @@ def test_rank_deficient_rejected():
         module_index(bad)
 
 
+def test_membership_in_a_rank_deficient_gamma_raises():
+    # p31 r=4 with gamma_1 replaced by gamma_0, built without the rank check:
+    # its inverse decides nothing, so membership and closure raise instead of
+    # answering False for gamma_0 itself or naming a product as a witness
+    good = get_module("p31", r=4)
+    bad = TwistedModule(good.field, (good.gamma[0], *good.gamma[:-1]), good.alpha, good.c,
+                        good.construction)
+    with pytest.raises(ValueError, match="^gamma is not full rank$"):
+        in_module(bad, bad.gamma[0])
+    with pytest.raises(ValueError, match="^gamma is not full rank$"):
+        is_ideal(bad)
+
+
+def test_membership_is_false_outside_the_rational_span_or_conductor():
+    # only these x answer False without a coordinate test over gamma
+    m = get_module("p31", r=4)
+    assert not in_module(m, CycloElt.zeta(m.field.m))  # not real
+    assert not in_module(m, CycloElt.one(2 * m.field.m))  # another conductor
+    assert in_module(m, m.gamma[0])
+
+
 def test_module_json_round_trip(tmp_path):
     m = get_module("p34", r=3, p=5)
     obj = module_to_json(m)

@@ -7,7 +7,9 @@ import pytest
 from rotlat import (
     TABLE_ROWS,
     dp_closed_form,
+    is_ideal,
     min_norm_search,
+    module_index,
     norm_real,
     per_dimension,
     table1,
@@ -22,6 +24,7 @@ from helpers import (
     TABLE_CELLS,
     agrees_significant,
     box_in_scan_order,
+    doubled_gamma0,
     dp_rel_exponents,
     dp_unscaled_exponents,
     get_module,
@@ -233,14 +236,14 @@ def test_norm_homogeneity_of_witness():
 
 
 def test_min_norm_budget_flagging():
-    m = get_module("p31", r=4)
+    m = doubled_gamma0(get_module("p31", r=4))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning):
             min_norm_search(m, 2, budget=5)
-    # the minimum is 2, so no unit ends the scan of the 312 vectors of the
-    # 624-vector box taken up to sign: a budget of 5 must return a partial,
-    # flagged result
+    # the minimum is 2 and the floor 1 (not an ideal), so nothing ends the
+    # scan of the 312 vectors of the 624-vector box taken up to sign: a
+    # budget of 5 must return a partial, flagged result
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         res = min_norm_search(m, 2, budget=5)
@@ -273,12 +276,89 @@ def test_min_norm_search_finds_the_unit_of_p34_in_the_first_shell():
 
 
 def test_min_norm_search_of_p31_r5_needs_one_determinant():
-    # the minimum is 2, so the whole half box of shell 1 is walked; every
-    # other vector's bound proves |N| > 1, so |N| >= 2 = the minimum
+    # the ideal e_1 O_K has index 2, the floor of every nonzero norm, and
+    # its first vector attains it: the search stops there
     res = min_norm_search(get_module("p31", r=5), 1)
+    assert (res.min_abs_norm, res.witness, res.exhaustive) == (2, (0,) * 7 + (-1,), True)
+    assert (res.evaluated, res.determinants) == (1, 1)
+    assert res.evaluated == half_box_in_scan_order(1, 8).index(res.witness) + 1
+    # with gamma_0 doubled the minimum is still 2 but the floor is 1, so the
+    # whole half box of shell 1 is walked; every other vector's bound
+    # proves |N| > 1, so |N| >= 2 = the minimum
+    res = min_norm_search(doubled_gamma0(get_module("p31", r=5)), 1)
     assert (res.min_abs_norm, res.witness, res.exhaustive) == (2, (0,) * 7 + (-1,), True)
     assert (res.evaluated, res.determinants) == (3280, 1)
     assert res.evaluated == (3**8 - 1) // 2
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("bound", [1, 2])
+def test_min_norm_search_of_p31_stops_at_its_floor(r, bound):
+    # the ideal e_1 O_K: every nonzero norm is a multiple of its index 2,
+    # and the first walked vector, -gamma_{n-1}, has norm 2.  Where the
+    # unpruned oracle's scan is short (r <= 4, and r = 5 at box 1), it
+    # finds the same minimum and witness
+    module = get_module("p31", r=r)
+    n = module.field.n
+    res = min_norm_search(module, bound)
+    assert (res.min_abs_norm, res.witness, res.exhaustive) == (2, (0,) * (n - 1) + (-1,), True)
+    assert (res.evaluated, res.determinants) == (1, 1)
+    if (2 * bound + 1) ** n <= 3**8:
+        assert _result(res) == _result(min_norm_search_oracle(module, bound))
+
+
+def test_p31_r7_is_confirmed_at_box_1():
+    # the half box of shell 1 is (3^32 - 1) / 2 vectors, far past the budget;
+    # the floor ends the search at its first vector, exhaustively
+    res = dp_closed_form(get_module("p31", r=7), confirm_bound=1)
+    assert res.oracle_confirmed and res.min_norm_assumed == 2
+
+
+def test_min_norm_search_of_a_non_ideal_p31_submodule_scans_the_whole_box():
+    # gamma_0 doubled: full rank, index 4, no longer an ideal, so the floor
+    # is 1 and the minimum 2 never ends the scan
+    module = doubled_gamma0(get_module("p31", r=4))
+    assert module_index(module) == 4 and not is_ideal(module).is_ideal
+    res = min_norm_search(module, 2)
+    assert res.evaluated == len(half_box_in_scan_order(2, 4)) == 312
+    assert _found(res) == _found(min_norm_search_oracle(module, 2, half=True))
+    assert _result(res) == _result(min_norm_search_oracle(module, 2))
+    assert res.min_abs_norm == 2
+
+
+def test_the_index_of_a_non_ideal_is_no_floor():
+    # p34 r=3 p=5 with gamma_1 doubled: index 4, not an ideal, and its first
+    # walked vector -gamma_3 has norm 4; only closure under O_K makes the
+    # index a floor, so the scan goes on to the unit
+    good = get_module("p34", r=3, p=5)
+    module = TwistedModule(good.field, (good.gamma[0], 2 * good.gamma[1], *good.gamma[2:]),
+                           good.alpha, good.c, good.construction)
+    assert module_index(module) == 4 == abs(norm_real(module.gamma[-1], module.field))
+    assert not is_ideal(module).is_ideal
+    res = min_norm_search(module, 1)
+    assert _result(res) == _result(min_norm_search_oracle(module, 1)) == (1, (-1, 0, 0, 0), True)
+    assert _found(res) == _found(min_norm_search_oracle(module, 1, half=True))
+
+
+def test_min_norm_search_tests_closure_only_at_a_minimum_equal_to_the_index(monkeypatch):
+    # every battery module has index 2; the p31 ideals meet norm 2 first and
+    # test closure once, the others meet their first norms (a unit for p32,
+    # norms above 2 for p34 and p37, then a unit) and never test it
+    calls = []
+    test = distance.is_ideal
+
+    def counting(module):
+        calls.append(module)
+        return test(module)
+
+    monkeypatch.setattr(distance, "is_ideal", counting)
+    for code, params in BATTERY:
+        module = get_module(code, **params)
+        calls.clear()
+        res = min_norm_search(module, 2)
+        assert module_index(module) == 2
+        assert calls == ([module] if code == "p31" else [])
+        assert res.min_abs_norm == (2 if code == "p31" else 1)
 
 
 def test_min_norm_rejects_bad_bound():
@@ -319,13 +399,17 @@ ORACLE_CASES = (
 
 @pytest.mark.parametrize("code,params,bound", ORACLE_CASES)
 def test_min_norm_search_matches_the_unpruned_oracle(code, params, bound):
-    # the result is the full box's; the count is the half box's
+    # the result is the full box's; the count is the half box's, except
+    # that p31's scan ends at its floor, where the oracle's ends only at 1
     module = get_module(code, **params)
     res = min_norm_search(module, bound)
     oracle = min_norm_search_oracle(module, bound)
     half = min_norm_search_oracle(module, bound, half=True)
-    assert _result(res) == _result(oracle)
-    assert _found(res) == _found(half)
+    assert _result(res) == _result(oracle) == _result(half)
+    if code == "p31":
+        assert res.evaluated == half_box_in_scan_order(bound, module.field.n).index(res.witness) + 1
+    else:
+        assert _found(res) == _found(half)
     assert oracle.determinants == oracle.evaluated
     assert 1 <= res.determinants <= res.evaluated
 
@@ -333,7 +417,10 @@ def test_min_norm_search_matches_the_unpruned_oracle(code, params, bound):
 @pytest.mark.parametrize("budget", [1, 5, 100])
 @pytest.mark.parametrize("code,params", [("p32", {"p": 7}), ("p31", {"r": 4})])
 def test_min_norm_budget_overrun_matches_the_oracle(code, params, budget):
+    # p31 with gamma_0 doubled: the floor is 1, so no floor ends the scan
     module = get_module(code, **params)
+    if code == "p31":
+        module = doubled_gamma0(module)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         res = min_norm_search(module, 2, budget=budget)
@@ -375,10 +462,13 @@ def test_min_norm_search_skips_only_vectors_that_cannot_beat_the_minimum(
     # record each walked vector and the exact norm computed for it, if any:
     # a vector left without one was skipped at the minimum found so far,
     # and its exact norm must be at least that minimum.  In walk order the
-    # first vector sets the minimum (2 for p31) or the next minimum is the
-    # unit (8, then 1 for p34); fed the walk backwards, the minimum falls in
-    # 5 and 8 steps, so vectors are skipped at many different minima
+    # first vector sets the minimum (2 for p31, gamma_0 doubled so that no
+    # floor ends the scan) or the next minimum is the unit (8, then 1 for
+    # p34); fed the walk backwards, the minimum falls in 6 and 8 steps, so
+    # vectors are skipped at many different minima
     module = get_module(code, **params)
+    if code == "p31":
+        module = doubled_gamma0(module)
     walk, exact = distance._pruning_bounds, distance._pinned_norm
     seen = []
 
@@ -534,10 +624,11 @@ def test_min_norm_search_of_a_rank_deficient_gamma_ends_at_norm_zero():
 def test_min_norm_search_bounds_only_prune(monkeypatch):
     # 64-bit cosine leaves widened to +-1/4 leave most embedding intervals
     # around zero: far fewer vectors are pruned, no exact norm is pinned
-    # at 64 bits, and the result is still the oracle's (p31 r=4 scans the
-    # whole box, its minimum being 2).  Only the 64-bit leaves are widened:
-    # leaves 1/4 wide at every precision could never pin a norm
-    module = get_module("p31", r=4)
+    # at 64 bits, and the result is still the oracle's (p31 r=4 with gamma_0
+    # doubled scans the whole box: its minimum is 2, its floor 1).  Only the
+    # 64-bit leaves are widened: leaves 1/4 wide at every precision could
+    # never pin a norm
+    module = doubled_gamma0(get_module("p31", r=4))
     oracle = min_norm_search_oracle(module, 2)
     half = min_norm_search_oracle(module, 2, half=True)
     tight = min_norm_search(module, 2)

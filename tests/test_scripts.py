@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import rotlat
-from helpers import BATTERY, get_module
+from helpers import BATTERY, doubled_gamma0, get_module
 from rotlat.distance import min_norm_search
 from rotlat.verify import VerificationReport
 
@@ -71,11 +71,12 @@ def test_certify_constructions_searches_a_box_beyond_the_budget_that_holds_a_uni
 
 
 def test_certify_constructions_marks_a_search_stopped_at_the_budget_partial(monkeypatch):
-    # a small budget: the full box 6 of p31 r=5 is 13^8 - 1 vectors
+    # a small budget: the full box 6 of p31 r=5 is 13^8 - 1 vectors, and
+    # with gamma_0 doubled (minimum 2, floor 1) nothing ends its scan early
     script = _load("certify_constructions")
     monkeypatch.setattr(script, "min_norm_search", partial(min_norm_search, budget=20_000))
     with pytest.warns(RuntimeWarning, match="stopped at the work budget 20000"):
-        line = script.norm_line(get_module("p31", r=5), 6)
+        line = script.norm_line(doubled_gamma0(get_module("p31", r=5)), 6)
     assert line.startswith("min |norm| over box 6: 2 at ")
     assert line.endswith(" determinants), partial: the search stopped at its work budget")
     assert "(20000 vectors, " in line
