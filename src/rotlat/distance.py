@@ -5,10 +5,16 @@ exponents; floats appear only at the output boundary (the per-dimension
 value, i.e. the n-th root of the relative minimum product distance).
 Each construction's tables come from one registry ``lookup``
 (``_closed_form``), which ``dp_closed_form`` and every ``table1`` cell read.
-A coefficient-box search over the module provides the independent
-check of the minimum-norm assumption behind the closed forms: exact
-norms of one of each pair +-x (|N(-x)| = |N(x)|).  Norms of nonzero module
-elements are positive integers, so a vector whose certified integer
+The minimum-norm assumption behind the closed forms is checked from the
+module itself.  Every nonzero norm of a module M in O_K is at least its
+proven floor: 1, or the index [O_K : M] when M is an ideal, since every
+nonzero norm of an ideal is a multiple of its index.  The elements gamma_i
+lie in every coefficient box, so when one of them has its norm at the
+floor, that norm is the exact minimum over the box: a unit for p32, p34
+and p37, an element of norm 2, the index, of the p31 ideal e_1 O_K.  Only
+when no gamma_i reaches the floor is the box walked.  The walk takes
+exact norms of one of each pair +-x (|N(-x)| = |N(x)|).  Norms of nonzero
+module elements are positive integers, so a vector whose certified integer
 embedding bounds prove |N(x)| > best - 1 cannot beat the current minimum
 and is passed over.  Each vector left gets its exact norm from the same
 kind of bounds: the product of the enclosures of |sigma_j(x)| pins one
@@ -16,10 +22,7 @@ integer, at the module's 64-bit bounds or, if those are too wide, at x's
 own bounds with the precision doubled until it does.  The box is scanned
 one sup-norm shell at a time, smallest coefficients first (Fincke &
 Pohst's enumeration by increasing size, applied to the norm form), and the
-scan ends at the module's proven norm floor: 1, or the index [O_K : M]
-when M is an ideal, since every nonzero norm of an ideal is a multiple of
-its index.  So a unit of small coefficients ends the search early, and so
-does the generator e_1 of the p31 ideal e_1 O_K (norm 2, index 2).
+scan ends at the module's floor.
 """
 
 from __future__ import annotations
@@ -106,16 +109,14 @@ class DistanceResult(NamedTuple):
 def dp_closed_form(module: TwistedModule, confirm_bound: int | None = None) -> DistanceResult:
     """Closed-form minimum product distances for one of the four constructions.
 
-    With confirm_bound set, the minimum-norm assumption is re-derived by
-    ``min_norm_search`` over that coefficient box: exact norms of one of
-    each pair +-x, with vectors that provably cannot beat the minimum
-    passed over.
+    With confirm_bound set, ``oracle_confirmed`` says whether the exact
+    minimum of |norm| over that coefficient box (``_box_minimum``) is the
+    assumed minimum norm.
     """
     spec, n, unscaled, rel = _closed_form(module.construction, dict(module.field.params))
     confirmed = False
     if confirm_bound is not None:
-        found = min_norm_search(module, confirm_bound)
-        confirmed = found.exhaustive and found.min_abs_norm == spec.min_norm
+        confirmed = _box_minimum(module, confirm_bound) == spec.min_norm
     return DistanceResult(
         dp_unscaled=exponents_to_square_radicand(unscaled),
         dp_rel=tuple(rel.items()),
@@ -270,7 +271,10 @@ def _at_norm_floor(module: TwistedModule, value: int) -> bool:
     [O_K : M] [M : xO_K] (Neukirch, I.2 and I.6).  Both inputs are exact
     (the determinant of the coordinate matrix and closure under the ring
     generators), and closure is tested only when value is the index.  A
-    gamma that is not of full rank has no index, and only 1 is minimal."""
+    gamma that is not of full rank has no index, and only 1 is minimal.
+    The floor comes from the module, never from the registry's
+    ``min_norm``: ``_box_minimum`` and ``min_norm_search`` both stop at
+    it."""
     if value == 1:
         return True
     try:
@@ -341,6 +345,37 @@ def min_norm_search(
                 break
             cutoff = (value - 1) * scale
     return NormSearchResult(best, witness, True, evaluated, determinants)
+
+
+def _box_minimum(module: TwistedModule, coeff_bound: int) -> int | None:
+    """The exact minimum of |norm| over the coefficient box of
+    ``min_norm_search``, or None when the search stops at its budget.
+
+    The unit vectors lie in every box, so when gamma is of full rank the
+    exact norms of gamma_0, ..., gamma_(n-1) come first, and the first one
+    at the module's proven floor (``_at_norm_floor``) is the minimum.  A
+    norm that is not the floor is not tested again, so closure is tested
+    at most once.  Only when no gamma_i reaches the floor, or gamma is not
+    of full rank (then a box vector may give the zero element), is the box
+    walked, by ``min_norm_search``.  The checks come first, as in the
+    search."""
+    if coeff_bound < 1:
+        raise ValueError("coeff_bound must be >= 1")
+    coordinate_matrix(module)  # raises unless gamma is integral over the basis
+    n = len(module.gamma)
+    try:
+        module_index(module)
+    except ValueError:
+        n = 0  # not of full rank: only the walk decides
+    passed = set()
+    for i in range(n):
+        value = _pinned_norm(module, tuple(int(j == i) for j in range(n)))
+        if value not in passed:
+            if _at_norm_floor(module, value):
+                return value
+            passed.add(value)
+    found = min_norm_search(module, coeff_bound)
+    return found.min_abs_norm if found.exhaustive else None
 
 
 # -- the published comparison table -------------------------------------------

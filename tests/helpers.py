@@ -3,9 +3,10 @@ table cells, tolerance helpers, ``Enclosure`` arithmetic for checking the
 integer enclosure kernel, the mpmath routes that the embed leaves and
 cells are written to match, multiplication matrices for traces and norms,
 dense matrix products and a dense rational inverse, cyclotomic polynomials
-by long division and orders by walking the powers, the box orders and the
-unpruned minimum-norm oracle, the Gram JSON layout the golden digests pin,
-and a fresh interpreter on this checkout."""
+by long division and orders by walking the powers, the box orders, the
+unpruned minimum-norm oracle and the confirmation by the box search alone,
+the Gram JSON layout the golden digests pin, and a fresh interpreter on
+this checkout."""
 
 import itertools
 import json
@@ -25,7 +26,14 @@ import rotlat.cyclo
 import rotlat.distance
 from rotlat import CycloElt, TwistedModule, build, embedding_reps, real_embedding_bounds
 from rotlat.cyclo import trace_form
-from rotlat.distance import _COLUMNS, NORM_SEARCH_BUDGET, TABLE_ROWS, NormSearchResult, _closed_form
+from rotlat.distance import (
+    _COLUMNS,
+    NORM_SEARCH_BUDGET,
+    TABLE_ROWS,
+    NormSearchResult,
+    _closed_form,
+    min_norm_search,
+)
 from rotlat.fields import integral_coords
 from rotlat.gram import embedding_enclosure_rows
 from rotlat.linalg import det_int
@@ -557,6 +565,15 @@ def min_norm_search_oracle(module, coeff_bound, budget=NORM_SEARCH_BUDGET, half=
             if value == 1:
                 break
     return NormSearchResult(best, witness, True, evaluated, evaluated)
+
+
+def confirmed_by_search(module, coeff_bound):
+    """``dp_closed_form``'s ``oracle_confirmed`` as the box walk alone gives
+    it: an exhaustive ``min_norm_search`` whose minimum is the registry's
+    ``min_norm``."""
+    spec = _closed_form(module.construction, dict(module.field.params))[0]
+    found = min_norm_search(module, coeff_bound)
+    return found.exhaustive and found.min_abs_norm == spec.min_norm
 
 
 def gram_json(g):

@@ -24,6 +24,7 @@ from helpers import (
     TABLE_CELLS,
     agrees_significant,
     box_in_scan_order,
+    confirmed_by_search,
     doubled_gamma0,
     dp_rel_exponents,
     dp_unscaled_exponents,
@@ -638,6 +639,139 @@ def test_min_norm_search_bounds_only_prune(monkeypatch):
     assert _result(loose) == _result(tight) == _result(oracle)
     assert _found(loose) == _found(tight) == _found(half)
     assert tight.determinants < loose.determinants <= loose.evaluated == half.evaluated
+
+
+# -- the confirmation: a gamma element at the floor, else the box walk --------
+
+
+def _spy(monkeypatch, name):
+    """Record each call of ``distance.<name>`` as (args, result)."""
+    calls = []
+    real = getattr(distance, name)
+
+    def spying(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(distance, name, spying)
+    return calls
+
+
+# The modules of the CI confirmation step: the five certify modules and the
+# two n = 128 rows, each confirmed at box 1 by a gamma element at its floor.
+FLOOR_MODULES = (
+    ("p37", {"p1": 7, "p2": 11}),
+    ("p34", {"r": 4, "p": 11}),
+    ("p32", {"p": 41}),
+    ("p31", {"r": 7}),
+    ("p31", {"r": 8}),
+    ("p32", {"p": 257}),
+    ("p31", {"r": 9}),
+)
+
+
+def test_p34_r4_p11_is_confirmed_at_box_1_without_a_walk(monkeypatch):
+    # gamma_0 is a unit, so 1 is the minimum over every box; the walk of the
+    # (3^20 - 1) / 2 vectors of the half box stops at the budget before
+    # reaching any vector of norm 1, so the walk alone leaves it unconfirmed
+    searches = _spy(monkeypatch, "min_norm_search")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = dp_closed_form(get_module("p34", r=4, p=11), confirm_bound=1)
+    assert res.oracle_confirmed and res.min_norm_assumed == 1
+    assert searches == []
+
+
+_CONFIRMATION_MODULES = BATTERY + tuple(
+    (code, params) for code, params, _ in ORACLE_CASES if (code, params) not in BATTERY)
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("code,params", _CONFIRMATION_MODULES)
+def test_oracle_confirmed_is_the_box_search_confirmation(code, params, bound):
+    module = get_module(code, **params)
+    confirmed = dp_closed_form(module, confirm_bound=bound).oracle_confirmed
+    assert confirmed == confirmed_by_search(module, bound)
+
+
+@pytest.mark.parametrize("code,params", BATTERY + FLOOR_MODULES)
+def test_a_gamma_element_at_the_floor_confirms_without_a_walk(monkeypatch, code, params):
+    # a unit for p32, p34 and p37; norm 2, the index, for the p31 ideals,
+    # whose closure is tested once
+    module = get_module(code, **params)
+    searches = _spy(monkeypatch, "min_norm_search")
+    closures = _spy(monkeypatch, "is_ideal")
+    assert dp_closed_form(module, confirm_bound=1).oracle_confirmed
+    assert searches == []
+    assert len(closures) == (1 if code == "p31" else 0)
+
+
+def test_a_norm_equal_to_the_index_is_tested_for_closure_once(monkeypatch):
+    # p34 r=3 p=5 with gamma_1 doubled, reordered: index 4, not an ideal,
+    # gamma norms 4, 4, 1, 256; the second 4 is not tested again, and the
+    # unit gamma_2 is the minimum
+    good = get_module("p34", r=3, p=5)
+    gamma = good.gamma
+    module = TwistedModule(good.field, (gamma[2], gamma[3], gamma[0], 2 * gamma[1]), good.alpha,
+                           good.c, good.construction)
+    assert module_index(module) == 4
+    closures = _spy(monkeypatch, "is_ideal")
+    searches = _spy(monkeypatch, "min_norm_search")
+    assert distance._box_minimum(module, 1) == 1
+    assert [(args, check.is_ideal) for args, check in closures] == [((module,), False)]
+    assert searches == []
+
+
+def _repeated_gamma1(module):
+    # gamma_1 replaced by gamma_2: not of full rank, and gamma_0 still a unit
+    gamma = module.gamma
+    return TwistedModule(module.field, (gamma[0], gamma[2], *gamma[2:]), module.alpha, module.c,
+                         module.construction)
+
+
+@pytest.mark.parametrize("make,bound,minimum", [
+    # the floor is 1 (no longer an ideal), and every norm is even
+    (lambda: doubled_gamma0(get_module("p31", r=5)), 1, 2),
+    (lambda: doubled_gamma0(get_module("p31", r=4)), 2, 2),
+    # gamma_0 is a unit, but gamma_2 - gamma_1 = 0 is a box vector too
+    (lambda: _repeated_gamma1(get_module("p34", r=3, p=5)), 1, 0),
+], ids=["p31-r5-doubled", "p31-r4-doubled", "p34-r3-p5-repeated"])
+def test_the_walk_runs_when_no_gamma_element_is_proven_minimal(monkeypatch, make, bound, minimum):
+    module = make()
+    searches = _spy(monkeypatch, "min_norm_search")
+    assert distance._box_minimum(module, bound) == minimum
+    assert [(args, found.min_abs_norm) for args, found in searches] == [((module, bound), minimum)]
+    searches.clear()
+    confirmed = dp_closed_form(module, confirm_bound=bound).oracle_confirmed
+    assert len(searches) == 1
+    monkeypatch.undo()
+    assert confirmed == confirmed_by_search(module, bound) == (minimum == 2)
+
+
+def test_the_floor_is_read_from_the_module_not_the_registry(monkeypatch):
+    # a registry claiming minimum norm 2 for p32 p=7 is refuted by its unit
+    real = distance.lookup
+
+    def claiming_two(construction, given):
+        spec, q, dims = real(construction, given)
+        return spec._replace(min_norm=2), q, dims
+
+    monkeypatch.setattr(distance, "lookup", claiming_two)
+    res = dp_closed_form(get_module("p32", p=7), confirm_bound=2)
+    assert res.min_norm_assumed == 2 and not res.oracle_confirmed
+
+
+def test_the_confirmation_checks_before_it_computes_a_norm(monkeypatch):
+    # the search's own checks: a box of at least 1, and an integral gamma
+    good = get_module("p32", p=7)
+    half = TwistedModule(good.field, (good.gamma[0] * Fraction(1, 2), *good.gamma[1:]),
+                         good.alpha, good.c, good.construction)
+    norms = _spy(monkeypatch, "_pinned_norm")
+    with pytest.raises(ValueError, match="coeff_bound must be >= 1"):
+        dp_closed_form(good, confirm_bound=0)
+    with pytest.raises(ValueError, match="non-integer coordinates"):
+        dp_closed_form(half, confirm_bound=1)
+    assert norms == []
 
 
 def test_table_reproduces_published_cells():
