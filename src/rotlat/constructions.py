@@ -22,13 +22,13 @@ from .fields import (
     factor_degrees,
     field_from_json,
     field_to_json,
+    generator_rows,
     integer_coords,
     integral_coords,
     is_totally_positive,
     subfield_degrees,
 )
 from .linalg import pivot_inverse, sparse_vec_mat
-from .numtheory import is_prime
 
 
 class TwistedModule(NamedTuple):
@@ -73,11 +73,6 @@ def _product_twist(field: FieldDesc, doubled: int):
     return tuple(gamma), (2 - e1) * (2 - b1)
 
 
-def _p32_check(q: dict) -> None:
-    if q["p"] < 7 or not is_prime(q["p"]):
-        raise ValueError("p must be a prime >= 7")
-
-
 class Construction(NamedTuple):
     """One module construction.  ``scale`` and ``norm_alpha`` give c and
     N(alpha) as prime -> exponent tables from the checked parameters and
@@ -88,7 +83,7 @@ class Construction(NamedTuple):
     norm_alpha: Callable[[dict, tuple[int, ...]], dict[int, int]]
     make: Callable[[FieldDesc, dict], tuple[tuple[CycloElt, ...], CycloElt]]  # gamma, alpha
     min_norm: int = 1  # assumed minimum |N(x)| over the nonzero module elements
-    check: Callable[[dict], None] | None = None  # beyond the family's own rules
+    least: dict[str, int] | None = None  # parameter floors above the family's own
     stated_from: tuple[str, int] | None = None  # below this bound, build warns
 
 
@@ -100,7 +95,7 @@ CONSTRUCTIONS: dict[str, Construction] = {
     ),
     # odd-prime real subfield, non-ideal module, alpha = 2 - e1
     "p32": Construction(
-        "odd-prime", lambda q: {q["p"]: 1}, lambda q, d: {q["p"]: 1}, _p32, check=_p32_check,
+        "odd-prime", lambda q: {q["p"]: 1}, lambda q, d: {q["p"]: 1}, _p32, least={"p": 7},
     ),
     # compositum of the two, non-ideal module, product twist; the (i=0, j=n2)
     # product is doubled
@@ -131,7 +126,7 @@ def lookup(construction: str, params) -> tuple[Construction, dict[str, int], tup
             f"unknown construction {construction!r}; expected one of {CONSTRUCTION_CODES}"
         )
     spec = CONSTRUCTIONS[construction]
-    q = check_params(spec.family, params, spec.check)
+    q = check_params(spec.family, params, spec.least)
     return spec, q, factor_degrees(spec.family, q)
 
 
@@ -208,6 +203,10 @@ def _module_coords(module: TwistedModule, x: CycloElt) -> tuple[list[int], int] 
 
 
 def in_module(module: TwistedModule, x: CycloElt) -> bool:
+    """Whether x lies in the module: its coordinates over gamma are
+    integers.  False for an x of another conductor or outside the rational
+    span of the integral basis; a gamma that is not of full rank raises
+    ValueError."""
     found = _module_coords(module, x)
     if found is None:
         return False
@@ -233,15 +232,25 @@ def is_ideal(module: TwistedModule) -> IdealCheck:
     """Whether the module is closed under multiplication by the ring of integers.
 
     O_K = Z[generators], one generator per factor field, so a Z-module
-    closed under each generator is closed under O_K: n products per
-    generator.  On failure the first offending product (in generator x
-    gamma order) is returned as a witness.
+    closed under each generator is closed under O_K.  Closure is decided
+    on integer coordinates, with no element multiplied: with C the
+    coordinate matrix of gamma and M_w the closed-form rows of
+    multiplication by a generator w (``fields.generator_rows``), the row
+    C_i M_w is w * gamma_i on the integral basis, and times the module's
+    D * C^-1 it is D times w * gamma_i over gamma, so w * gamma_i is in the
+    module iff D divides every entry.  On failure the first offending
+    product (in generator x gamma order) is formed and returned as a
+    witness.  A gamma that is not integral, or not of full rank, raises
+    ValueError.
     """
-    for w in module.field.generators:
-        for g in module.gamma:
-            product = w * g
-            if not in_module(module, product):
-                return IdealCheck(False, IdealityWitness(w, g, product))
+    den, inv, _ = _gamma_solver(module)
+    field, n = module.field, module.field.n
+    for t, rows in enumerate(generator_rows(field)):
+        for i, coords in enumerate(coordinate_matrix(module)):
+            over_gamma = sparse_vec_mat(sparse_vec_mat(coords, rows, n), inv, n)
+            if any(b % den for b in over_gamma):
+                w, g = field.generators[t], module.gamma[i]
+                return IdealCheck(False, IdealityWitness(w, g, w * g))
     return IdealCheck(True, None)
 
 
@@ -284,6 +293,8 @@ def module_from_json(obj) -> TwistedModule:
     if spec is not None:
         if spec.family != field.family:
             raise ValueError(f"construction {construction} needs a {spec.family} field")
-        if spec.check is not None:  # field_from_json has applied the family's rules
-            spec.check(dict(field.params))
+        # field_from_json has applied the family's rules; only the raised
+        # floors are left, and the one parameter check names a broken one
+        if any(field.param(name) < low for name, low in (spec.least or {}).items()):
+            check_params(field.family, dict(field.params), spec.least)
     return _validated(TwistedModule(field, gamma, alpha, c, construction))

@@ -45,33 +45,62 @@ class Factor(NamedTuple):
     """A field Q(zeta_m + zeta_m^-1) named by one integer parameter.
 
     ``exponents`` lists the integral basis, each element as the exponents
-    k of the powers zeta_m^k that it sums.
+    k of the powers zeta_m^k that it sums.  ``theta1_rows`` gives the
+    sparse rows (column, coefficient) of multiplication by the generator
+    theta_1 = zeta_m + zeta_m^-1 on that basis, in closed form.
     """
 
     rule: tuple[str, str]  # what a valid parameter is, for one and for several
-    valid: Callable[[int], bool]
+    least: int  # the smallest valid parameter
+    prime: bool  # whether a valid parameter is prime
     conductor: Callable[[int], int]
     degree: Callable[[int], int]
     disc: Callable[[int], tuple[int, int]]  # (prime, exponent): d = prime^exponent
     exponents: Callable[[int], tuple[tuple[int, ...], ...]]
+    theta1_rows: Callable[[int], tuple[tuple[tuple[int, int], ...], ...]]
+
+
+def _pow2_theta1_rows(r: int):
+    """On the basis 1, theta_1, ..., theta_(n-1) (theta_i = zeta^i + zeta^-i):
+    theta_1 * 1 = theta_1, theta_1^2 = theta_2 + 2, and theta_1 theta_i =
+    theta_(i+1) + theta_(i-1), where theta_n = zeta_4 + zeta_4^-1 = 0."""
+    n = 2 ** (r - 2)
+    rows = [((1, 1),), ((0, 2), (2, 1)) if n > 2 else ((0, 2),)]
+    rows += [((i - 1, 1), (i + 1, 1)) if i + 1 < n else ((i - 1, 1),) for i in range(2, n)]
+    return tuple(rows)
+
+
+def _odd_prime_theta1_rows(p: int):
+    """On the basis theta_1, ..., theta_n (row and column j - 1 for theta_j):
+    theta_1^2 = theta_2 + 2 = theta_2 - 2 sum_j theta_j, since 1 = -sum_j
+    theta_j, and theta_1 theta_j = theta_(j+1) + theta_(j-1), where
+    theta_(n+1) = theta_(p-n) = theta_n."""
+    n = (p - 1) // 2
+    rows = [tuple((k, -1 if k == 1 else -2) for k in range(n))]
+    rows += [((j - 2, 1), (min(j, n - 1), 1)) for j in range(2, n + 1)]
+    return tuple(rows)
 
 
 POW2 = Factor(
-    ("an integer >= 3", "integers >= 3"),
-    lambda r: r >= 3,
+    ("an integer", "integers"),
+    3,
+    False,
     lambda r: 2**r,
     lambda r: 2 ** (r - 2),
     lambda r: (2, (r - 1) * 2 ** (r - 2) - 1),
     lambda r: ((0,),) + tuple((i, -i) for i in range(1, 2 ** (r - 2))),
+    _pow2_theta1_rows,
 )
 
 ODD_PRIME = Factor(
-    ("a prime >= 5", "primes >= 5"),
-    lambda p: p >= 5 and is_prime(p),
+    ("a prime", "primes"),
+    5,
+    True,
     lambda p: p,
     lambda p: (p - 1) // 2,
     lambda p: (p, (p - 3) // 2),
     lambda p: tuple((j, -j) for j in range(1, (p - 1) // 2 + 1)),
+    _odd_prime_theta1_rows,
 )
 
 
@@ -155,14 +184,16 @@ class FieldDesc(Value):
         return tuple(basis)
 
 
-def check_params(family: str, params, extra: Callable[[dict], None] | None = None) -> dict[str, int]:
+def check_params(family: str, params, least: dict[str, int] | None = None) -> dict[str, int]:
     """The family's parameters from ``params``, checked; the package's one
     parameter check.
 
     Each value must be an int (never truncated) valid for its factor,
     factors of the same kind must differ, and no other name may appear.
-    ``extra`` is a construction's own condition; it sees the integer values
-    before the family's rules run.
+    ``least`` raises the smallest valid value of named parameters above
+    their factor's (a construction's own range), for every parameter of
+    that factor kind, since one rule with one bound covers them all; the
+    broken rule names the raised bound, and each value is tested once.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
@@ -176,12 +207,12 @@ def check_params(family: str, params, extra: Callable[[dict], None] | None = Non
         if type(params[name]) is not int:
             raise ValueError(f"parameter {name!r} must be an integer, got {params[name]!r}")
         values[name] = params[name]
-    if extra is not None:
-        extra(values)
     for kind in dict.fromkeys(k for _, k in FAMILIES[family]):
         names = [name for name, k in FAMILIES[family] if k is kind]
-        if not all(kind.valid(values[name]) for name in names):
-            raise ValueError(f"{' and '.join(names)} must be {kind.rule[len(names) > 1]}")
+        floor = max(kind.least, *(least.get(name, 0) for name in names)) if least else kind.least
+        if not all(values[name] >= floor and (not kind.prime or is_prime(values[name]))
+                   for name in names):
+            raise ValueError(f"{' and '.join(names)} must be {kind.rule[len(names) > 1]} >= {floor}")
         if len({values[name] for name in names}) < len(names):
             raise ValueError(f"{' != '.join(names)} required")
     return values
@@ -282,6 +313,28 @@ def _basis_solver(field: FieldDesc):
         raise RuntimeError("integral basis is not full rank") from None
     terms = tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
     return pivots, den, inv, terms
+
+
+@lru_cache(maxsize=None)
+def generator_rows(field: FieldDesc) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """For each of ``field.generators``, the sparse rows (column,
+    coefficient) of multiplication by it on the integral basis: row j is
+    the coordinates of generator * basis[j].  Each factor's rows are its
+    closed form (``Factor.theta1_rows``); on a compositum, whose basis is
+    the product of the factor bases (first factor most significant), they
+    act on their own factor's index and leave the others alone (M (x) I and
+    I (x) M).  Nothing is multiplied or solved."""
+    factors = [kind.theta1_rows(field.param(name)) for name, kind in FAMILIES[field.family]]
+    degrees = [len(rows) for rows in factors]
+    strides = [prod(degrees[t + 1:]) for t in range(len(degrees))]
+    lifted = []
+    for t, rows in enumerate(factors):
+        out = []
+        for index in product(*map(range, degrees)):
+            base = sum(i * s for i, s in zip(index, strides)) - index[t] * strides[t]
+            out.append(tuple((base + k * strides[t], c) for k, c in rows[index[t]]))
+        lifted.append(tuple(out))
+    return tuple(lifted)
 
 
 def integer_coords(field: FieldDesc, x: CycloElt) -> tuple[list[int], int]:

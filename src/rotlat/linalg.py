@@ -5,8 +5,8 @@ a matrix that is solved against (a field's basis, a module's coordinate
 matrix) and also gives that block's determinant; ``det_int`` serves the
 matrices that are never inverted.  ``sparse_vec_mat`` is the package's one
 integer product, a vector times the nonzero entries of a matrix's rows: it
-serves T * G * T^t in the LLL and the coordinate solves and their span
-check.
+serves T * G * T^t in the LLL, the coordinate solves and their span check,
+and the ideal test's rows C_i * M_w * D C^-1.
 """
 
 from __future__ import annotations

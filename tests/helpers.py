@@ -1,9 +1,10 @@
 """Shared test data and oracles: the certification battery, published
 table cells, tolerance helpers, ``Enclosure`` arithmetic for checking the
 integer enclosure kernel, the mpmath routes that the embed leaves and
-cells are written to match, multiplication matrices for traces and norms,
-dense matrix products and a dense rational inverse, cyclotomic polynomials
-by long division and orders by walking the powers, the box orders, the
+cells are written to match, closure under the ring generators by forming
+every product, multiplication matrices for traces and norms, dense matrix
+products and a dense rational inverse, cyclotomic polynomials by long
+division and orders by walking the powers, the box orders, the
 unpruned minimum-norm oracle and the confirmation by the box search alone,
 the Gram JSON layout the golden digests pin, and a fresh interpreter on
 this checkout."""
@@ -24,7 +25,16 @@ import pytest
 
 import rotlat.cyclo
 import rotlat.distance
-from rotlat import CycloElt, TwistedModule, build, embedding_reps, real_embedding_bounds
+from rotlat import (
+    CycloElt,
+    IdealCheck,
+    IdealityWitness,
+    TwistedModule,
+    build,
+    embedding_reps,
+    in_module,
+    real_embedding_bounds,
+)
 from rotlat.cyclo import trace_form
 from rotlat.distance import (
     _COLUMNS,
@@ -52,6 +62,15 @@ BATTERY = (
     ("p34", {"r": 3, "p": 7}),
     ("p37", {"p1": 5, "p2": 7}),
     ("p37", {"p1": 5, "p2": 11}),
+)
+
+# The modules the benchmark's certify workload builds, verifies and embeds.
+CERTIFY_MODULES = (
+    ("p37", {"p1": 7, "p2": 11}),
+    ("p34", {"r": 4, "p": 11}),
+    ("p32", {"p": 41}),
+    ("p31", {"r": 7}),
+    ("p31", {"r": 8}),
 )
 
 # The filled Table-1 cells with n <= 128, as (code, params): every filled
@@ -380,6 +399,21 @@ def widen_leaves(monkeypatch, at, bits):
 
         monkeypatch.setattr(owner, name, widened)
     return asked
+
+
+# -- closure by products -------------------------------------------------------
+
+
+def is_ideal_oracle(module):
+    """Closure under the ring generators by forming each product w * gamma_i
+    and testing its membership, in generator x gamma order: the first
+    product outside the module is the witness."""
+    for w in module.field.generators:
+        for g in module.gamma:
+            product = w * g
+            if not in_module(module, product):
+                return IdealCheck(False, IdealityWitness(w, g, product))
+    return IdealCheck(True, None)
 
 
 # -- multiplication matrices, dense products and a dense inverse --------------

@@ -21,7 +21,16 @@ from rotlat import constructions, fields
 from rotlat.constructions import _module_coords, coordinate_matrix
 from rotlat.fields import FieldDesc
 from rotlat.gram import gram
-from helpers import get_module, inverse_rational, BATTERY, dp_rel_exponents, lattice_dimension
+from helpers import (
+    BATTERY,
+    CERTIFY_MODULES,
+    doubled_gamma0,
+    dp_rel_exponents,
+    get_module,
+    inverse_rational,
+    is_ideal_oracle,
+    lattice_dimension,
+)
 
 
 def test_p34_3_5_basis_exactly():
@@ -152,8 +161,9 @@ def test_upper_case_code_in_a_module_file_is_unregistered():
 def test_each_parameter_is_checked_once_where_it_enters(monkeypatch):
     # build checks through lookup and takes the field from the cache behind
     # make_field; a module file's family rules run in field_from_json and
-    # only p32's own check (p >= 7, prime) runs after them.  check_params
-    # and is_prime are spied on under both names they are imported as.
+    # only p32's own floor (p >= 7) is compared after them: p is tested for
+    # primality once on each path.  check_params is spied on under both
+    # names it is imported as.
     calls = {"check_params": 0, "is_prime": 0, "lookup": 0}
 
     def spy(module, name):
@@ -167,14 +177,23 @@ def test_each_parameter_is_checked_once_where_it_enters(monkeypatch):
 
     for module in (constructions, fields):
         spy(module, "check_params")
-        spy(module, "is_prime")
+    spy(fields, "is_prime")
     spy(constructions, "lookup")
     module = build("p32", p=257)
-    assert calls == {"check_params": 1, "is_prime": 2, "lookup": 1}
+    assert calls == {"check_params": 1, "is_prime": 1, "lookup": 1}
     obj = json.loads(json.dumps(module_to_json(module)))
     calls.update(dict.fromkeys(calls, 0))
     assert module_from_json(obj) == module
-    assert calls == {"check_params": 1, "is_prime": 2, "lookup": 0}
+    assert calls == {"check_params": 1, "is_prime": 1, "lookup": 0}
+
+
+def test_a_module_file_below_its_constructions_floor_is_refused():
+    # odd-prime p = 5 passes the family's rule in field_from_json; p32's own
+    # floor is compared after it, with the message build gives
+    K = make_field("odd-prime", p=5)
+    obj = module_to_json(TwistedModule(K, K.basis, CycloElt.one(5), 5, "p32"))
+    with pytest.raises(ValueError, match="^p must be a prime >= 7$"):
+        module_from_json(json.loads(json.dumps(obj)))
 
 
 @pytest.mark.parametrize("code,params", BATTERY)
@@ -251,24 +270,80 @@ def test_is_ideal_verdicts():
         assert not in_module(get_module(code, **params), w.product)
 
 
-def test_is_ideal_multiplies_by_the_ring_generators_only(monkeypatch):
-    import rotlat.constructions
+def test_is_ideal_forms_no_product_but_its_witness(monkeypatch):
+    # closure is decided on integer coordinates: an ideal costs no membership
+    # query, no coordinate solve and no cyclotomic product, and a non-ideal
+    # forms one product, its witness
+    calls = {"in_module": 0, "integer_coords": 0, "__mul__": 0}
 
-    calls = []
+    def spy(owner, name):
+        real = getattr(owner, name)
 
-    def counted(module, x):
-        calls.append(x)
-        return in_module(module, x)
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(rotlat.constructions, "in_module", counted)
-    m = get_module("p31", r=7)
-    assert is_ideal(m).is_ideal
-    assert len(calls) == 32  # one generator times n = 32 gamma elements, not n^2
-    calls.clear()
-    m = get_module("p37", p1=5, p2=7)
-    chk = is_ideal(m)
-    assert chk.witness.basis_factor in m.field.generators
-    assert len(calls) <= 2 * m.field.n
+        monkeypatch.setattr(owner, name, counting)
+
+    ideal, other = get_module("p31", r=7), get_module("p37", p1=5, p2=7)
+    spy(constructions, "in_module")
+    spy(constructions, "integer_coords")
+    spy(fields, "integer_coords")
+    spy(CycloElt, "__mul__")
+    assert is_ideal(ideal) == (True, None)
+    assert calls == {"in_module": 0, "integer_coords": 0, "__mul__": 0}
+    chk = is_ideal(other)
+    assert not chk.is_ideal and chk.witness.basis_factor in other.field.generators
+    assert calls == {"in_module": 0, "integer_coords": 0, "__mul__": 1}
+
+
+# p31 r = 3..8 are among these: r = 3, 4, 5 in the battery, 7 and 8 certified
+CLOSURE_MODULES = BATTERY + CERTIFY_MODULES + (("p31", {"r": 6}),)
+
+
+def _with_gamma(module, gamma):
+    """The module with another gamma, built without the constructor's checks."""
+    return TwistedModule(module.field, tuple(gamma), module.alpha, module.c, module.construction)
+
+
+@pytest.mark.parametrize("code,params", CLOSURE_MODULES)
+def test_is_ideal_equals_the_product_oracle(code, params):
+    # verdict and witness, on the module and on tampered copies: gamma_0
+    # replaced by gamma_0 + gamma_1 (the same module on another basis),
+    # gamma_0 or the last gamma element doubled, and 2 O_K, an ideal of index 2^n
+    module = get_module(code, **params)
+    gamma, K = module.gamma, module.field
+    for m in (
+        module,
+        _with_gamma(module, (gamma[0] + gamma[1], *gamma[1:])),
+        doubled_gamma0(module),
+        _with_gamma(module, (*gamma[:-1], 2 * gamma[-1])),
+        _with_gamma(module, (2 * b for b in K.basis)),
+    ):
+        assert is_ideal(m) == is_ideal_oracle(m)
+
+
+@pytest.mark.parametrize("family,params", [("pow2", {"r": 4}), ("odd-prime", {"p": 7}),
+                                           ("comp-pow2-odd", {"r": 3, "p": 5}),
+                                           ("comp-odd-odd", {"p1": 5, "p2": 7})])
+def test_ambient_module_is_an_ideal(family, params):
+    K = make_field(family, **params)
+    ambient = TwistedModule(K, K.basis, CycloElt.one(K.m), 1, "ambient")
+    assert is_ideal(ambient) == is_ideal_oracle(ambient) == (True, None)
+
+
+def test_is_ideal_of_an_improper_gamma_raises_as_membership_does():
+    K = make_field("pow2", r=3)
+    half = CycloElt.rational(8, "1/2")
+    for gamma, message in (
+        ((half, K.basis[1]), "^element has non-integer coordinates over the integral basis$"),
+        ((K.basis[1], K.basis[1]), "^gamma is not full rank$"),
+        ((K.basis[1],), "^gamma must have exactly 2 elements, got 1$"),
+    ):
+        bad = TwistedModule(K, gamma, CycloElt.one(8), 1, "bad")
+        for test in (is_ideal, is_ideal_oracle):
+            with pytest.raises(ValueError, match=message):
+                test(bad)
 
 
 def test_p34_known_witness_product():

@@ -20,6 +20,7 @@ from rotlat.constructions import TwistedModule, lookup
 from rotlat.distance import _embedding_steps, _pruning_bounds, exponents_to_square_radicand
 from helpers import (
     BATTERY,
+    CERTIFY_MODULES,
     PUBLISHED_CELLS,
     TABLE_CELLS,
     agrees_significant,
@@ -659,15 +660,7 @@ def _spy(monkeypatch, name):
 
 # The modules of the CI confirmation step: the five certify modules and the
 # two n = 128 rows, each confirmed at box 1 by a gamma element at its floor.
-FLOOR_MODULES = (
-    ("p37", {"p1": 7, "p2": 11}),
-    ("p34", {"r": 4, "p": 11}),
-    ("p32", {"p": 41}),
-    ("p31", {"r": 7}),
-    ("p31", {"r": 8}),
-    ("p32", {"p": 257}),
-    ("p31", {"r": 9}),
-)
+FLOOR_MODULES = CERTIFY_MODULES + (("p32", {"p": 257}), ("p31", {"r": 9}))
 
 
 def test_p34_r4_p11_is_confirmed_at_box_1_without_a_walk(monkeypatch):

@@ -21,8 +21,9 @@ from rotlat import (
     real_embedding_bounds,
     subfield_degrees,
 )
-from rotlat.fields import factor_degrees
+from rotlat.fields import factor_degrees, generator_rows, integral_coords
 from rotlat.linalg import det_int
+from rotlat.numtheory import is_prime
 from helpers import conjugates, inverse_rational, norm_abs, trace_by_form, trace_via_mult_matrix
 
 
@@ -261,6 +262,34 @@ def test_generators_generate_the_ring():
         rows = [coords_on_basis(K, x) for x in monomials]
         assert all(q.denominator == 1 for row in rows for q in row)
         assert abs(det_int([[int(q) for q in row] for row in rows])) == 1
+
+
+_ODD_PRIMES = tuple(p for p in range(5, 62) if is_prime(p))
+_GENERATOR_FIELDS = (
+    [("pow2", {"r": r}) for r in range(3, 10)]
+    + [("odd-prime", {"p": p}) for p in _ODD_PRIMES]
+    + [("comp-pow2-odd", {"r": r, "p": p}) for r in range(3, 6) for p in (5, 7, 11, 13)]
+    + [("comp-odd-odd", {"p1": p1, "p2": p2})
+       for p1, p2 in ((5, 7), (7, 5), (5, 11), (5, 13), (7, 11), (11, 7), (7, 13), (11, 13))]
+)
+
+
+@pytest.mark.parametrize("family,params", _GENERATOR_FIELDS)
+def test_generator_rows_are_the_products_on_the_basis(family, params):
+    # the closed-form rows of each generator, lifted to the compositum as
+    # M (x) I and I (x) M, are the coordinates of generator * basis element;
+    # r = 3 and p = 5 are the factors of degree 2
+    K = make_field(family, **params)
+    rows = generator_rows(K)
+    assert len(rows) == len(K.generators)
+    for w, matrix in zip(K.generators, rows):
+        assert len(matrix) == K.n
+        for b, row in zip(K.basis, matrix):
+            dense = [0] * K.n
+            for k, c in row:
+                assert c != 0 and dense[k] == 0
+                dense[k] = c
+            assert tuple(dense) == integral_coords(K, w * b)
 
 
 def test_field_hash_agrees_with_equality():
