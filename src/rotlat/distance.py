@@ -18,8 +18,8 @@ module elements are positive integers, so a vector whose certified integer
 embedding bounds prove |N(x)| > best - 1 cannot beat the current minimum
 and is passed over.  Each vector left gets its exact norm from the same
 kind of bounds: the product of the enclosures of |sigma_j(x)| pins one
-integer, at the module's 64-bit bounds or, if those are too wide, at x's
-own bounds with the precision doubled until it does.  The box is scanned
+integer at the module's 64-bit bounds, and where those are too wide, the
+package's one exact norm ``fields.norm_real`` gives it.  The box is scanned
 one sup-norm shell at a time, smallest coefficients first (Fincke &
 Pohst's enumeration by increasing size, applied to the norm form), and the
 scan ends at the module's floor.
@@ -44,7 +44,7 @@ from .constructions import (
     module_index,
 )
 from .cyclo import real_embedding_bounds
-from .fields import embedding_reps
+from .fields import _pin, embedding_reps, norm_real
 from .numtheory import factorize
 
 _HALF = Fraction(1, 2)
@@ -141,8 +141,8 @@ class NormSearchResult(NamedTuple):
 NORM_SEARCH_BUDGET = 2_000_000
 
 # Leaf precision of the module's embedding bounds.  It decides how many
-# vectors are pruned and how many exact norms need wider-precision bounds of
-# their own, never the result, so it is fixed.
+# vectors are pruned and how many exact norms go to ``norm_real``, never
+# the result, so it is fixed.
 _BOUND_PREC = 64
 
 
@@ -178,24 +178,9 @@ def _embedding_steps(module: TwistedModule, coeff_bound: int):
     return steps, scale
 
 
-def _pin(pairs, scale: int) -> int | None:
-    """The integer |N(x)| >= 1 when enclosures [lo_j, hi_j] of D sigma_j(x)
-    (scale = D^n) prove it, else None.  With L = prod max(lo_j, -hi_j, 0)
-    and U = prod max(hi_j, -lo_j), |N(x)| lies in [L, U] / D^n, so
-    v = ceil(L / D^n) >= 1 and U < (v + 1) D^n leave v as its only
-    integer."""
-    lower = math.prod(max(lo, -hi, 0) for lo, hi in pairs)
-    upper = math.prod(max(hi, -lo) for lo, hi in pairs)
-    value = -(-lower // scale)
-    return value if value >= 1 and upper < (value + 1) * scale else None
-
-
 def _pinned_norm(module: TwistedModule, a: tuple[int, ...]) -> int:
-    """|N(sum a_i gamma_i)|, exactly: an integer, gamma being integral,
-    pinned by the interval sum of the module's enclosures or, when those
-    are too wide, by the element's own enclosures at 128, 256, ... bits,
-    which pin every nonzero norm in the end.  A zero element (gamma not of
-    full rank) has norm 0."""
+    """|N(sum a_i gamma_i)|, an integer (gamma is integral): pinned by the
+    module's enclosures summed (``_pin``), or, if too wide, ``norm_real``."""
     rows, scale = _gamma_enclosures(module)
     terms = [(c, (hi, lo) if c < 0 else (lo, hi)) for c, (lo, hi) in zip(a, rows) if c]
     pairs = [
@@ -205,16 +190,7 @@ def _pinned_norm(module: TwistedModule, a: tuple[int, ...]) -> int:
     value = _pin(pairs, scale)
     if value is not None:
         return value
-    x = sum(c * g for c, g in zip(a, module.gamma) if c)
-    if not x:
-        return 0
-    reps = embedding_reps(module.field)
-    prec = _BOUND_PREC
-    while value is None:
-        prec *= 2
-        pairs, den = real_embedding_bounds(x, reps, prec)
-        value = _pin(pairs, den ** len(reps))
-    return value
+    return int(abs(norm_real(sum(c * g for c, g in zip(a, module.gamma) if c), module.field)))
 
 
 def _pruning_bounds(steps, coeff_bound: int):
@@ -307,12 +283,12 @@ def min_norm_search(
     Every reported norm is exact: gamma must be integral (else ValueError,
     before the scan), so |N(x)| is a positive integer, pinned by certified
     enclosures of the n embeddings of x (``_pinned_norm``: the module's
-    64-bit bounds summed, escalated to x's own bounds at 128, 256, ...
-    bits only when they do not pin one integer).  A certified embedding
-    bound above best - 1 proves |N(x)| >= best: such a vector could never
-    replace the current minimum and is passed over (Fincke & Pohst's
-    pruning, applied to the norm form).  The first vector attaining each
-    new minimum always gets its exact norm.
+    64-bit bounds summed, or ``norm_real`` when they do not pin one
+    integer).  A certified embedding bound above best - 1 proves
+    |N(x)| >= best: such a vector could never replace the current minimum
+    and is passed over (Fincke & Pohst's pruning, applied to the norm
+    form).  The first vector attaining each new minimum always gets its
+    exact norm.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")

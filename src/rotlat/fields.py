@@ -376,19 +376,42 @@ def coords_on_basis(field: FieldDesc, x: CycloElt) -> tuple[Fraction, ...]:
 # -- field-relative norm, embeddings --------------------------------------
 
 
+_SIGN_PRECISION_CAP = 1 << 13
+
+
+def _pin(pairs, scale: int) -> int | None:
+    """The integer |N(x)| >= 1 when enclosures [lo_j, hi_j] of D sigma_j(x)
+    (scale = D^n) prove it, else None.  With L = prod max(lo_j, -hi_j, 0)
+    and U = prod max(hi_j, -lo_j), |N(x)| lies in [L, U] / D^n, so
+    v = ceil(L / D^n) >= 1 and U < (v + 1) D^n leave v as its only
+    integer."""
+    lower = prod(max(lo, -hi, 0) for lo, hi in pairs)
+    upper = prod(max(hi, -lo) for lo, hi in pairs)
+    value = -(-lower // scale)
+    return value if value >= 1 and upper < (value + 1) * scale else None
+
+
 def norm_real(x: CycloElt, field: FieldDesc) -> Fraction:
-    """Norm of x from the field down to Q, as the determinant of
-    multiplication by x expressed on the integral basis."""
+    """Norm of x from the field down to Q, exactly.  x.den x is integral, so
+    the product of x's certified embedding enclosures pins its integer norm
+    (``_pin``) at 64 bits, or doubled up to ``_SIGN_PRECISION_CAP``, with the
+    sign of the product.  Zero, or a norm the cap leaves open (the bits
+    needed grow with the coefficients), is the determinant of multiplication
+    by x on the integral basis, whose cost does not."""
     _require_member(x, field)
+    prec = 64
+    while x and prec <= _SIGN_PRECISION_CAP:
+        pairs, den = real_embedding_bounds(x, embedding_reps(field), prec)
+        value = _pin(pairs, (den // x.den) ** field.n)
+        if value is not None:
+            return Fraction((-1) ** sum(hi < 0 for _, hi in pairs) * value, x.den**field.n)
+        prec *= 2
     rows, scale = [], 1
     for w in field.basis:
         acc, s = integer_coords(field, x * w)
         rows.append(acc)
         scale *= s
     return Fraction(det_int(rows), scale)
-
-
-_SIGN_PRECISION_CAP = 1 << 13
 
 
 def is_totally_positive(x: CycloElt, field: FieldDesc) -> bool:

@@ -44,7 +44,7 @@ from rotlat.distance import (
     _closed_form,
     min_norm_search,
 )
-from rotlat.fields import integral_coords
+from rotlat.fields import integer_coords, integral_coords
 from rotlat.gram import embedding_enclosure_rows
 from rotlat.linalg import det_int
 from rotlat.numtheory import euler_phi
@@ -97,6 +97,15 @@ def doubled_gamma0(module):
     floor."""
     return TwistedModule(module.field, (2 * module.gamma[0], *module.gamma[1:]), module.alpha,
                          module.c, module.construction)
+
+
+def big_constant_twist(module):
+    """The module with 10^4000 added to alpha, built without the
+    constructor's checks.  From p32 p=7 it is the twist with a 4,001-digit
+    constant coefficient that CI's console-script step verifies: its norm
+    is past what enclosures pin at the precision cap."""
+    return TwistedModule(module.field, module.gamma, module.alpha + 10**4000, module.c,
+                         module.construction)
 
 
 def run_fresh(*args) -> str:
@@ -460,6 +469,19 @@ def norm_abs(x):
     """Norm of x from Q(zeta_m) down to Q (determinant of the multiplication map)."""
     rows = _mult_rows(x)
     return Fraction(det_int(rows), x.den ** len(rows))
+
+
+def norm_by_determinant(x, field):
+    """Norm of x from the field down to Q, as the determinant of
+    multiplication by x on the integral basis (row j the coordinates of
+    x * w_j): the route ``norm_real`` falls back to, and the oracle for the
+    norms it and the norm search pin off embedding enclosures."""
+    rows, scale = [], 1
+    for w in field.basis:
+        acc, s = integer_coords(field, x * w)
+        rows.append(acc)
+        scale *= s
+    return Fraction(det_int(rows), scale)
 
 
 def inverse_rational(rows):

@@ -33,6 +33,7 @@ from helpers import (
     half_box_in_scan_order,
     lattice_dimension,
     min_norm_search_oracle,
+    norm_by_determinant,
     scale_exponents,
     widen_leaves,
 )
@@ -206,7 +207,7 @@ def test_min_norm_search_confirms_unit(code, params):
     assert res.exhaustive
     m = get_module(code, **params)
     witness = sum(a * g for a, g in zip(res.witness, m.gamma))
-    assert abs(norm_real(witness, m.field)) == 1
+    assert abs(norm_by_determinant(witness, m.field)) == 1
 
 
 def test_min_norm_search_p31_minimum_two():
@@ -226,7 +227,8 @@ def test_min_norm_search_witness_is_first_in_scan_order():
     assert half_box_in_scan_order(1, 4).index(res.witness) == res.evaluated - 1 == 13
     assert box.index(res.witness) == 26
     for a in box[:box.index(res.witness)]:
-        assert abs(norm_real(sum(c * g for c, g in zip(a, m.gamma)), m.field)) > res.min_abs_norm
+        x = sum(c * g for c, g in zip(a, m.gamma))
+        assert abs(norm_by_determinant(x, m.field)) > res.min_abs_norm
 
 
 def test_norm_homogeneity_of_witness():
@@ -335,7 +337,7 @@ def test_the_index_of_a_non_ideal_is_no_floor():
     good = get_module("p34", r=3, p=5)
     module = TwistedModule(good.field, (good.gamma[0], 2 * good.gamma[1], *good.gamma[2:]),
                            good.alpha, good.c, good.construction)
-    assert module_index(module) == 4 == abs(norm_real(module.gamma[-1], module.field))
+    assert module_index(module) == 4 == abs(norm_by_determinant(module.gamma[-1], module.field))
     assert not is_ideal(module).is_ideal
     res = min_norm_search(module, 1)
     assert _result(res) == _result(min_norm_search_oracle(module, 1)) == (1, (-1, 0, 0, 0), True)
@@ -436,7 +438,8 @@ def test_pruning_bounds_are_certified():
     steps, scale = _embedding_steps(module, 2)
     walked = list(_pruning_bounds(steps, 2))
     assert [a for a, _ in walked] == half_box_in_scan_order(2, 4)
-    norms = [abs(norm_real(sum(c * g for c, g in zip(a, module.gamma)), module.field))
+    norms = [abs(norm_by_determinant(sum(c * g for c, g in zip(a, module.gamma)),
+                                     module.field))
              for a, _ in walked]
     assert all(lower <= scale * norm for (_, lower), norm in zip(walked, norms))
     assert sum(lower > 0 for _, lower in walked) > len(walked) // 2
@@ -497,7 +500,8 @@ def test_min_norm_search_skips_only_vectors_that_cannot_beat_the_minimum(
             best = value if best is None else min(best, value)
     assert best == res.min_abs_norm
     assert len(skipped) == res.evaluated - res.determinants > 0
-    norms = [abs(norm_real(sum(c * g for c, g in zip(a, module.gamma)), module.field))
+    norms = [abs(norm_by_determinant(sum(c * g for c, g in zip(a, module.gamma)),
+                                     module.field))
              for a, _ in skipped]
     assert all(norm >= at for norm, (_, at) in zip(norms, skipped))
     # some skipped vector ties the minimum: only its norm being an integer
@@ -517,7 +521,7 @@ def test_min_norm_search_solves_coordinates_only_for_its_determinants(
     # per candidate would take limit = n * determinants solves
     module = get_module(code, **params)
     checked, solves, norms = [], [], []
-    check, solve, norm = distance.coordinate_matrix, fields.integer_coords, fields.norm_real
+    check, solve, norm = distance.coordinate_matrix, fields.integer_coords, distance.norm_real
 
     def checking(searched):
         rows = check(searched)
@@ -536,7 +540,7 @@ def test_min_norm_search_solves_coordinates_only_for_its_determinants(
 
     monkeypatch.setattr(distance, "coordinate_matrix", checking)
     monkeypatch.setattr(fields, "integer_coords", counting_solve)
-    monkeypatch.setattr(fields, "norm_real", counting_norm)
+    monkeypatch.setattr(distance, "norm_real", counting_norm)
     res = min_norm_search(module, bound)
     assert (res.min_abs_norm, res.exhaustive, res.determinants) == (1, True, 2)
     assert module.field.n * res.determinants == limit
@@ -562,15 +566,22 @@ def test_min_norm_search_reuses_the_gamma_enclosures_of_its_module(monkeypatch):
     assert not any(x in module.gamma for x in bounded)
 
 
+def _with_huge_gamma(good):
+    """The module with its last gamma element replaced by
+    10^30 gamma_0 + gamma_1, built without the constructor's checks."""
+    huge = 10**30 * good.gamma[0] + good.gamma[1]
+    return TwistedModule(good.field, (*good.gamma[:-1], huge), good.alpha, good.c,
+                         good.construction)
+
+
 def test_min_norm_search_escalates_a_norm_its_64_bit_enclosures_cannot_pin(monkeypatch):
     # the last gamma element 10^30 gamma_0 + gamma_1: its norm, the first
     # exact one of the walk, has about 90 digits, far past what 64-bit
-    # bounds pin, so it is read off its own bounds at a doubled precision
-    good = get_module("p32", p=7)
-    huge = 10**30 * good.gamma[0] + good.gamma[1]
-    module = TwistedModule(good.field, (*good.gamma[:-1], huge), good.alpha, good.c,
-                           good.construction)
-    real, pinned = distance.real_embedding_bounds, distance._pinned_norm
+    # bounds pin, so norm_real reads it off its own bounds at a doubled
+    # precision
+    module = _with_huge_gamma(get_module("p32", p=7))
+    huge = module.gamma[-1]
+    real, pinned = fields.real_embedding_bounds, distance._pinned_norm
     precisions, exact = [], []
 
     def recording_bounds(x, reps, prec):
@@ -581,13 +592,35 @@ def test_min_norm_search_escalates_a_norm_its_64_bit_enclosures_cannot_pin(monke
         exact.append((a, pinned(searched, a)))
         return exact[-1][1]
 
-    monkeypatch.setattr(distance, "real_embedding_bounds", recording_bounds)
+    monkeypatch.setattr(fields, "real_embedding_bounds", recording_bounds)
     monkeypatch.setattr(distance, "_pinned_norm", recording_norm)
     res = min_norm_search(module, 2)
     first, value = exact[0]
     assert first == (0, 0, -1)
-    assert value == abs(norm_real(huge, module.field)) > 1 << 256
+    assert value == abs(norm_by_determinant(huge, module.field)) > 1 << 256
     assert max(precisions) > 64
+    assert _result(res) == _result(min_norm_search_oracle(module, 2))
+    assert _found(res) == _found(min_norm_search_oracle(module, 2, half=True))
+
+
+def test_min_norm_search_past_the_precision_cap_takes_one_determinant(monkeypatch):
+    # with the cap below the first precision, no norm that the module's
+    # 64-bit sums leave open is pinned: each such norm is one determinant,
+    # and the search still gives the exact minimum
+    module = _with_huge_gamma(get_module("p32", p=7))
+    module.field.basis  # built (and self-checked) before the count
+    det, dets = fields.det_int, []
+
+    def counting_det(rows):
+        dets.append(rows)
+        return det(rows)
+
+    monkeypatch.setattr(fields, "_SIGN_PRECISION_CAP", 32)
+    monkeypatch.setattr(fields, "det_int", counting_det)
+    res = min_norm_search(module, 2)
+    # the one norm the sums leave open, the 90-digit norm of
+    # 10^30 gamma_0 + gamma_1, took one determinant
+    assert len(dets) == 1
     assert _result(res) == _result(min_norm_search_oracle(module, 2))
     assert _found(res) == _found(min_norm_search_oracle(module, 2, half=True))
 

@@ -24,7 +24,8 @@ from rotlat import (
 from rotlat.fields import factor_degrees, generator_rows, integral_coords
 from rotlat.linalg import det_int
 from rotlat.numtheory import is_prime
-from helpers import conjugates, inverse_rational, norm_abs, trace_by_form, trace_via_mult_matrix
+from helpers import (BATTERY, CERTIFY_MODULES, big_constant_twist, conjugates, get_module,
+                     inverse_rational, norm_abs, trace_by_form, trace_via_mult_matrix)
 
 
 @pytest.mark.parametrize(
@@ -216,9 +217,11 @@ def test_coords_outside_the_field_rejected(family, params):
 @pytest.mark.parametrize("family, params", SOLVE_FIELDS[1:])  # pow2's inverse is the identity
 def test_corrupted_solver_entry_is_caught(monkeypatch, family, params):
     # every single entry of D * inverse, off by one, must be caught by the
-    # span check rather than give wrong coordinates
+    # span check rather than give wrong coordinates; the norm is driven to
+    # its determinant route, the one that solves
     K = make_field(family, **params)
     pivots, den, inv, terms = rotlat.fields._basis_solver(K)
+    monkeypatch.setattr(rotlat.fields, "_SIGN_PRECISION_CAP", 32)
     for i, row in enumerate(inv):
         x = Fraction(1, 3) * next(w for w in K.basis if w.coeffs[pivots[i]])
         for pos, (j, v) in enumerate(row):
@@ -229,6 +232,57 @@ def test_corrupted_solver_entry_is_caught(monkeypatch, family, params):
                 coords_on_basis(K, x)
             with pytest.raises(ValueError, match="outside the rational span"):
                 norm_real(K.basis[0], K)
+
+
+def _norm_routes(monkeypatch, xs, field):
+    """norm_real of each x, and the number of determinants it took, then
+    norm_real of each x with the precision cap below the first precision,
+    which forces the determinant route."""
+    real, dets = rotlat.fields.det_int, []
+
+    def counting_det(rows):
+        dets.append(rows)
+        return real(rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rotlat.fields, "det_int", counting_det)
+        pinned = [norm_real(x, field) for x in xs]
+    with monkeypatch.context() as patch:
+        patch.setattr(rotlat.fields, "_SIGN_PRECISION_CAP", 32)
+        determinants = [norm_real(x, field) for x in xs]
+    return pinned, len(dets), determinants
+
+
+@pytest.mark.parametrize("code, params", BATTERY + CERTIFY_MODULES)
+def test_norm_real_pins_the_norm_its_determinant_gives(monkeypatch, code, params):
+    # alpha, every gamma_i, alpha - k (negative norms among them) and
+    # alpha / 3 - gamma_1 (a denominator) all pin: no determinant, and the
+    # same signed Fraction as the determinant route
+    module = get_module(code, **params)
+    field, alpha = module.field, module.alpha
+    field.basis  # built (and self-checked) before the count
+    xs = [alpha, *module.gamma, *(alpha - k for k in range(1, 7)),
+          alpha * Fraction(1, 3) - module.gamma[1]]
+    pinned, dets, determinants = _norm_routes(monkeypatch, xs, field)
+    assert dets == 0
+    assert pinned == determinants
+    assert all(type(v) is Fraction for v in pinned)
+    assert pinned[-1].denominator > 1
+    assert any(v < 0 for v in pinned[len(module.gamma) + 1:-1])
+
+
+def test_norm_real_routes_agree_on_zero_and_long_coefficients(monkeypatch):
+    # zero takes the determinant; 10^30 gamma_0 + gamma_1 (a 90-digit norm)
+    # pins past 64 bits; the 4,001-digit twist is not pinned by the cap and
+    # takes the determinant
+    module = get_module("p32", p=7)
+    field = module.field
+    xs = [CycloElt.zero(7), 10**30 * module.gamma[0] + module.gamma[1],
+          big_constant_twist(module).alpha]
+    pinned, dets, determinants = _norm_routes(monkeypatch, xs, field)
+    assert pinned == determinants
+    assert pinned[0] == 0 and abs(pinned[1]) > 10**89 and pinned[2] > 10**12000
+    assert dets == 2
 
 
 def test_basis_is_built_on_first_read_and_checked():

@@ -5,6 +5,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import rotlat.fields
+
 from rotlat import (
     CycloElt,
     GramMatrix,
@@ -15,13 +17,15 @@ from rotlat import (
     embedding_reps,
     gram,
     make_field,
+    module_index,
     norm_real,
     real_embedding_bounds,
     subfield_degrees,
 )
 from rotlat.gram import embedding_enclosure_rows
-from helpers import (BATTERY, Enclosure, embedding_csv_oracle, embedding_matrix,
-                     enclosure_rows_oracle, enclosure_rows_oracle_at, get_module, gram_json,
+from helpers import (BATTERY, CERTIFY_MODULES, Enclosure, big_constant_twist,
+                     embedding_csv_oracle, embedding_matrix, enclosure_rows_oracle,
+                     enclosure_rows_oracle_at, get_module, gram_json, norm_by_determinant,
                      widen_leaves)
 
 
@@ -122,6 +126,50 @@ def test_det_via_formula_examples():
 def test_det_identity_battery(code, params):
     m = get_module(code, **params)
     assert det_exact(gram(m)) == det_via_formula(m)
+
+
+def _formula_calls(monkeypatch, module):
+    """det_via_formula of the module, with the determinants, coordinate
+    solves and cyclotomic products it makes, past the module's cached index
+    and its field's basis."""
+    module_index(module)
+    module.field.basis
+    calls = {"det_int": 0, "integer_coords": 0, "__mul__": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(rotlat.fields, "det_int")
+    counted(rotlat.fields, "integer_coords")
+    counted(CycloElt, "__mul__")
+    det = det_via_formula(module)
+    monkeypatch.undo()
+    return det, calls
+
+
+@pytest.mark.parametrize("code,params", BATTERY + CERTIFY_MODULES + (("p32", {"p": 257}),))
+def test_det_via_formula_pins_the_norm_without_products_or_solves(monkeypatch, code, params):
+    module = get_module(code, **params)
+    det, calls = _formula_calls(monkeypatch, module)
+    assert calls == {"det_int": 0, "integer_coords": 0, "__mul__": 0}
+    assert det == module_index(module) ** 2 * norm_by_determinant(module.alpha, module.field) \
+        * module.field.disc
+
+
+def test_det_via_formula_of_a_long_twist_takes_one_determinant(monkeypatch):
+    # the 4,001-digit twist is not pinned by the precision cap: its norm is
+    # the one determinant of the multiplication matrix
+    module = big_constant_twist(get_module("p32", p=7))
+    det, calls = _formula_calls(monkeypatch, module)
+    assert calls["det_int"] == 1
+    assert det == module_index(module) ** 2 * norm_by_determinant(module.alpha, module.field) \
+        * module.field.disc
 
 
 @pytest.mark.parametrize("code,params", BATTERY)
