@@ -27,7 +27,6 @@ scan ends at the module's floor.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -195,47 +194,36 @@ def _pinned_norm(module: TwistedModule, a: tuple[int, ...]) -> int:
 
 def _pruning_bounds(steps, coeff_bound: int):
     """One of each pair +-a of nonzero box vectors, the one whose first
-    nonzero coordinate is negative, one sup-norm shell at a time, with
-    prod_j max(lo_j, -hi_j, 0): a lower bound of D^n |N(x)|, where
-    [lo_j, hi_j] is the interval sum of ``steps[i][a_i]`` enclosing
-    D sigma_j(x).
+    nonzero coordinate is negative, with prod_j max(lo_j, -hi_j, 0): a
+    lower bound of D^n |N(x)|, where [lo_j, hi_j] is the interval sum of
+    ``steps[i][a_i]`` enclosing D sigma_j(x).
 
-    Shell k (k = 1, ..., coeff_bound) holds the vectors with max |a_i| = k,
-    in the product order over the alphabet 0, -1, 1, ..., -k, k with the
-    last coordinate changing fastest, which puts each walked vector before
-    its negative.  Heads whose leading nonzero is positive are never
-    generated: the all-zero head comes first and takes only the last
-    coordinate -k, then the heads whose first nonzero is at position i, for
-    i from the last head position down to 0.  A head with no coordinate
-    equal to +-k lies in the inner box and takes only the last coordinates
-    -k and k.  Prefix sums are kept per depth and reset at each shell, so a
-    vector costs n additions per bound beyond its shared prefix."""
+    Shell k = 1, ..., coeff_bound, the vectors with max |a_i| = k, is walked
+    depth first in the product order over the alphabet 0, -1, 1, ..., -k, k
+    (last coordinate fastest), which puts each vector before its negative.
+    A popped head adds its last coordinate's step to its parent's sums
+    once, then pushes its children in reverse order or, one short of n,
+    yields its leaves.  Before the first nonzero coordinate only 0, -1,
+    ..., -k and a last -k are taken; a head with no coordinate +-k lies in
+    the inner box and takes only the last coordinates -k and k."""
     n = len(steps)
     zeros = [0] * n
-    sums = [(zeros, zeros)] * n  # sums[d]: the bounds of the first d terms
-    edge = [False] * n  # edge[d]: some of the first d terms is +-k
     for k in range(1, coeff_bound + 1):
         alphabet = [0] + [s * c for c in range(1, k + 1) for s in (-1, 1)]
-        last = [(c, steps[n - 1][c + coeff_bound]) for c in alphabet]
-        rim = last[-2:]  # c = -k, k
-        c, (step_lo, step_nhi) = rim[0]
-        yield (0,) * (n - 1) + (c,), math.prod(map(max, step_lo, step_nhi, zeros))
-        heads = itertools.chain.from_iterable(
-            itertools.product(*[[0]] * i, alphabet[1::2], *[alphabet] * (n - 2 - i))
-            for i in reversed(range(n - 1)))
-        prev: tuple[int, ...] = ()
-        for head in heads:
-            changed = 0
-            while changed < len(prev) and head[changed] == prev[changed]:
-                changed += 1
-            for d in range(changed, n - 1):
-                lo, nhi = sums[d]
-                step_lo, step_nhi = steps[d][head[d] + coeff_bound]
-                sums[d + 1] = (list(map(add, lo, step_lo)), list(map(add, nhi, step_nhi)))
-                edge[d + 1] = edge[d] or abs(head[d]) == k
-            prev = head
-            lo, nhi = sums[n - 1]
-            for c, (step_lo, step_nhi) in last if edge[n - 1] else rim:
+        children, leading = alphabet[::-1], alphabet[-2:0:-2] + [0]  # -k, ..., -1, 0
+        stack = [((), zeros, zeros)]
+        while stack:
+            head, lo, nhi = stack.pop()
+            if head:
+                step_lo, step_nhi = steps[len(head) - 1][head[-1] + coeff_bound]
+                lo, nhi = list(map(add, lo, step_lo)), list(map(add, nhi, step_nhi))
+            started = any(head)
+            if len(head) < n - 1:
+                stack.extend((head + (c,), lo, nhi) for c in (children if started else leading))
+                continue
+            edge = k in head or -k in head
+            for c in alphabet if edge else alphabet[-2:] if started else alphabet[-2:-1]:
+                step_lo, step_nhi = steps[-1][c + coeff_bound]
                 lows = map(max, map(add, lo, step_lo), map(add, nhi, step_nhi), zeros)
                 yield head + (c,), math.prod(lows)
 

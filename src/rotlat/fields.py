@@ -37,7 +37,7 @@ from math import gcd, prod
 from typing import Callable, NamedTuple
 
 from .cyclo import CycloElt, Value, real_embedding_bounds, trace_form
-from .linalg import det_int, pivot_inverse, sparse_vec_mat
+from .linalg import det_int, gram_schmidt, pivot_inverse, sparse_vec_mat
 from .numtheory import crt, euler_phi, is_prime
 
 
@@ -175,12 +175,14 @@ class FieldDesc(Value):
             basis.append(CycloElt.from_coeffs(self.m, coeffs))
         if self.n <= 20:
             rows, den = trace_form(basis)
-            got = Fraction(det_int(rows), (den * self.codegree) ** self.n)
+            try:  # the pass also proves the form positive definite, as K is totally real
+                got = Fraction(gram_schmidt(rows)[0][-1], (den * self.codegree) ** self.n)
+                problem = f"trace-form determinant {got} != stored discriminant {self.disc}"
+            except ValueError:
+                got, problem = None, "trace form is not positive definite"
             if got != self.disc:
                 raise RuntimeError(
-                    f"integral basis self-check failed for {self.family}{dict(self.params)}: "
-                    f"trace-form determinant {got} != stored discriminant {self.disc}"
-                )
+                    f"integral basis self-check failed for {self.family}{dict(self.params)}: {problem}")
         return tuple(basis)
 
 
@@ -391,21 +393,27 @@ def _pin(pairs, scale: int) -> int | None:
     return value if value >= 1 and upper < (value + 1) * scale else None
 
 
+def _enclosure_ladder(x: CycloElt, field: FieldDesc, bits: int = 0):
+    """x's ``real_embedding_bounds`` at the least 64 * 2^k bits >= ``bits``,
+    doubled up to ``_SIGN_PRECISION_CAP``: the one ladder of signs and norms."""
+    reps = embedding_reps(field)
+    for shift in range(max(6, (bits - 1).bit_length()), _SIGN_PRECISION_CAP.bit_length()):
+        yield real_embedding_bounds(x, reps, 1 << shift)
+
+
 def norm_real(x: CycloElt, field: FieldDesc) -> Fraction:
     """Norm of x from the field down to Q, exactly.  x.den x is integral, so
     the product of x's certified embedding enclosures pins its integer norm
-    (``_pin``) at 64 bits, or doubled up to ``_SIGN_PRECISION_CAP``, with the
-    sign of the product.  Zero, or a norm the cap leaves open (the bits
-    needed grow with the coefficients), is the determinant of multiplication
-    by x on the integral basis, whose cost does not."""
+    (``_pin``), with the product's sign, from the rung of the bit length of
+    x's largest numerator (the bits needed grow with the coefficients).
+    Zero, or a norm the cap leaves open, is the determinant of
+    multiplication by x on the integral basis, whose cost does not."""
     _require_member(x, field)
-    prec = 64
-    while x and prec <= _SIGN_PRECISION_CAP:
-        pairs, den = real_embedding_bounds(x, embedding_reps(field), prec)
-        value = _pin(pairs, (den // x.den) ** field.n)
-        if value is not None:
-            return Fraction((-1) ** sum(hi < 0 for _, hi in pairs) * value, x.den**field.n)
-        prec *= 2
+    if x:
+        for pairs, den in _enclosure_ladder(x, field, max(map(abs, x.num)).bit_length()):
+            value = _pin(pairs, (den // x.den) ** field.n)
+            if value is not None:
+                return Fraction((-1) ** sum(hi < 0 for _, hi in pairs) * value, x.den**field.n)
     rows, scale = [], 1
     for w in field.basis:
         acc, s = integer_coords(field, x * w)
@@ -415,22 +423,22 @@ def norm_real(x: CycloElt, field: FieldDesc) -> Fraction:
 
 
 def is_totally_positive(x: CycloElt, field: FieldDesc) -> bool:
-    """Certified total-positivity check; precision escalates until signs resolve."""
+    """Whether every real embedding of x is positive, exactly: the signs of
+    x's enclosure numerators over a positive denominator (``_enclosure_ladder``),
+    or past the cap whether Tr(x y^2) = sum_j sigma_j(x) sigma_j(y)^2 is positive definite."""
     if not x:
         return False
     _require_member(x, field)
-    reps = embedding_reps(field)
-    prec = 64
-    while True:
-        # signs of the integer numerators: the denominator is positive
-        bounds, _ = real_embedding_bounds(x, reps, prec)
+    for bounds, _ in _enclosure_ladder(x, field):
         if all(lo > 0 for lo, _ in bounds):
             return True
         if any(hi < 0 for _, hi in bounds):
             return False
-        if prec >= _SIGN_PRECISION_CAP:
-            raise RuntimeError("sign certification did not converge at the precision cap")
-        prec *= 2
+    try:
+        gram_schmidt(trace_form(field.basis, x)[0])
+    except ValueError:
+        return False
+    return True
 
 
 def discriminant_2adic_valuation(field: FieldDesc) -> int:

@@ -2,9 +2,13 @@
 of lists.  A rational matrix arrives as integer numerators over one
 denominator its owner keeps.  ``pivot_inverse`` is the one elimination of
 a matrix that is solved against (a field's basis, a module's coordinate
-matrix) and also gives that block's determinant; ``det_int`` serves the
-matrices that are never inverted.  ``sparse_vec_mat`` is the package's one
-integer product, a vector times the nonzero entries of a matrix's rows: it
+matrix) and also gives that block's determinant.  ``gram_schmidt`` is the
+positive-definiteness test, with the determinant as its last minor: of the
+Gram matrices, of the field's basis self-check and of the trace form that
+decides a sign the enclosures leave open.  ``det_int`` has one reader, the
+determinant behind ``fields.norm_real``.  ``sparse_vec_mat`` is the
+package's one integer product, a vector times the nonzero entries of a
+matrix's rows: it
 serves T * G * T^t in the LLL, the coordinate solves and their span check,
 and the ideal test's rows C_i * M_w * D C^-1.
 """

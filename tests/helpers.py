@@ -108,6 +108,27 @@ def big_constant_twist(module):
                          module.construction)
 
 
+def unit_power(field, e):
+    """u^e for u = 1 + theta_1, in ``pow2`` r=3 the unit 1 + sqrt 2, whose
+    conjugate 1 - sqrt 2 lies in (-1, 0): at e = 4000 one embedding is
+    about 2^-5086, a sign the precision cap leaves open, positive exactly
+    when e is even."""
+    x, out = 1 + field.basis[1], CycloElt.one(field.m)
+    while e:
+        if e & 1:
+            out = out * x
+        x, e = x * x, e >> 1
+    return out
+
+
+def unit_square_twist(module):
+    """The module with alpha times u^4000 (``unit_power``), built without
+    the constructor's checks.  From p31 r=3, an ideal M, it is the twist
+    CI's console-script step verifies: u^2000 M = M, so its lattice is the
+    same rotated D_n."""
+    return module._replace(alpha=module.alpha * unit_power(module.field, 4000))
+
+
 def run_fresh(*args) -> str:
     """The stdout of a new interpreter run with ``args``, importing rotlat
     from this checkout's ``src``; it must exit 0."""

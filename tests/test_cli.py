@@ -14,7 +14,7 @@ from rotlat.gram import det_via_formula
 from rotlat.cyclo import trace_form
 from rotlat.linalg import gram_schmidt, pivot_inverse
 from rotlat import TwistedModule
-from helpers import BATTERY, get_module, run_fresh
+from helpers import BATTERY, get_module, run_fresh, unit_square_twist
 
 
 def test_construct_writes_module(tmp_path, capsys):
@@ -245,6 +245,37 @@ def test_verify_writes_determinants_past_the_int_str_limit(tmp_path, capsys):
     assert det.denominator == 1 and Decimal(cross["formula"]) == det.numerator
     assert cross["gram"] == cross["formula"] and cross["equal"] is True
     assert len(cross["gram"]) > 12000
+
+
+def test_verify_a_twist_whose_sign_the_cap_leaves_open(tmp_path, capsys):
+    # alpha (1 + sqrt 2)^4000 on the p31 r=3 ideal: totally positive, with
+    # one embedding too small for any enclosure up to the cap, and its
+    # lattice is the same rotated D_n
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module_to_json(unit_square_twist(get_module("p31", r=3)))))
+    assert main(["verify", str(path)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] is True
+    assert report["det_cross_check"]["equal"] is True
+
+
+@pytest.mark.parametrize("command", ["verify", "embed"])
+@pytest.mark.parametrize("edit, line", [
+    ("negate-alpha", "error: alpha is not totally positive"),
+    ("relabel-p31", "error: construction p31 needs a pow2 field"),
+])
+def test_module_the_registry_refuses_exits_two(tmp_path, capsys, command, edit, line):
+    obj = module_to_json(get_module("p32", p=7))
+    if edit == "negate-alpha":
+        obj["alpha"] = (-module_from_json(obj).alpha).to_json()
+    else:
+        obj["construction"] = "p31"
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(obj))
+    assert main([command, str(path)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
 
 
 def test_warning_is_one_line(tmp_path, capsys):

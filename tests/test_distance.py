@@ -445,6 +445,22 @@ def test_pruning_bounds_are_certified():
     assert sum(lower > 0 for _, lower in walked) > len(walked) // 2
 
 
+@pytest.mark.parametrize("code,params", [("p34", {"r": 3, "p": 5}), ("p31", {"r": 4})])
+def test_pruning_bounds_are_the_product_of_the_summed_enclosures(code, params):
+    # each bound is prod_j max(lo_j, -hi_j, 0) for the interval sum
+    # [lo_j, hi_j] of a_i times the module's enclosures of sigma_j(gamma_i)
+    module = get_module(code, **params)
+    rows, _ = distance._gamma_enclosures(module)
+    steps, _ = _embedding_steps(module, 2)
+    walked = list(_pruning_bounds(steps, 2))
+    assert len(walked) == (5 ** module.field.n - 1) // 2
+    for a, lower in walked:
+        terms = [(c, low, high) if c >= 0 else (c, high, low) for c, (low, high) in zip(a, rows)]
+        bounds = [(sum(c * low[j] for c, low, _ in terms), sum(c * high[j] for c, _, high in terms))
+                  for j in range(module.field.n)]
+        assert lower == prod(max(lo, -hi, 0) for lo, hi in bounds), a
+
+
 @pytest.mark.parametrize(
     "code,params,bound",
     [("p31", {"r": 3}, 3), ("p32", {"p": 7}, 3), ("p31", {"r": 4}, 2), ("p34", {"r": 3, "p": 5}, 2)],

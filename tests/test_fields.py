@@ -25,7 +25,8 @@ from rotlat.fields import factor_degrees, generator_rows, integral_coords
 from rotlat.linalg import det_int
 from rotlat.numtheory import is_prime
 from helpers import (BATTERY, CERTIFY_MODULES, big_constant_twist, conjugates, get_module,
-                     inverse_rational, norm_abs, trace_by_form, trace_via_mult_matrix)
+                     inverse_rational, norm_abs, norm_by_determinant, trace_by_form,
+                     trace_via_mult_matrix, unit_power)
 
 
 @pytest.mark.parametrize(
@@ -285,6 +286,35 @@ def test_norm_real_routes_agree_on_zero_and_long_coefficients(monkeypatch):
     assert dets == 2
 
 
+def test_norm_ladder_starts_at_the_largest_numerator(monkeypatch):
+    # the 4,001-digit twist starts past the cap: no enclosure at all, one
+    # determinant; 10^30 gamma_0 + gamma_1 (100-bit numerators) starts at
+    # 128 bits and still pins
+    module = get_module("p32", p=7)
+    field = module.field
+    field.basis  # built (and self-checked) before the count
+    real_bounds, real_det = rotlat.fields.real_embedding_bounds, rotlat.fields.det_int
+    precs, dets = [], []
+
+    def counting_bounds(x, reps, prec):
+        precs.append(prec)
+        return real_bounds(x, reps, prec)
+
+    def counting_det(rows):
+        dets.append(rows)
+        return real_det(rows)
+
+    monkeypatch.setattr(rotlat.fields, "real_embedding_bounds", counting_bounds)
+    monkeypatch.setattr(rotlat.fields, "det_int", counting_det)
+    twist = big_constant_twist(module).alpha
+    assert norm_real(twist, field) == norm_by_determinant(twist, field)
+    assert precs == [] and len(dets) == 1
+    long = 10**30 * module.gamma[0] + module.gamma[1]
+    assert max(map(abs, long.num)).bit_length() == 100
+    assert norm_real(long, field) == norm_by_determinant(long, field)
+    assert precs and precs[0] == 128 and len(dets) == 1
+
+
 def test_basis_is_built_on_first_read_and_checked():
     fresh = rotlat.fields._build_field.__wrapped__("comp-pow2-odd", (("r", 3), ("p", 7)))
     assert "basis" not in vars(fresh)
@@ -296,6 +326,25 @@ def test_basis_is_built_on_first_read_and_checked():
     for _ in range(2):  # a failed build caches nothing
         with pytest.raises(RuntimeError, match="integral basis self-check failed"):
             wrong.basis
+
+
+def test_basis_check_refuses_a_trace_form_that_is_not_positive_definite(monkeypatch):
+    # a totally real field's trace form is positive definite: the negated
+    # form fails the Gram-Schmidt pass, one line, and caches nothing
+    real = rotlat.fields.trace_form
+
+    def negated(xs):
+        rows, den = real(xs)
+        return [[-v for v in row] for row in rows], den
+
+    monkeypatch.setattr(rotlat.fields, "trace_form", negated)
+    fresh = rotlat.fields._build_field.__wrapped__("comp-pow2-odd", (("r", 3), ("p", 7)))
+    for _ in range(2):
+        with pytest.raises(RuntimeError) as raised:
+            fresh.basis
+        assert str(raised.value) == ("integral basis self-check failed for "
+                                     "comp-pow2-odd{'r': 3, 'p': 7}: trace form is not positive definite")
+    assert "basis" not in vars(fresh)
 
 
 def test_generators_generate_the_ring():
@@ -405,6 +454,21 @@ def test_total_positivity_escalates_past_64_bits():
     assert not is_totally_positive(-x, K)
     (lo, hi), = [b for k, b in zip(reps, real_embedding_bounds(y, reps, 128)[0]) if k == 1]
     assert (lo > 0, hi < 0) == (2 * q * q > p * p, 2 * q * q < p * p)
+
+
+def test_total_positivity_past_the_precision_cap():
+    # u = 1 + sqrt 2: u^4000 and u^4001 have one embedding near +-2^-5086,
+    # which no enclosure up to the cap resolves, so the sign is the trace
+    # form's: positive definite exactly for the even power
+    K = make_field("pow2", r=3)
+    even, odd = unit_power(K, 4000), unit_power(K, 4001)
+    for x in (even, odd):
+        bounds, _ = real_embedding_bounds(x, embedding_reps(K), rotlat.fields._SIGN_PRECISION_CAP)
+        assert not all(lo > 0 for lo, _ in bounds)
+        assert not any(hi < 0 for _, hi in bounds)
+    assert is_totally_positive(even, K)
+    assert not is_totally_positive(odd, K)
+    assert not is_totally_positive(-even, K)
 
 
 @given(st.integers(min_value=-9, max_value=9), st.integers(min_value=-9, max_value=9),
