@@ -17,13 +17,13 @@ from typing import Callable, NamedTuple
 from .cyclo import CycloElt
 from .fields import (
     FieldDesc,
+    _basis_solver,
     _build_field,
     check_params,
     factor_degrees,
     field_from_json,
     field_to_json,
     generator_rows,
-    integer_coords,
     integral_coords,
     is_totally_positive,
     subfield_degrees,
@@ -189,29 +189,60 @@ def module_index(module: TwistedModule) -> int:
     return abs(_gamma_solver(module)[2])
 
 
+@lru_cache(maxsize=None)
+def _membership_solver(module: TwistedModule):
+    """The module's one solve from the power basis to gamma: the pivot
+    columns P of the field's basis solve, one denominator D = D_B D_C, the
+    sparse rows of R = (D_B B_P^-1)(D_C C^-1), and the nonzero power-basis
+    numerators of each gamma_i.  A numerator vector v of x in the rational
+    span gives v[P] R = D x.den times x's coordinates over gamma.  Raises
+    ValueError unless gamma is integral and of full rank."""
+    den_c, inv_c, _ = _gamma_solver(module)
+    pivots, den_b, inv_b, _ = _basis_solver(module.field)
+    n = module.field.n
+    rows = []
+    for row in inv_b:  # a row of D_B B_P^-1, times D_C C^-1
+        acc = sparse_vec_mat([a for _, a in row], [inv_c[j] for j, _ in row], n)
+        rows.append(tuple((k, v) for k, v in enumerate(acc) if v))
+    terms = tuple(tuple((k, c) for k, c in enumerate(g.num) if c) for g in module.gamma)
+    return pivots, den_b * den_c, tuple(rows), terms
+
+
 def _module_coords(module: TwistedModule, x: CycloElt) -> tuple[list[int], int] | None:
     """Coordinates of x over gamma as integers b_i and one denominator s:
-    x = sum_i (b_i / s) gamma_i.  None when x has another conductor or lies
-    outside the rational span of the integral basis; a gamma that is not
-    of full rank raises ValueError, since its inverse decides nothing."""
-    den, inv, _ = _gamma_solver(module)
-    try:
-        acc, scale = integer_coords(module.field, x)
-    except ValueError:
+    x = sum_i (b_i / s) gamma_i.  One sparse product of x's pivot
+    numerators with the rows of ``_membership_solver`` gives them, and they
+    are accepted only if sum_i b_i gamma_i = s x holds on the numerators.
+    None when x has another conductor or lies outside the rational span of
+    the integral basis; a gamma that is not of full rank raises ValueError,
+    since its inverse decides nothing."""
+    pivots, den, rows, terms = _membership_solver(module)
+    if x.m != module.field.m:
         return None
-    return sparse_vec_mat(acc, inv, module.field.n), den * scale
+    xs = x.num
+    coords = sparse_vec_mat([xs[c] for c in pivots], rows, module.field.n)
+    if sparse_vec_mat(coords, terms, len(xs)) != [den * v for v in xs]:
+        return None
+    return coords, den * x.den
 
 
 def in_module(module: TwistedModule, x: CycloElt) -> bool:
     """Whether x lies in the module: its coordinates over gamma are
-    integers.  False for an x of another conductor or outside the rational
-    span of the integral basis; a gamma that is not of full rank raises
-    ValueError."""
-    found = _module_coords(module, x)
-    if found is None:
+    integers.  The module lies in O_K, inside Z[zeta_m], so an x of another
+    conductor or with a denominator is not in it.  Otherwise x's pivot
+    numerators times the rows of ``_membership_solver`` are D times its
+    coordinates over gamma; D must divide each, and only then is
+    sum_i (b_i / D) gamma_i = x checked on gamma's numerators, which also
+    rejects an x outside the rational span of the integral basis.  A gamma
+    that is not of full rank raises ValueError."""
+    pivots, den, rows, terms = _membership_solver(module)
+    if x.m != module.field.m or x.den != 1:
         return False
-    coords, scale = found
-    return not any(b % scale for b in coords)
+    xs = x.num
+    coords = sparse_vec_mat([xs[c] for c in pivots], rows, module.field.n)
+    if any(b % den for b in coords):
+        return False
+    return sparse_vec_mat([b // den for b in coords], terms, len(xs)) == list(xs)
 
 
 # -- ideal test -------------------------------------------------------------
@@ -239,18 +270,21 @@ def is_ideal(module: TwistedModule) -> IdealCheck:
     C_i M_w is w * gamma_i on the integral basis, and times the module's
     D * C^-1 it is D times w * gamma_i over gamma, so w * gamma_i is in the
     module iff D divides every entry.  On failure the first offending
-    product (in generator x gamma order) is formed and returned as a
-    witness.  A gamma that is not integral, or not of full rank, raises
+    product (in generator x gamma order) is returned as a witness, read off
+    its integer coordinates u = C_i M_w: u times the integral basis's
+    power-basis numerators is w * gamma_i exactly, so no element is
+    multiplied.  A gamma that is not integral, or not of full rank, raises
     ValueError.
     """
     den, inv, _ = _gamma_solver(module)
     field, n = module.field, module.field.n
-    for t, rows in enumerate(generator_rows(field)):
-        for i, coords in enumerate(coordinate_matrix(module)):
-            over_gamma = sparse_vec_mat(sparse_vec_mat(coords, rows, n), inv, n)
-            if any(b % den for b in over_gamma):
-                w, g = field.generators[t], module.gamma[i]
-                return IdealCheck(False, IdealityWitness(w, g, w * g))
+    basis_terms = _basis_solver(field)[3]
+    for w, rows in zip(field.generators, generator_rows(field)):
+        for g, coords in zip(module.gamma, coordinate_matrix(module)):
+            u = sparse_vec_mat(coords, rows, n)
+            if any(b % den for b in sparse_vec_mat(u, inv, n)):
+                product = CycloElt(field.m, tuple(sparse_vec_mat(u, basis_terms, len(w.num))))
+                return IdealCheck(False, IdealityWitness(w, g, product))
     return IdealCheck(True, None)
 
 

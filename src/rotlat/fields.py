@@ -424,12 +424,15 @@ def norm_real(x: CycloElt, field: FieldDesc) -> Fraction:
 
 def is_totally_positive(x: CycloElt, field: FieldDesc) -> bool:
     """Whether every real embedding of x is positive, exactly: the signs of
-    x's enclosure numerators over a positive denominator (``_enclosure_ladder``),
-    or past the cap whether Tr(x y^2) = sum_j sigma_j(x) sigma_j(y)^2 is positive definite."""
+    x's enclosure numerators over a positive denominator (``_enclosure_ladder``,
+    from the rung of the bit length of x's largest numerator, as in
+    ``norm_real``, but at most the cap's), or past the cap whether
+    Tr(x y^2) = sum_j sigma_j(x) sigma_j(y)^2 is positive definite."""
     if not x:
         return False
     _require_member(x, field)
-    for bounds, _ in _enclosure_ladder(x, field):
+    bits = min(max(map(abs, x.num)).bit_length(), _SIGN_PRECISION_CAP)
+    for bounds, _ in _enclosure_ladder(x, field, bits):
         if all(lo > 0 for lo, _ in bounds):
             return True
         if any(hi < 0 for _, hi in bounds):

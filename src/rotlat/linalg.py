@@ -10,7 +10,8 @@ determinant behind ``fields.norm_real``.  ``sparse_vec_mat`` is the
 package's one integer product, a vector times the nonzero entries of a
 matrix's rows: it
 serves T * G * T^t in the LLL, the coordinate solves and their span check,
-and the ideal test's rows C_i * M_w * D C^-1.
+module membership and its check on gamma's numerators, and the ideal
+test's rows C_i * M_w * D C^-1 and its witness.
 """
 
 from __future__ import annotations

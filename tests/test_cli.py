@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -43,6 +44,36 @@ def test_construct_validation_messages(tmp_path, capsys):
                  "--out", str(tmp_path / "x.json")])
     assert code == EXIT_INPUT_ERROR
     assert "--p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, allowed", [
+    (["p31", "--r", "40"], False),  # n = 2^38
+    (["p32", "--p", "100000000000000000039"], False),  # a prime, n = 5 * 10^19 + 19
+    (["p31", "--r", "10000000000000000000"], False),  # no 2^(r-2) is formed
+    (["p34", "--r", "12", "--p", "5"], False),  # n = 1024 * 2
+    (["p37", "--p1", "47", "--p2", "97"], False),  # n = 23 * 48 = 1104
+    (["p31", "--r", "12"], True),  # n = 1024
+    (["p37", "--p1", "43", "--p2", "97"], True),  # n = 21 * 48 = 1008
+])
+def test_construct_refuses_a_dimension_above_its_bound_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, allowed):
+    # the bound is read off the raw parameters: no primality test and no
+    # field work before a refusal, which takes well under a second
+    def stop(*args, **kwargs):
+        raise ValueError("reached the field work")
+
+    monkeypatch.setattr(rotlat.fields, "is_prime", stop)
+    monkeypatch.setattr(rotlat.cli, "build", stop)
+    out = tmp_path / "x.json"
+    start = time.perf_counter()
+    assert main(["construct", "--construction", *argv, "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    given = ", ".join(f"{name[2:]}={value}" for name, value in zip(argv[1::2], argv[2::2]))
+    refusal = (f"error: {argv[0]} with {given} has dimension n > 1024; "
+               f"construct builds modules up to n = 1024")
+    assert captured.err.splitlines() == ["error: reached the field work" if allowed else refusal]
 
 
 def test_verify_round_trip(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from rotlat import (
     TwistedModule,
     build,
     dp_closed_form,
+    embedding_reps,
     in_module,
     is_ideal,
     is_totally_positive,
@@ -21,6 +23,7 @@ from rotlat import constructions, fields
 from rotlat.constructions import _module_coords, coordinate_matrix
 from rotlat.fields import FieldDesc
 from rotlat.gram import gram
+from rotlat.verify import verify_rotated_dn
 from helpers import (
     BATTERY,
     CERTIFY_MODULES,
@@ -229,22 +232,36 @@ def test_membership_and_coords():
 
 
 @given(st.sampled_from(BATTERY), st.lists(st.integers(-9, 9), min_size=12, max_size=12),
-       st.sampled_from([1, 2, 3, 4, 6]))
-@settings(max_examples=60, deadline=None)
-def test_coords_in_module_equals_dense_oracle(case, nums, den):
+       st.integers(1, 6), st.sampled_from(["in K", "zeta", "zeta plus a basis element"]),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_coords_in_module_equals_dense_oracle(case, nums, den, shift, lifted):
+    # the one-solve route against the dense rational inverse: coordinates and
+    # membership of x in K with denominators 1..6; None and False for x
+    # outside K (x plus zeta_m, or plus zeta_m and a basis element) or of
+    # another conductor; ValueError from a gamma of rank below n, whatever x is
     code, params = case
     m = get_module(code, **params)
     K = m.field
     y = [Fraction(a, den) for a in nums[:K.n]]  # coordinates over the integral basis
-    x = CycloElt.zero(K.m)
-    for a, w in zip(y, K.basis):
-        x = x + a * w
-    # test-side oracle: y times the dense rational inverse of the coordinate matrix
-    inv = inverse_rational([list(row) for row in coordinate_matrix(m)])
-    expected = tuple(sum(y[i] * inv[i][j] for i in range(K.n)) for j in range(K.n))
-    assert _coords(m, x) == expected
-    assert in_module(m, x) == all(q.denominator == 1 for q in expected)
-    assert sum(q * g for q, g in zip(expected, m.gamma)) == x
+    x = sum((a * w for a, w in zip(y, K.basis)), CycloElt.zero(K.m))
+    zeta = CycloElt.zeta(K.m)
+    x = x + {"in K": 0, "zeta": zeta, "zeta plus a basis element": zeta + K.basis[-1]}[shift]
+    if lifted:
+        x = x.lift(2 * K.m)
+    if shift == "in K" and not lifted:
+        inv = inverse_rational([list(row) for row in coordinate_matrix(m)])
+        expected = tuple(sum(y[i] * inv[i][j] for i in range(K.n)) for j in range(K.n))
+        assert _coords(m, x) == expected
+        assert in_module(m, x) == all(q.denominator == 1 for q in expected)
+        assert sum(q * g for q, g in zip(expected, m.gamma)) == x
+    else:
+        assert _module_coords(m, x) is None
+        assert not in_module(m, x)
+    bad = _with_gamma(m, (m.gamma[0], *m.gamma[:-1]))
+    for test in (in_module, _module_coords):
+        with pytest.raises(ValueError, match="^gamma is not full rank$"):
+            test(bad, x)
 
 
 def test_module_hash_is_consistent_with_equality():
@@ -273,8 +290,9 @@ def test_is_ideal_verdicts():
 def test_is_ideal_forms_no_product_but_its_witness(monkeypatch):
     # closure is decided on integer coordinates: an ideal costs no membership
     # query, no coordinate solve and no cyclotomic product, and a non-ideal
-    # forms one product, its witness
-    calls = {"in_module": 0, "integer_coords": 0, "__mul__": 0}
+    # reads its witness product off the failing row's integer coordinates,
+    # with no product either
+    calls = {"in_module": 0, "_module_coords": 0, "integer_coords": 0, "__mul__": 0}
 
     def spy(owner, name):
         real = getattr(owner, name)
@@ -287,14 +305,14 @@ def test_is_ideal_forms_no_product_but_its_witness(monkeypatch):
 
     ideal, other = get_module("p31", r=7), get_module("p37", p1=5, p2=7)
     spy(constructions, "in_module")
-    spy(constructions, "integer_coords")
+    spy(constructions, "_module_coords")
     spy(fields, "integer_coords")
     spy(CycloElt, "__mul__")
     assert is_ideal(ideal) == (True, None)
-    assert calls == {"in_module": 0, "integer_coords": 0, "__mul__": 0}
+    assert calls == {"in_module": 0, "_module_coords": 0, "integer_coords": 0, "__mul__": 0}
     chk = is_ideal(other)
     assert not chk.is_ideal and chk.witness.basis_factor in other.field.generators
-    assert calls == {"in_module": 0, "integer_coords": 0, "__mul__": 1}
+    assert calls == {"in_module": 0, "_module_coords": 0, "integer_coords": 0, "__mul__": 0}
 
 
 # p31 r = 3..8 are among these: r = 3, 4, 5 in the battery, 7 and 8 certified
@@ -310,7 +328,9 @@ def _with_gamma(module, gamma):
 def test_is_ideal_equals_the_product_oracle(code, params):
     # verdict and witness, on the module and on tampered copies: gamma_0
     # replaced by gamma_0 + gamma_1 (the same module on another basis),
-    # gamma_0 or the last gamma element doubled, and 2 O_K, an ideal of index 2^n
+    # gamma_0 or the last gamma element doubled, and 2 O_K, an ideal of index
+    # 2^n; every witness product, read off integer coordinates, is the
+    # cyclotomic product of its factors
     module = get_module(code, **params)
     gamma, K = module.gamma, module.field
     for m in (
@@ -320,7 +340,52 @@ def test_is_ideal_equals_the_product_oracle(code, params):
         _with_gamma(module, (*gamma[:-1], 2 * gamma[-1])),
         _with_gamma(module, (2 * b for b in K.basis)),
     ):
-        assert is_ideal(m) == is_ideal_oracle(m)
+        chk = is_ideal(m)
+        assert chk == is_ideal_oracle(m)
+        if not chk.is_ideal:
+            w = chk.witness
+            assert w.product == w.basis_factor * w.module_factor
+
+
+def _conjugate(module, s):
+    """The module mapped by zeta -> zeta^s, gamma and alpha alike: Galois
+    invariance of the twisted trace form makes its lattice isometric."""
+    return TwistedModule(module.field, tuple(g.galois(s) for g in module.gamma),
+                         module.alpha.galois(s), module.c, module.construction)
+
+
+@pytest.mark.parametrize("code,params", BATTERY)
+def test_galois_conjugate_keeps_every_decide_answer(code, params):
+    # sigma_s(O_K) = O_K, so the conjugate module has the same index and
+    # closure verdict, and sigma_s(x) is in it exactly when x is in the
+    # module; a tampered module (gamma_0 doubled) keeps its verdicts too
+    module = get_module(code, **params)
+    K = module.field
+    rng = random.Random(f"{code} {sorted(params.items())}")
+
+    def combo(elements, scale=1):
+        return sum((scale * rng.randint(-3, 3) * e for e in elements), CycloElt.zero(K.m))
+
+    witness = is_ideal(module).witness
+    outside = CycloElt.one(K.m) if witness is None else witness.product
+    queries = [combo(module.gamma) for _ in range(3)] + [combo(K.basis, 2) for _ in range(2)]
+    queries += [combo(module.gamma) + outside for _ in range(3)]
+    queries += [combo(K.basis) for _ in range(4)]
+    answers = [in_module(module, x) for x in queries]
+    assert True in answers and False in answers
+    tampered = doubled_gamma0(module)
+    for s in embedding_reps(K)[1:4]:
+        conjugate = _conjugate(module, s)
+        assert conjugate.gamma != module.gamma
+        assert is_ideal(conjugate).is_ideal == is_ideal(module).is_ideal
+        assert module_index(conjugate) == module_index(module)
+        assert [in_module(conjugate, x.galois(s)) for x in queries] == answers
+        conjugate = _conjugate(tampered, s)
+        assert is_ideal(conjugate).is_ideal == is_ideal(tampered).is_ideal
+        assert module_index(conjugate) == module_index(tampered) == 2 * module_index(module)
+        assert [in_module(conjugate, x.galois(s)) for x in queries] == [
+            in_module(tampered, x) for x in queries]
+        assert verify_rotated_dn(conjugate).verdict is verify_rotated_dn(tampered).verdict is False
 
 
 @pytest.mark.parametrize("family,params", [("pow2", {"r": 4}), ("odd-prime", {"p": 7}),

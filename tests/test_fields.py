@@ -471,6 +471,32 @@ def test_total_positivity_past_the_precision_cap():
     assert not is_totally_positive(-even, K)
 
 
+def test_positivity_ladder_starts_at_the_largest_numerator(monkeypatch):
+    # u^4000 (numerators past 4,096 bits) skips the 64 ... 4,096-bit rungs:
+    # one enclosure at the cap, then the trace form decides; a twist whose
+    # numerators are longer than the cap still gets the cap's rung, and a
+    # twist with small coefficients starts at 64 bits
+    K = make_field("pow2", r=3)
+    even = unit_power(K, 4000)
+    assert 4096 < max(map(abs, even.num)).bit_length() <= rotlat.fields._SIGN_PRECISION_CAP
+    real_bounds = rotlat.fields.real_embedding_bounds
+    precs = []
+
+    def counting_bounds(x, reps, prec):
+        precs.append(prec)
+        return real_bounds(x, reps, prec)
+
+    monkeypatch.setattr(rotlat.fields, "real_embedding_bounds", counting_bounds)
+    assert is_totally_positive(even, K)
+    assert precs == [rotlat.fields._SIGN_PRECISION_CAP]
+    module = get_module("p32", p=7)
+    for x, start in ((big_constant_twist(module).alpha, rotlat.fields._SIGN_PRECISION_CAP),
+                     (module.alpha, 64)):
+        precs.clear()
+        assert is_totally_positive(x, module.field)
+        assert precs == [start]
+
+
 @given(st.integers(min_value=-9, max_value=9), st.integers(min_value=-9, max_value=9),
        st.integers(min_value=-9, max_value=9))
 @settings(max_examples=30, deadline=None)
